@@ -196,6 +196,7 @@ def cmd_exact(args) -> int:
     exact = {"rn": res.rn, "completed": res.stats.completed, "nodes": res.stats.nodes}
     if args.stats:
         exact["elapsed_s"] = res.stats.elapsed_s
+        exact["pruned"] = res.stats.pruned
     report["exact"] = exact
     if args.labels:
         report["labels"] = {str(v): res.witness.labels[v]

@@ -13,7 +13,7 @@ Families:
   with degree list (2, m+1, 2, ..., 2).
 
 Each family carries a map from the conventional vertex names (v_i, v_{i,j},
-w_{i1i2...}, w^l_{i,j}, ...) to vertex ids, and a certifying order constructor
+w_{i1,i2,...}, w^l_{i,j}, ...) to vertex ids, and a certifying order constructor
 that reproduces the known optimal span; every constructed order is validated
 by the full certification pipeline before being returned.
 """
@@ -333,7 +333,7 @@ def rn_binary(h: int) -> int:
 def gen_levelwise(z: int, degrees) -> FamilyInstance:
     """Level-wise regular tree with z roots and per-level degrees m_0..m_{h-1}.
 
-    Vertices are named w_{i1 i2 ... il} (and w'_{...} for the second root's
+    Vertices are named w_{i1,i2,...,il} (and w'_{...} for the second root's
     side when z = 2) by their child-index path from the root.
     """
     ms = list(degrees)
@@ -350,16 +350,16 @@ def gen_levelwise(z: int, degrees) -> FamilyInstance:
         nxt += 1
         return nxt - 1
 
-    def grow(parent_id, mark, digits, level):
+    def grow(parent_id, mark, prefix, level):
         # attach the children of a level-(level) vertex
         if level >= h:
             return
         width = ms[level] if level == 0 else ms[level] - 1
         for c in range(width):
-            path = digits + str(c)
+            path = prefix + str(c)
             v = new_vertex(f"w{mark}_{{{path}}}")
             edges.append((parent_id, v))
-            grow(v, mark, path, level + 1)
+            grow(v, mark, path + ",", level + 1)
 
     if z == 1:
         root = new_vertex("w")
@@ -373,7 +373,7 @@ def gen_levelwise(z: int, degrees) -> FamilyInstance:
             for c in range(ms[0] - 1):
                 v = new_vertex(f"w{mark}_{{{c}}}")
                 edges.append((root, v))
-                grow(v, mark, str(c), 1)
+                grow(v, mark, f"{c},", 1)
     closed = None
     if ms[0] == 2 and all(m >= 3 for m in ms[1:]):
         closed = rn_levelwise(z, ms)
@@ -416,8 +416,8 @@ def proof_order_levelwise(inst: FamilyInstance) -> tuple:
     names = inst.vertex_names
     p = inst.tree.p
 
-    def digit_path(name):
-        return tuple(int(c) for c in name.split("{")[1].rstrip("}"))
+    def index_path(name):
+        return tuple(int(c) for c in name.split("{")[1].rstrip("}").split(","))
 
     if z == 1:
         order = [None] * p
@@ -425,8 +425,8 @@ def proof_order_levelwise(inst: FamilyInstance) -> tuple:
         for name, vid in names.items():
             if name == "w":
                 continue
-            idx = digit_path(name)
-            # the first digit picks the branch; ranks interleave the branches
+            idx = index_path(name)
+            # the first index picks the branch; ranks interleave the branches
             j = 2 * (_levelwise_branch_position(idx[1:], ms, h) - 1) + 1 + idx[0]
             order[j] = vid
         if any(v is None for v in order):
@@ -439,8 +439,8 @@ def proof_order_levelwise(inst: FamilyInstance) -> tuple:
     for name, vid in names.items():
         if name in ("w", "w'"):
             continue
-        # each root has a single child here, so the leading digit is dropped
-        idx = digit_path(name)[1:]
+        # each root has a single child here, so the leading index is dropped
+        idx = index_path(name)[1:]
         rank = _levelwise_branch_position(idx, ms, h)
         (vps if name.startswith("w'") else vs)[rank] = vid
     half = (p - 2) // 2

@@ -12,38 +12,28 @@ equivalent when the trees rooted at them have identical canonical forms —
 equality of rooted canonical forms yields an automorphism carrying one root
 to the other, so orders starting at equivalent vertices produce equal spans.
 
-Two interchangeable kernels implement the inner loop: a compiled extension
-(preferred) and a pure-Python fallback; set ``RADIOTREE_PURE=1`` to force the
-fallback.  Both explore in the same order, so results are identical.
+Pruning: a candidate is skipped when one of two lower bounds on every
+completion through it already reaches the incumbent (see :func:`_search`).
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
+from typing import Mapping
 
 from .errors import OrderTooLarge
 from .labelling import RadioLabelling, greedy_label_from_order, verify_labelling
 from .tree import Tree, distance_matrix, metrics
 
-from . import _solver_py
-
-if os.environ.get("RADIOTREE_PURE"):
-    _kernel = _solver_py
-else:
-    try:
-        from . import _solver_core as _kernel  # type: ignore[no-redef]
-    except ImportError:
-        _kernel = _solver_py
-
 DEFAULT_MAX_ORDER = 12
 DEFAULT_TIMEOUT_S = 300.0
+TIME_CHECK_MASK = 0xFFF  # check the clock every 4096 node expansions
 
 
 def kernel_name() -> str:
-    """Which search kernel is active: 'compiled' or 'pure-python'."""
-    return "pure-python" if _kernel is _solver_py else "compiled"
+    """Which search kernel is active; there is one, written in Python."""
+    return "pure-python"
 
 
 @dataclass(frozen=True)
@@ -51,6 +41,7 @@ class SolveStats:
     nodes: int
     elapsed_s: float
     completed: bool
+    pruned: Mapping[str, int]  # candidates skipped, per rule: remaining, suffix_bound
 
 
 @dataclass(frozen=True)
@@ -78,9 +69,124 @@ def _start_representatives(tree: Tree) -> list:
     return sorted(seen.values())
 
 
+def _search(p, dist, diam, level, eps, starts, ub, ub_order, deadline):
+    """Depth-first branch-and-bound over vertex orders with greedy completion.
+
+    Returns (best_span, best_order, nodes, pruned, completed).  ``ub`` and
+    ``ub_order`` seed the incumbent; the search looks for strictly better
+    orders and keeps the first one found at each improvement.  ``deadline``
+    is a monotonic timestamp (or None); on timeout the incumbent is returned
+    with completed=False.
+
+    Placing vertex ``u`` after the current partial order forces its label to
+    ``req[u]``, the greedy minimum over all placed vertices ``w`` of
+    ``f(w) + diam + 1 - dist(w, u)``; this is maintained incrementally with
+    one snapshot per depth.  A candidate ``u`` with label ``lab``, leaving the
+    set ``R`` of ``r = |R|`` vertices unplaced, is skipped by the first rule
+    that shows every completion through it spans at least the incumbent:
+
+    * ``remaining``: labels are distinct, so each of the ``r`` later vertices
+      adds at least 1: ``lab + r >= best``.
+    * ``suffix_bound`` (``r >= 1``), the paper's basic bound applied to the
+      unplaced suffix.  In any tree ``d(x, y) <= L(x) + L(y) + [|W| = 2]``
+      (go through the weight centers, which are adjacent when there are two),
+      so with ``eps = 2 - |W|`` each gap between consecutive labels of the
+      greedy completion is at least ``diam + 1 - d(x, y) >= (diam + eps) -
+      L(x) - L(y)``.  Summing along any completion ``u = x_0, x_1, ..., x_r``
+      of ``R`` gives a span of at least
+      ``lab + r(diam + eps) - L(u) - 2 sum L(R) + L(x_r)``, and
+      ``L(x_r) >= min L(R)``.  Nothing here needs the tree to be two-branch.
+
+    Both rules remove only subtrees whose leaves are no better than the
+    incumbent at that moment, and the incumbent never rises, so the sequence
+    of incumbents, the result and its order are those of the unpruned search.
+    ``sum L`` over the unplaced vertices is kept as a running total and their
+    levels as a count per level, both updated on place and unplace.
+    """
+    best = ub
+    best_order = list(ub_order)
+    nodes = 0
+    pruned_remaining = 0
+    pruned_suffix = 0
+    timed_out = False
+    step = diam + eps
+
+    order = [0] * p
+    placed = [False] * p
+    # req[u]: minimal feasible label for u given the current partial order;
+    # one saved copy per depth for O(p) backtracking.
+    req = [0] * p
+    saved = [[0] * p for _ in range(p)]
+    unplaced_level_sum = sum(level)
+    unplaced_at_level = [0] * (max(level) + 1)
+    for lv in level:
+        unplaced_at_level[lv] += 1
+
+    def extend(depth, span):
+        nonlocal best, best_order, nodes, pruned_remaining, pruned_suffix
+        nonlocal timed_out, unplaced_level_sum
+        if depth == p:
+            if span < best:
+                best = span
+                best_order = order[:p]
+            return
+        remaining_after = p - depth - 1
+        if remaining_after:
+            # the two smallest levels among the unplaced (at least two) vertices
+            lo1 = 0
+            while not unplaced_at_level[lo1]:
+                lo1 += 1
+            lo2 = lo1
+            if unplaced_at_level[lo1] == 1:
+                lo2 += 1
+                while not unplaced_at_level[lo2]:
+                    lo2 += 1
+            suffix_base = remaining_after * step - 2 * unplaced_level_sum
+        for u in (starts if depth == 0 else range(p)):
+            if placed[u]:
+                continue
+            lab = req[u]
+            if lab + remaining_after >= best:
+                pruned_remaining += 1
+                continue
+            lu = level[u]
+            if remaining_after and \
+                    lab + suffix_base + lu + (lo2 if lu == lo1 else lo1) >= best:
+                pruned_suffix += 1
+                continue
+            nodes += 1
+            if nodes & TIME_CHECK_MASK == 0 and deadline is not None \
+                    and time.monotonic() > deadline:
+                timed_out = True
+                return
+            order[depth] = u
+            placed[u] = True
+            unplaced_at_level[lu] -= 1
+            unplaced_level_sum -= lu
+            snap = saved[depth]
+            du = dist[u]
+            for v in range(p):
+                snap[v] = req[v]
+                if not placed[v]:
+                    need = lab + diam + 1 - du[v]
+                    if need > req[v]:
+                        req[v] = need
+            extend(depth + 1, lab)
+            placed[u] = False
+            unplaced_at_level[lu] += 1
+            unplaced_level_sum += lu
+            for v in range(p):
+                req[v] = snap[v]
+            if timed_out:
+                return
+
+    extend(0, 0)
+    pruned = {"remaining": pruned_remaining, "suffix_bound": pruned_suffix}
+    return best, best_order, nodes, pruned, not timed_out
+
+
 def exact_rn(tree: Tree, max_order: int = DEFAULT_MAX_ORDER,
-             timeout_s: float | None = DEFAULT_TIMEOUT_S,
-             kernel=None) -> SolveResult:
+             timeout_s: float | None = DEFAULT_TIMEOUT_S) -> SolveResult:
     """Exact radio number by exhaustive pruned search.
 
     Raises :class:`OrderTooLarge` beyond ``max_order`` vertices.  On timeout
@@ -89,7 +195,6 @@ def exact_rn(tree: Tree, max_order: int = DEFAULT_MAX_ORDER,
     """
     if tree.p > max_order:
         raise OrderTooLarge(f"{tree.p} vertices exceeds the limit {max_order}")
-    k = kernel if kernel is not None else _kernel
     m = metrics(tree)
     dist = [list(row) for row in distance_matrix(tree)]
     # Seed the incumbent with the greedy completion of the identity order.
@@ -100,8 +205,9 @@ def exact_rn(tree: Tree, max_order: int = DEFAULT_MAX_ORDER,
     deadline = None if timeout_s is None else time.monotonic() + timeout_s
 
     t0 = time.monotonic()
-    best, best_order, nodes, completed = k.solve(
-        tree.p, dist, m.diameter, starts, seed.span, ub_order, deadline,
+    best, best_order, nodes, pruned, completed = _search(
+        tree.p, dist, m.diameter, m.level, m.epsilon, starts, seed.span,
+        ub_order, deadline,
     )
     elapsed = time.monotonic() - t0
 
@@ -114,7 +220,8 @@ def exact_rn(tree: Tree, max_order: int = DEFAULT_MAX_ORDER,
     return SolveResult(
         rn=best,
         witness=witness,
-        stats=SolveStats(nodes=nodes, elapsed_s=elapsed, completed=completed),
+        stats=SolveStats(nodes=nodes, elapsed_s=elapsed, completed=completed,
+                         pruned=pruned),
     )
 
 

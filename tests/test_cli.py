@@ -146,10 +146,12 @@ class TestExact:
         assert rep["exact"]["rn"] == 34
         assert rep["exact"]["completed"] is True
         assert "elapsed_s" not in rep["exact"]
+        assert "pruned" not in rep["exact"]
 
     def test_stats_opt_in(self, capsys, p9_file):
         code, rep = run_json(capsys, ["exact", p9_file, "--json", "--stats"])
         assert code == 0 and "elapsed_s" in rep["exact"]
+        assert set(rep["exact"]["pruned"]) == {"remaining", "suffix_bound"}
 
     def test_max_order_limit(self, capsys, p9_file):
         assert main(["exact", p9_file, "--max-order", "5"]) == 4

@@ -150,6 +150,16 @@ class TestLevelwise:
         lab = certify_tightness(metrics(inst.tree), order)
         assert lab.span == inst.closed_form_rn
 
+    @pytest.mark.parametrize("z", (1, 2))
+    @pytest.mark.parametrize("degs", [(2, 12, 3), (2, 3, 30)])
+    def test_child_indices_above_nine(self, z, degs):
+        # multi-digit child indices must neither collide in names nor be
+        # read back as several digits
+        inst = gen_levelwise(z, degs)
+        assert len(inst.vertex_names) == inst.tree.p
+        lab = certify_tightness(metrics(inst.tree), proof_order_levelwise(inst))
+        assert lab.span == rn_levelwise(z, degs)
+
     def test_order_unsupported_off_grid(self):
         with pytest.raises(UnsupportedParams):
             proof_order_levelwise(gen_levelwise(1, (3, 3)))

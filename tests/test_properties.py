@@ -18,7 +18,7 @@ from radiotree import (
     strict_gap_predicate,
     verify_labelling,
 )
-from radiotree import _solver_py
+from test_solver import brute_force_rn
 
 
 def random_tree(n, seed):
@@ -131,10 +131,10 @@ def test_sigma_bounds_and_span_decomposition(seed):
 
 @given(st.integers(0, 10**6))
 @settings(max_examples=10, deadline=None)
-def test_solver_kernels_and_determinism(seed):
+def test_solver_matches_brute_force_and_is_deterministic(seed):
     tree = random_tree(7, seed)
     a = exact_rn(tree)
-    b = exact_rn(tree, kernel=_solver_py)
-    assert a.rn == b.rn
+    b = exact_rn(tree)
+    assert a.rn == brute_force_rn(tree)
     assert a.stats.nodes == b.stats.nodes
     assert a.witness.labels == b.witness.labels

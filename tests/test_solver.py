@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from radiotree import (
@@ -7,21 +10,24 @@ from radiotree import (
     exact_rn,
     gen_caterpillar,
     gen_path,
-    kernel_name,
+    gen_random_two_branch,
+    greedy_label_from_order,
     metrics,
     rn_path,
     verify_labelling,
 )
-from radiotree import _solver_py
-
-try:
-    from radiotree import _solver_core
-except ImportError:
-    _solver_core = None
 
 
 def path(n):
     return build_tree([(i, i + 1) for i in range(n - 1)])
+
+
+def brute_force_rn(tree):
+    """Reference radio number: the least greedy span over every vertex order,
+    with no symmetry reduction and no pruning."""
+    m = metrics(tree)
+    return min(greedy_label_from_order(m, order).span
+               for order in itertools.permutations(range(tree.p)))
 
 
 class TestKnownValues:
@@ -78,18 +84,27 @@ class TestContract:
         assert a.witness.labels == b.witness.labels
 
 
-@pytest.mark.skipif(_solver_core is None, reason="compiled kernel unavailable")
-class TestKernelAgreement:
-    def test_kernels_identical(self):
-        for tree in (path(7), path(8), gen_caterpillar(3, 2).tree):
-            py = exact_rn(tree, kernel=_solver_py)
-            cy = exact_rn(tree, kernel=_solver_core)
-            assert py.rn == cy.rn
-            assert py.stats.nodes == cy.stats.nodes
-            assert py.witness.labels == cy.witness.labels
+class TestBruteForceReference:
+    def test_random_trees(self):
+        # arbitrary trees, half of them not two-branch
+        rng = random.Random(11)
+        for _ in range(30):
+            n = rng.randrange(4, 8)
+            tree = build_tree([(i, rng.randrange(i)) for i in range(1, n)])
+            assert exact_rn(tree).rn == brute_force_rn(tree)
 
-    def test_kernel_name(self):
-        assert kernel_name() in ("compiled", "pure-python")
+    def test_random_two_branch_trees(self):
+        for n in range(4, 8):
+            for seed in range(4):
+                tree = gen_random_two_branch(n, seed).tree
+                assert exact_rn(tree).rn == brute_force_rn(tree)
+
+
+class TestPruneCounters:
+    def test_both_rules_fire_on_p10(self):
+        pruned = exact_rn(path(10)).stats.pruned
+        assert set(pruned) == {"remaining", "suffix_bound"}
+        assert pruned["suffix_bound"] > 0
 
 
 class TestAdapters:

@@ -25,6 +25,7 @@ from .errors import (
     LengthMismatch,
     MissingLabel,
     NegativeLabel,
+    NonIntegerLabel,
     NotAPermutation,
     NotATree,
     NotOmegaTree,

@@ -21,6 +21,7 @@ from .bounds import (
     liu_bound_odd,
 )
 from .errors import (
+    BadVertex,
     CertificationFailure,
     ExhaustedAttempts,
     InvalidProofOrder,
@@ -58,8 +59,11 @@ def _read_order(path: str) -> tuple:
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.split("#", 1)[0].strip()
-            if line:
-                ids.extend(int(tok) for tok in line.split())
+            for tok in line.split():
+                try:
+                    ids.append(int(tok))
+                except ValueError:
+                    raise BadVertex(f"order token {tok!r} is not a vertex id") from None
     return tuple(ids)
 
 
@@ -205,17 +209,33 @@ def cmd_exact(args) -> int:
     return EXIT_OK if res.stats.completed else EXIT_RESOURCE
 
 
+# the parameters each family needs; the others have defaults
+_FAMILY_PARAMS = {
+    "path": ("n",),
+    "caterpillar": ("n", "k"),
+    "levelwise": ("degrees",),
+    "lmh": ("m", "h"),
+    "random": ("n",),
+}
+
+
+class _UsageError(Exception):
+    """Arguments that parse but do not fit together."""
+
+
 def _gen_instance(args) -> families.FamilyInstance:
     fam = args.family
+    missing = [name for name in _FAMILY_PARAMS[fam] if getattr(args, name) is None]
+    if missing:
+        raise _UsageError(f"family {fam!r} needs " + ", ".join(f"--{name}" for name in missing))
     if fam == "path":
         return families.gen_path(args.n)
     if fam == "caterpillar":
         return families.gen_caterpillar(args.n, args.k)
     if fam == "levelwise":
-        degs = [int(tok) for tok in args.degrees.split(",")]
-        return families.gen_levelwise(args.z, degs)
+        return families.gen_levelwise(args.z, args.degrees)
     if fam == "lmh":
-        return families.gen_lmh(args.z, args.m, args.height)
+        return families.gen_lmh(args.z, args.m, args.h)
     if fam == "random":
         return families.gen_random_two_branch(args.n, args.seed)
     raise AssertionError(fam)
@@ -277,6 +297,24 @@ def cmd_demo(args) -> int:
 
 # --- argument parsing ------------------------------------------------------
 
+def degree_list(text: str) -> list:
+    return [int(tok) for tok in text.split(",")]
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
 def _add_family_arguments(sub) -> None:
     sub.add_argument("family",
                      choices=["path", "caterpillar", "levelwise", "lmh", "random"])
@@ -284,8 +322,8 @@ def _add_family_arguments(sub) -> None:
     sub.add_argument("--k", type=int, default=None)
     sub.add_argument("--z", type=int, default=1)
     sub.add_argument("--m", type=int, default=None)
-    sub.add_argument("--h", dest="height", type=int, default=None)
-    sub.add_argument("--degrees", type=str, default=None,
+    sub.add_argument("--h", type=int, default=None)
+    sub.add_argument("--degrees", type=degree_list, default=None,
                      help="comma-separated per-level degrees, e.g. 2,3,3")
     sub.add_argument("--seed", type=int, default=0)
 
@@ -329,8 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("exact", help="exact radio number by exhaustive search")
     s.add_argument("tree")
-    s.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER)
-    s.add_argument("--timeout-s", type=float, default=DEFAULT_TIMEOUT_S)
+    s.add_argument("--max-order", type=positive_int, default=DEFAULT_MAX_ORDER)
+    s.add_argument("--timeout-s", type=positive_float, default=DEFAULT_TIMEOUT_S)
     s.add_argument("--labels", action="store_true",
                    help="include a witness labelling in the report")
     s.add_argument("--stats", action="store_true")
@@ -358,8 +396,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"cannot read {exc.filename}", file=sys.stderr)
+    except _UsageError as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_INPUT
+    except UnicodeDecodeError as exc:
+        print(f"input is not UTF-8 text: {exc.reason}", file=sys.stderr)
         return EXIT_INPUT
     except (OrderTooLarge, ExhaustedAttempts) as exc:
         print(str(exc), file=sys.stderr)

@@ -52,7 +52,12 @@ class LengthMismatch(RadioTreeError):
 # --- labellings ------------------------------------------------------------
 
 class NegativeLabel(RadioTreeError):
-    """Labelling recurrence dipped below zero (non-certifying order)."""
+    """A label is negative (for a constructed labelling: the recurrence
+    dipped below zero, which signals a non-certifying order)."""
+
+
+class NonIntegerLabel(RadioTreeError):
+    """A label is not an integer."""
 
 
 class MissingLabel(RadioTreeError):

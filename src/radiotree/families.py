@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 from math import prod
 
-from .bounds import certify_tightness, lower_bound_improved
+from .bounds import certify_tightness
 from .errors import (
     BadParams,
     CertificationFailure,
@@ -146,6 +146,17 @@ def _cat_order_odd_small(n: int, k: int, p: int) -> dict:
         by_pos[2 * j] = f"v_{{1,{j}}}"
     return by_pos
 
+def _cat_order_even_small(n: int, k: int, p: int) -> dict:
+    # n = 4: v_2, v_{4,1}, v_1, v_4, v_{1,1}, the remaining tufts
+    # interleaved, then v_3.  The non-remote spine ends v_1, v_4 sit next to
+    # neither weight center; the n = 3 pattern puts one there and overshoots
+    # the bound by 2.
+    by_pos = {0: "v_2", 1: "v_{4,1}", 2: "v_1", 3: "v_4", 4: "v_{1,1}", p - 1: "v_3"}
+    for j in range(2, k + 1):
+        by_pos[2 * j + 1] = f"v_{{4,{j}}}"
+        by_pos[2 * j + 2] = f"v_{{1,{j}}}"
+    return by_pos
+
 def _cat_order_odd_large(n: int, k: int, p: int) -> dict:
     by_pos = {0: f"v_{(n - 1) // 2}", p - 1: f"v_{(n + 1) // 2}"}
     for j in range(1, k + 1):
@@ -188,117 +199,43 @@ def _cat_order_even_large(n: int, k: int, p: int) -> dict:
     return by_pos
 
 
-def _search_alternating_order(inst: FamilyInstance, head: list, tail: list) -> tuple | None:
-    """Deterministic backtracking for a certifying order on a two-center tree.
-
-    Fixes the given head and tail positions, alternates branches in between
-    (every consecutive pair must sit in opposite branches, as required for the
-    labelling recurrence to meet the distance identity with equality), and
-    checks the pairwise condition (b) incrementally.  Complete candidates run
-    through the full certification; the first certified order (in lexicographic
-    candidate order) is returned, or None when none exists.
-    """
-    m = metrics(inst.tree)
-    p = m.p
-    de = m.diameter + m.epsilon
-    w = len(m.weight_centers)
-    slots = [None] * p
-    for q, v in enumerate(head):
-        slots[q] = v
-    for q, v in enumerate(tail):
-        slots[p - len(tail) + q] = v
-    fixed = [v for v in slots if v is not None]
-    free = sorted(set(range(p)) - set(fixed))
-
-    def feasible_pairwise(prefix, aseq):
-        q = len(prefix) - 1
-        rhs = m.diameter + 1
-        for i in range(q - 1, -1, -1):
-            rhs += m.level[prefix[i]] + m.level[prefix[i + 1]] - aseq[i] - de
-            if m.distance(prefix[i], prefix[q]) < rhs:
-                return False
-        return True
-
-    def rec(prefix, aseq, used):
-        q = len(prefix)
-        if q == p:
-            try:
-                certify_tightness(m, tuple(prefix))
-            except CertificationFailure:
-                return None
-            return list(prefix)
-        if slots[q] is not None:
-            cands = [slots[q]]
-        else:
-            cands = [v for v in free if v not in used]
-        prev_branch = m.branch_id[prefix[-1]]
-        for v in cands:
-            if m.branch_id[v] >= 0 and m.branch_id[v] == prev_branch:
-                continue
-            prefix.append(v)
-            a_t = 0
-            if q - 1 >= 1:
-                u = prefix[q - 1]
-                if u in m.remote_set and prefix[q - 2] not in m.weight_centers \
-                        and v not in m.weight_centers:
-                    a_t = w - aseq[q - 2] if q - 2 >= 0 else w
-            aseq.append(a_t)
-            if feasible_pairwise(prefix, aseq):
-                used.add(v)
-                out = rec(prefix, aseq, used)
-                if out is not None:
-                    return out
-                used.discard(v)
-            prefix.pop()
-            aseq.pop()
-        return None
-
-    # aseq is built one step behind the prefix: aseq[t] fixed once u_{t+1} known
-    out = rec([slots[0]], [], {slots[0]})
-    return tuple(out) if out is not None else None
+def _cat_order_even_k1(n: int, k: int, p: int) -> dict:
+    # even n >= 6, k = 1: v_h, v_{n,1}, the two spine halves interleaved,
+    # then v_{h-1,1}, v_{h+2,1}, v_{1,1}, v_{h+1} (h = n/2).
+    half = n // 2
+    by_pos = {
+        0: f"v_{half}",
+        1: f"v_{{{n},1}}",
+        p - 4: f"v_{{{half - 1},1}}",
+        p - 3: f"v_{{{half + 2},1}}",
+        p - 2: "v_{1,1}",
+        p - 1: f"v_{half + 1}",
+    }
+    for i in range(1, half):
+        by_pos[2 * i] = f"v_{i}"
+        by_pos[2 * i + 1] = f"v_{half + 1 + i}"
+    return by_pos
 
 
 def proof_order_caterpillar(inst: FamilyInstance) -> tuple:
     """The certifying order for a caterpillar instance, by case on n.
 
-    Two parameter ranges have no direct construction and fall back to a
-    deterministic alternating-branch search: n = 4 (where the natural
-    extension of the n = 3 pattern places a non-remote vertex next to a
-    weight center and overshoots the bound by 2) and even n >= 6 with k = 1
-    (where the standard pattern needs a second leaf per tuft).
+    Every (n, k) has a direct construction: n = 3, n = 4, odd n >= 5, even
+    n >= 6 with k >= 2, and even n >= 6 with k = 1 (where the standard even
+    pattern needs a second leaf per tuft).
     """
     n, k = inst.params["n"], inst.params["k"]
     p = inst.tree.p
     if n == 3:
         by_pos = _cat_order_odd_small(n, k, p)
     elif n == 4:
-        if k > 8:
-            raise UnsupportedParams(
-                f"no certifying-order construction for C(4,{k}) at this size"
-            )
-        order = _search_alternating_order(inst, head=[inst.vertex_names["v_2"]],
-                                          tail=[inst.vertex_names["v_3"]])
-        if order is None:
-            raise InvalidProofOrder("search", f"{inst.name}: no certifying order found")
-        return _certify_or_raise(inst, order)
+        by_pos = _cat_order_even_small(n, k, p)
     elif n % 2 == 1:
         by_pos = _cat_order_odd_large(n, k, p)
     elif k >= 2:
         by_pos = _cat_order_even_large(n, k, p)
     else:
-        if n > 14:
-            raise UnsupportedParams(
-                f"no certifying-order construction for C({n},1) at this size"
-            )
-        nm = inst.vertex_names
-        order = _search_alternating_order(
-            inst,
-            head=[nm[f"v_{n // 2}"], nm[f"v_{{{n},1}}"]],
-            tail=[nm["v_{1,1}"], nm[f"v_{n // 2 + 1}"]],
-        )
-        if order is None:
-            raise InvalidProofOrder("search", f"{inst.name}: no certifying order found")
-        return _certify_or_raise(inst, order)
+        by_pos = _cat_order_even_k1(n, k, p)
     if len(by_pos) != p or set(by_pos) != set(range(p)):
         raise InvalidProofOrder("positions", f"{inst.name}: order positions {sorted(by_pos)}")
     order = tuple(inst.vertex_names[by_pos[t]] for t in range(p))

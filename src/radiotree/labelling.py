@@ -2,8 +2,7 @@
 
 A radio labelling assigns distinct non-negative integers to the vertices with
 ``|f(u) - f(v)| >= diam + 1 - d(u, v)`` for every pair; its span is the
-largest label (the smallest is normalized to 0).  Three routes to a labelling
-live here:
+largest label.  Three routes to a labelling live here:
 
 * :func:`label_from_order` — the closed-form recurrence used by the
   certification pipeline, driven by an order and its a-sequence;
@@ -25,11 +24,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import (
+    BadVertex,
     DiameterTooSmall,
     DuplicateLabel,
     LengthMismatch,
     MissingLabel,
     NegativeLabel,
+    NonIntegerLabel,
     NotTwoBranch,
 )
 from .orders import ASequence, check_order
@@ -38,7 +39,11 @@ from .tree import Tree, TreeMetrics, delta, distance_matrix, phi
 
 @dataclass(frozen=True)
 class RadioLabelling:
-    """Vertex -> label map with its span (labels normalized so min is 0)."""
+    """Vertex -> label map with its span, the largest label.
+
+    The constructors here start at 0 and never go negative, but nothing is
+    checked on construction; :func:`verify_labelling` enforces the contract.
+    """
 
     labels: dict
 
@@ -85,8 +90,18 @@ def verify_labelling(tree: Tree, labelling: RadioLabelling) -> tuple:
 
     Returns (ok, first violating (u, v) pair or None); equal labels violate
     the condition too (any pair needs gap >= 1) and are reported the same way.
+    A labelling outside the contract raises instead: :class:`BadVertex` for a
+    key that is not a vertex of the tree, :class:`NonIntegerLabel` or
+    :class:`NegativeLabel` for a bad label, :class:`MissingLabel` for an
+    unlabelled vertex.
     """
     labels = labelling.labels
+    for v, lab in labels.items():
+        tree.check_vertex(v)
+        if not isinstance(lab, int) or isinstance(lab, bool):
+            raise NonIntegerLabel(f"vertex {v} has non-integer label {lab!r}")
+        if lab < 0:
+            raise NegativeLabel(f"vertex {v} has negative label {lab}")
     missing = [v for v in range(tree.p) if v not in labels]
     if missing:
         raise MissingLabel(f"vertices without labels: {missing}")
@@ -172,7 +187,14 @@ def parse_labels_text(text: str) -> RadioLabelling:
         parts = line.split()
         if len(parts) != 2:
             raise MissingLabel(f"bad label line: {raw!r}")
-        v, lab = int(parts[0]), int(parts[1])
+        try:
+            v = int(parts[0])
+        except ValueError:
+            raise BadVertex(f"bad vertex id in label line: {raw!r}") from None
+        try:
+            lab = int(parts[1])
+        except ValueError:
+            raise NonIntegerLabel(f"bad label in label line: {raw!r}") from None
         if v in labels:
             raise DuplicateLabel(f"vertex {v} labelled twice")
         labels[v] = lab

@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import islice
 from typing import Iterable, Sequence
 
 from .errors import BadEdge, BadVertex, DiameterTooSmall, NotATree, SparseIds
@@ -91,8 +92,11 @@ def build_tree(edge_list: Sequence) -> Tree:
         used.add(u)
         used.add(v)
     if len(used) != p:
-        missing = sorted(set(range(p)) - used)
-        raise SparseIds(f"unused vertex ids {missing}; ids must cover 0..{max_id}")
+        # the first few gaps only: max_id may be far larger than the input
+        missing = list(islice((v for v in range(p) if v not in used), 5))
+        raise SparseIds(
+            f"{p - len(used)} unused vertex ids, starting {missing}; ids must cover 0..{max_id}"
+        )
     if len(seen) != p - 1:
         raise NotATree(f"{len(seen)} edges for {p} vertices; a tree needs {p - 1}")
     tree = _make_tree(p, seen)

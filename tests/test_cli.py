@@ -1,7 +1,9 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from radiotree import rn_caterpillar
 from radiotree.cli import main
 
 REPORT_KEYS = [
@@ -33,6 +35,13 @@ def p4_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def p5_file(tmp_path):
+    path = tmp_path / "p5.txt"
+    path.write_text("0 1\n1 2\n2 3\n3 4\n")
+    return str(path)
+
+
 def run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
@@ -57,6 +66,14 @@ class TestAnalyze:
     def test_bad_tree_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("0 1\n2 3\n")
+        assert main(["analyze", str(bad)]) == 3
+
+    def test_directory_as_tree(self, capsys, tmp_path):
+        assert main(["analyze", str(tmp_path)]) == 3
+
+    def test_undecodable_tree_file(self, capsys, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"0 1\n\xff\xfe 2\n")
         assert main(["analyze", str(bad)]) == 3
 
 
@@ -104,6 +121,11 @@ class TestCertify:
         assert rep["certification"]["certified"] is False
         assert rep["certification"]["stage"] == "condition_a"
 
+    def test_non_integer_order_token(self, capsys, p5_file, tmp_path):
+        order = tmp_path / "p5.order"
+        order.write_text("2 1 x 0 3\n")
+        assert main(["certify", p5_file, "--order", str(order)]) == 3
+
 
 class TestLabelAndVerify:
     def test_label_then_verify(self, capsys, tmp_path):
@@ -123,6 +145,19 @@ class TestLabelAndVerify:
         labels.write_text("1 0\n3 2\n0 4\n2 5\n")
         assert main(["verify", p4_file, "--labels", str(labels)]) == 1
         assert "(0, 2)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text", [
+        "2 -10\n1 4\n4 6\n0 8\n3 10\n",          # negative label
+        "2 0\n1 4\n4 6\n0 8\n3 10\n99 20\n",    # vertex outside the tree
+        "2 0\n1 4\n4 6.5\n0 8\n3 10\n",          # non-integer label
+        "2 0\n1 4\nfour 6\n0 8\n3 10\n",         # non-integer vertex id
+    ])
+    def test_verify_rejects_labelling_outside_contract(self, capsys, p5_file,
+                                                       tmp_path, text):
+        labels = tmp_path / "p5.labels"
+        labels.write_text(text)
+        assert main(["verify", p5_file, "--labels", str(labels)]) == 3
+        assert "valid" not in capsys.readouterr().out
 
     def test_greedy_label(self, capsys, p4_file, tmp_path):
         order = tmp_path / "p4.order"
@@ -155,6 +190,17 @@ class TestExact:
 
     def test_max_order_limit(self, capsys, p9_file):
         assert main(["exact", p9_file, "--max-order", "5"]) == 4
+
+    @pytest.mark.parametrize("flags", [
+        ["--timeout-s", "-1"],
+        ["--timeout-s", "0"],
+        ["--timeout-s", "nan"],
+        ["--max-order", "0"],
+    ])
+    def test_bad_limits_are_usage_errors(self, capsys, p9_file, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["exact", p9_file, *flags])
+        assert exc.value.code == 2
 
 
 class TestGen:
@@ -197,6 +243,22 @@ class TestGen:
     def test_bad_params(self, capsys):
         assert main(["gen", "caterpillar", "--n", "2", "--k", "1"]) == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["path"],
+        ["caterpillar", "--n", "5"],
+        ["levelwise", "--z", "2"],
+        ["lmh", "--m", "2"],
+        ["random", "--seed", "3"],
+    ])
+    def test_missing_family_params(self, capsys, argv):
+        assert main(["gen", *argv]) == 2
+        assert "needs --" in capsys.readouterr().err
+
+    def test_bad_degree_list(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "levelwise", "--degrees", "2,x"])
+        assert exc.value.code == 2
+
 
 class TestDemo:
     def test_caterpillar_31(self, capsys):
@@ -216,6 +278,14 @@ class TestDemo:
                                       "--degrees", "2,3,3", "--json"])
         assert code == 0 and rep["certification"]["span"] == 35
 
+    @pytest.mark.parametrize("n,k", [(4, 9), (16, 1)])
+    def test_caterpillar_constructed_order(self, capsys, n, k):
+        code, rep = run_json(capsys, ["demo", "caterpillar", "--n", str(n),
+                                      "--k", str(k), "--json"])
+        assert code == 0
+        assert rep["certification"] == {"certified": True, "stage": None,
+                                        "span": rn_caterpillar(n, k)}
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self, capsys, p9_file):
@@ -227,3 +297,32 @@ class TestDeterminism:
     def test_report_round_trip(self, capsys, p9_file):
         _, rep = run_json(capsys, ["analyze", p9_file, "--json"])
         assert json.loads(json.dumps(rep)) == rep
+
+
+# random bytes, or lines of small integer tokens so that some inputs parse
+_fuzz_token = st.one_of(st.integers(-1, 9).map(str),
+                        st.sampled_from(["x", "2.5", "999999999999", "#"]))
+_fuzz_file = st.one_of(
+    st.binary(max_size=48),
+    st.lists(st.lists(_fuzz_token, max_size=3).map(" ".join), max_size=10)
+    .map("\n".join).map(str.encode),
+)
+
+
+class TestFuzz:
+    @given(command=st.sampled_from(["analyze", "certify", "verify", "label"]),
+           tree=_fuzz_file, order=_fuzz_file, labels=_fuzz_file)
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_random_files_exit_with_documented_codes(self, tmp_path, command,
+                                                     tree, order, labels):
+        paths = {}
+        for name, data in (("tree", tree), ("order", order), ("labels", labels)):
+            paths[name] = tmp_path / name
+            paths[name].write_bytes(data)
+        argv = [command, str(paths["tree"])]
+        if command in ("certify", "label"):
+            argv += ["--order", str(paths["order"])]
+        if command == "verify":
+            argv += ["--labels", str(paths["labels"])]
+        assert main(argv) in {0, 1, 2, 3, 4}

@@ -34,6 +34,22 @@ LEVEL_GRID = [
 ]
 LMH_GRID = [(z, m, h) for z in (1, 2) for m in range(2, 6) for h in range(2, 5)]
 
+# certifying orders that an alternating-branch backtracking search returned
+# for the two ranges now built directly (C(4,k) and even-n C(n,1))
+SEARCHED_CAT_ORDERS = {
+    (4, 1): "v_2 v_{4,1} v_1 v_4 v_{1,1} v_3",
+    (4, 2): "v_2 v_{4,1} v_1 v_4 v_{1,1} v_{4,2} v_{1,2} v_3",
+    (4, 3): "v_2 v_{4,1} v_1 v_4 v_{1,1} v_{4,2} v_{1,2} v_{4,3} v_{1,3} v_3",
+    (4, 4): "v_2 v_{4,1} v_1 v_4 v_{1,1} v_{4,2} v_{1,2} v_{4,3} v_{1,3} v_{4,4} v_{1,4} v_3",
+    (6, 1): "v_3 v_{6,1} v_1 v_5 v_2 v_6 v_{2,1} v_{5,1} v_{1,1} v_4",
+    (8, 1): "v_4 v_{8,1} v_1 v_6 v_2 v_7 v_3 v_8 v_{3,1} v_{6,1} v_{1,1} v_5",
+    (10, 1): "v_5 v_{10,1} v_1 v_7 v_2 v_8 v_3 v_9 v_4 v_10 v_{4,1} v_{7,1} v_{1,1} v_6",
+    (12, 1): "v_6 v_{12,1} v_1 v_8 v_2 v_9 v_3 v_10 v_4 v_11 v_5 v_12 "
+             "v_{5,1} v_{8,1} v_{1,1} v_7",
+    (14, 1): "v_7 v_{14,1} v_1 v_9 v_2 v_10 v_3 v_11 v_4 v_12 v_5 v_13 v_6 v_14 "
+             "v_{6,1} v_{9,1} v_{1,1} v_8",
+}
+
 
 class TestPaths:
     def test_formula_values(self):
@@ -110,6 +126,20 @@ class TestCaterpillarOrders:
         nm = inst.vertex_names
         expected = tuple(nm[s] for s in ["v_2", "v_{3,1}", "v_{1,1}", "v_3", "v_1"])
         assert proof_order_caterpillar(inst) == expected
+
+    @pytest.mark.parametrize("n,k", sorted(SEARCHED_CAT_ORDERS))
+    def test_matches_searched_order(self, n, k):
+        inst = gen_caterpillar(n, k)
+        nm = inst.vertex_names
+        expected = tuple(nm[s] for s in SEARCHED_CAT_ORDERS[n, k].split())
+        assert proof_order_caterpillar(inst) == expected
+
+    @pytest.mark.parametrize("n,k", [(4, 9), (4, 20), (4, 50), (16, 1), (40, 1)])
+    def test_large_constructions_certify(self, n, k):
+        # beyond the sizes any order search reached
+        inst = gen_caterpillar(n, k)
+        lab = certify_tightness(metrics(inst.tree), proof_order_caterpillar(inst))
+        assert lab.span == rn_caterpillar(n, k)
 
 
 class TestLevelwise:

@@ -2,8 +2,11 @@ import pytest
 
 from radiotree import (
     ASequence,
+    BadVertex,
     DuplicateLabel,
     MissingLabel,
+    NegativeLabel,
+    NonIntegerLabel,
     RadioLabelling,
     a_sequence,
     build_tree,
@@ -69,6 +72,21 @@ class TestVerifyLabelling:
     def test_missing_vertex(self):
         with pytest.raises(MissingLabel):
             verify_labelling(path(4), RadioLabelling({0: 0, 1: 5}))
+
+    def test_negative_label(self):
+        # valid apart from the sign: every gap meets the radio condition
+        with pytest.raises(NegativeLabel):
+            verify_labelling(path(5), RadioLabelling({2: -10, 1: 4, 4: 6, 0: 8, 3: 10}))
+
+    def test_vertex_outside_tree(self):
+        labels = {2: 0, 1: 4, 4: 6, 0: 8, 3: 10, 99: 20}
+        with pytest.raises(BadVertex):
+            verify_labelling(path(5), RadioLabelling(labels))
+
+    @pytest.mark.parametrize("bad", [6.0, "6", True])
+    def test_non_integer_label(self, bad):
+        with pytest.raises(NonIntegerLabel):
+            verify_labelling(path(5), RadioLabelling({2: 0, 1: 4, 4: bad, 0: 8, 3: 10}))
 
 
 class TestGreedy:
@@ -142,3 +160,11 @@ class TestLabelFiles:
     def test_duplicate_vertex(self):
         with pytest.raises(DuplicateLabel):
             parse_labels_text("0 1\n0 2\n")
+
+    def test_non_integer_vertex(self):
+        with pytest.raises(BadVertex):
+            parse_labels_text("0 1\nv2 5\n")
+
+    def test_non_integer_label(self):
+        with pytest.raises(NonIntegerLabel):
+            parse_labels_text("0 1\n2 5.5\n")

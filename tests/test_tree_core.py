@@ -49,6 +49,10 @@ class TestBuildTree:
         with pytest.raises(SparseIds):
             build_tree([(0, 2)])
 
+    def test_huge_id_is_sparse_without_scanning_the_range(self):
+        with pytest.raises(SparseIds, match=r"starting \[2, 3, 4, 5, 6\]"):
+            build_tree([(0, 1), (1, 10**15)])
+
     def test_cycle_rejected(self):
         with pytest.raises(NotATree):
             build_tree([(0, 1), (1, 2), (2, 0)])

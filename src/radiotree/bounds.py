@@ -21,6 +21,7 @@ over the level sets of the two components of T - x.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -35,7 +36,7 @@ from .errors import (
 )
 from .labelling import RadioLabelling, label_from_order, verify_labelling
 from .orders import a_sequence, check_condition_a, check_condition_b, check_order
-from .tree import Tree, TreeMetrics, _bfs_dist
+from .tree import Tree, TreeMetrics, _bfs, metrics
 
 
 def lower_bound_basic(m: TreeMetrics) -> int:
@@ -142,26 +143,15 @@ def bound_report(m: TreeMetrics) -> BoundReport:
 
 def _split_at(tree: Tree, x: int) -> list:
     """Level sets of the two components of T - x: list of two dicts
-    depth -> count, keyed by the component's smallest vertex id."""
-    sides = []
-    for start in tree.adjacency[x]:
-        depth = {1: [start]}
-        seen = {x, start}
-        frontier = [start]
-        i = 1
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in tree.adjacency[u]:
-                    if v not in seen:
-                        seen.add(v)
-                        nxt.append(v)
-            i += 1
-            if nxt:
-                depth[i] = nxt
-            frontier = nxt
-        sides.append({k: len(vs) for k, vs in depth.items()})
-    return sides
+    depth -> count, one per neighbour of x in ascending order (depth is the
+    distance from x)."""
+    dist, parent, order = _bfs(tree.adjacency, [x])
+    sides = {s: Counter() for s in tree.adjacency[x]}
+    side = {}  # vertex -> the neighbour of x it hangs from
+    for v in order[1:]:
+        side[v] = v if parent[v] == x else side[parent[v]]
+        sides[side[v]][dist[v]] += 1
+    return [dict(c) for c in sides.values()]
 
 
 def _check_omega_vertex(tree: Tree, m: TreeMetrics, x: int) -> None:
@@ -180,9 +170,7 @@ def liu_bound_even(tree: Tree, x: int) -> int:
     when only one side reaches depth dh, that side is R and the bound is
     (p-1)(2dh+1) - 2w(x) + max{ceil((sum_i (2i+1)|R_{dh+i}| - 2)/2), 1}.
     """
-    from .tree import metrics as compute_metrics
-
-    m = compute_metrics(tree)
+    m = metrics(tree)
     _check_omega_vertex(tree, m, x)
     if m.diameter % 2 != 0:
         raise NotOmegaTree(f"even-diameter bound on diameter {m.diameter}")
@@ -210,9 +198,7 @@ def liu_bound_odd(tree: Tree, x: int) -> int:
     max{2|R_{dh+1}| - 5, 1}; when it is larger, + sum_{i>=1} (i+1)|R_{dh+i}|
     - 2 instead.
     """
-    from .tree import metrics as compute_metrics
-
-    m = compute_metrics(tree)
+    m = metrics(tree)
     _check_omega_vertex(tree, m, x)
     if m.diameter % 2 != 1:
         raise NotOmegaTree(f"odd-diameter bound on diameter {m.diameter}")
@@ -225,7 +211,7 @@ def liu_bound_odd(tree: Tree, x: int) -> int:
     if deep_a == deep_b:
         raise NotOmegaTree("expected exactly one component deeper than half the diameter")
     right = side_a if deep_a else side_b
-    h = max(_bfs_dist(tree.adjacency, x))  # eccentricity of x
+    h = max(right)  # eccentricity of x: R is the deeper side
     w = m.vertex_weight[x]
     base = (tree.p - 1) * (2 * dh + 2) - 2 * w
     if h == dh + 1:

@@ -207,7 +207,12 @@ def check_condition_a(m: TreeMetrics, order: Sequence) -> tuple:
 
 
 def _condition_b_core(m: TreeMetrics, seq: tuple, a: tuple) -> tuple:
-    """Shared pairwise check: d(u_i, u_j) >= prefix-sum RHS + (d+1)."""
+    """Shared pairwise check: d(u_i, u_j) >= prefix-sum RHS + (d+1).
+
+    Distinct vertices are at least 1 apart, so a pair with RHS <= 1 cannot
+    fail: it is skipped, and the scan over j stops once every RHS ahead is
+    <= 1.  The first violating pair is still the all-pairs scan's.
+    """
     p = len(seq)
     de = m.diameter + m.epsilon
     # prefix[j] - prefix[i] = sum_{t=i}^{j-1} (L(u_t)+L(u_{t+1}) - a_t - (d+eps))
@@ -215,10 +220,16 @@ def _condition_b_core(m: TreeMetrics, seq: tuple, a: tuple) -> tuple:
     for t in range(p - 1):
         step = m.level[seq[t]] + m.level[seq[t + 1]] - a[t] - de
         prefix[t + 1] = prefix[t] + step
+    ahead = prefix[:]  # ahead[j] = max(prefix[j:])
+    for j in range(p - 2, -1, -1):
+        ahead[j] = max(ahead[j], ahead[j + 1])
     for i in range(p - 1):
+        base = prefix[i] - m.diameter - 1  # rhs(i, j) = prefix[j] - base
         for j in range(i + 1, p):
-            rhs = prefix[j] - prefix[i] + m.diameter + 1
-            if m.distance(seq[i], seq[j]) < rhs:
+            if ahead[j] - base <= 1:
+                break
+            rhs = prefix[j] - base
+            if rhs > 1 and m.distance(seq[i], seq[j]) < rhs:
                 return False, (i, j)
     return True, None
 

@@ -16,12 +16,14 @@ consume are derived here once per tree and carried in :class:`TreeMetrics`:
 The level decomposition also yields a closed form for distances:
 ``d(u, v) = L(u) + L(v) - 2*phi(u, v) + delta(u, v)`` where ``phi`` is the
 highest level on the common part of the two center-to-vertex paths and
-``delta`` marks pairs whose path crosses both weight centers.
+``delta`` marks pairs whose path crosses both weight centers.  This identity
+is the only pairwise distance on :class:`TreeMetrics`; the full table of
+:func:`distance_matrix` is built only by the all-pairs users (the independent
+verifier, the greedy completion and the exact solver).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import islice
@@ -30,10 +32,6 @@ from typing import Iterable, Sequence
 from .errors import BadEdge, BadVertex, DiameterTooSmall, NotATree, SparseIds
 
 CENTER_BRANCH = -1  # sentinel branch id carried by weight centers
-
-# Full distance tables are materialized only up to this order; beyond it rows
-# are recomputed on demand (the bounds only need levels and the diameter).
-_DIST_TABLE_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -101,38 +99,47 @@ def build_tree(edge_list: Sequence) -> Tree:
         raise NotATree(f"{len(seen)} edges for {p} vertices; a tree needs {p - 1}")
     tree = _make_tree(p, seen)
     # p-1 edges + connected <=> tree
-    reach = _bfs_dist(tree.adjacency, 0)
-    if any(dv < 0 for dv in reach):
+    _, _, reached = _bfs(tree.adjacency, [0])
+    if len(reached) != p:
         raise NotATree("edge list is disconnected")
     return tree
 
 
-def _bfs_dist(adjacency, source: int) -> list:
+def _bfs(adjacency, sources: Sequence) -> tuple:
+    """Breadth-first search from one or more sources.
+
+    Returns ``(dist, parent, order)``: hop counts to the nearest source (-1
+    when unreached), the predecessor on a shortest path (-1 at the sources
+    and unreached vertices) and the reached vertices in visiting order.
+    """
     dist = [-1] * len(adjacency)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
+    parent = [-1] * len(adjacency)
+    order = list(sources)
+    for s in order:
+        dist[s] = 0
+    for u in order:  # the list grows while it is read: it is the queue
+        du = dist[u] + 1
         for v in adjacency[u]:
             if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
+                dist[v] = du
+                parent[v] = u
+                order.append(v)
+    return dist, parent, order
 
 
 def distance(tree: Tree, u: int, v: int) -> int:
-    """Shortest-path hop count between ``u`` and ``v``."""
+    """Shortest-path hop count between ``u`` and ``v`` (one BFS)."""
     tree.check_vertex(u)
     tree.check_vertex(v)
     if u == v:
         return 0
-    return _bfs_dist(tree.adjacency, u)[v]
+    return _bfs(tree.adjacency, [u])[0][v]
 
 
 @lru_cache(maxsize=128)
 def distance_matrix(tree: Tree) -> tuple:
-    """Full p x p distance table (cached per tree)."""
-    return tuple(tuple(_bfs_dist(tree.adjacency, s)) for s in range(tree.p))
+    """Full p x p distance table (cached per tree), for all-pairs users."""
+    return tuple(tuple(_bfs(tree.adjacency, [s])[0]) for s in range(tree.p))
 
 
 @dataclass(frozen=True)
@@ -152,38 +159,36 @@ class TreeMetrics:
     vertex_weight: tuple  # w(v) per vertex
     parent: tuple = field(repr=False)  # BFS predecessor toward the centers
     center_of: tuple = field(repr=False)  # nearest weight center per vertex
-    dist: tuple | None = field(repr=False, default=None)
 
     @property
     def p(self) -> int:
         return self.tree.p
 
     def distance(self, u: int, v: int) -> int:
-        if self.dist is not None:
-            self.tree.check_vertex(u)
-            self.tree.check_vertex(v)
-            return self.dist[u][v]
-        return distance(self.tree, u, v)
+        """d(u, v) by the level identity L(u) + L(v) - 2*phi(u, v) + delta(u, v)."""
+        phi_uv = phi(self, u, v)  # checks u and v
+        return self.level[u] + self.level[v] - 2 * phi_uv + delta(self, u, v)
 
 
 def metrics(tree: Tree) -> TreeMetrics:
-    """Compute all per-tree structural metrics (pure function of the tree)."""
+    """Compute all per-tree structural metrics (pure function of the tree), in O(p)."""
     p = tree.p
     adj = tree.adjacency
-    if p <= _DIST_TABLE_LIMIT:
-        table = distance_matrix(tree)
-        weights = tuple(sum(row) for row in table)
-        diam = max(max(row) for row in table) if p > 1 else 0
-    else:
-        table = None
-        weights = []
-        far = 0
-        for s in range(p):
-            row = _bfs_dist(adj, s)
-            weights.append(sum(row))
-            far = max(far, max(row))
-        weights = tuple(weights)
-        diam = far
+
+    # Weights by rerooting one BFS from vertex 0: moving the root from a
+    # parent to its child c brings the size(c) vertices below c one step
+    # closer and takes the other p - size(c) one step farther.
+    dist0, parent0, order0 = _bfs(adj, [0])
+    size = [1] * p
+    for v in reversed(order0[1:]):
+        size[parent0[v]] += size[v]
+    weights = [0] * p
+    weights[0] = sum(dist0)
+    for v in order0[1:]:
+        weights[v] = weights[parent0[v]] + p - 2 * size[v]
+    weights = tuple(weights)
+    # Double BFS: the last vertex reached from 0 ends a longest path.
+    diam = max(_bfs(adj, [order0[-1]])[0])
 
     wmin = min(weights)
     centers = [v for v in range(p) if weights[v] == wmin]
@@ -196,41 +201,26 @@ def metrics(tree: Tree) -> TreeMetrics:
     cset = frozenset(centers)
     eps = 2 - len(centers)
 
-    # Multi-source BFS from the centers: levels, predecessors, owning center.
-    level = [-1] * p
-    parent = [-1] * p
-    center_of = [-1] * p
-    queue = deque()
-    for c in centers:
-        level[c] = 0
-        center_of[c] = c
-        queue.append(c)
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if level[v] < 0:
-                level[v] = level[u] + 1
-                parent[v] = u
-                center_of[v] = center_of[u]
-                queue.append(v)
+    # BFS from the centers: levels, predecessors, owning center, and the
+    # level-1 vertex above each vertex (its branch of T - W).
+    level, parent, order = _bfs(adj, centers)
     total = sum(level)
+    center_of = [-1] * p
+    top = [-1] * p
+    for v in order:
+        u = parent[v]
+        if u < 0:
+            center_of[v] = v
+        else:
+            center_of[v] = center_of[u]
+            top[v] = v if level[v] == 1 else top[u]
 
     # Branches: components of T - W, numbered by smallest contained vertex.
     branch = [CENTER_BRANCH] * p
-    n_branches = 0
-    for s in range(p):
-        if s in cset or branch[s] != CENTER_BRANCH:
-            continue
-        idx = n_branches
-        n_branches += 1
-        branch[s] = idx
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in cset and branch[v] == CENTER_BRANCH:
-                    branch[v] = idx
-                    stack.append(v)
+    index = {}
+    for v in range(p):
+        if top[v] >= 0:
+            branch[v] = index.setdefault(top[v], len(index))
 
     if len(centers) == 1:
         threshold = -(-diam // 2)  # ceil(d/2)
@@ -252,46 +242,42 @@ def metrics(tree: Tree) -> TreeMetrics:
         branch_id=tuple(branch),
         remote_set=remote,
         xi=xi,
-        two_branch=(n_branches == 2),
+        two_branch=(len(index) == 2),
         vertex_weight=weights,
         parent=tuple(parent),
         center_of=tuple(center_of),
-        dist=table,
     )
 
 
-def _center_path(m: TreeMetrics, u: int) -> list:
-    """Vertices on the path from u down to its nearest weight center."""
-    path = [u]
-    while m.parent[path[-1]] >= 0:
-        path.append(m.parent[path[-1]])
-    return path
-
-
 def phi(m: TreeMetrics, u: int, v: int) -> int:
-    """Highest level on the common part of the two center-to-vertex paths."""
+    """Highest level on the common part of the two center-to-vertex paths:
+    climb from the deeper vertex until the paths meet."""
     m.tree.check_vertex(u)
     m.tree.check_vertex(v)
-    common = set(_center_path(m, u)) & set(_center_path(m, v))
-    if not common:
-        return 0
-    return max(m.level[x] for x in common)
+    if m.center_of[u] != m.center_of[v]:
+        return 0  # the paths end at different centers and share no vertex
+    level, parent = m.level, m.parent
+    while level[u] > level[v]:
+        u = parent[u]
+    while level[v] > level[u]:
+        v = parent[v]
+    while u != v:
+        u, v = parent[u], parent[v]
+    return level[u]
 
 
 def delta(m: TreeMetrics, u: int, v: int) -> int:
     """1 iff there are two weight centers and the u-v path crosses both."""
     m.tree.check_vertex(u)
     m.tree.check_vertex(v)
-    if len(m.weight_centers) != 2 or u == v:
-        return 0
     return 1 if m.center_of[u] != m.center_of[v] else 0
 
 
 def distance_by_levels(m: TreeMetrics, u: int, v: int) -> int:
-    """Distance via the level decomposition: L(u)+L(v)-2*phi+delta."""
+    """:meth:`TreeMetrics.distance`, under the paper's hypothesis d >= 2."""
     if m.diameter < 2:
         raise DiameterTooSmall(f"level distance identity needs diameter >= 2, got {m.diameter}")
-    return m.level[u] + m.level[v] - 2 * phi(m, u, v) + delta(m, u, v)
+    return m.distance(u, v)
 
 
 # --- tree text format ------------------------------------------------------

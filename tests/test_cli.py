@@ -140,6 +140,26 @@ class TestLabelAndVerify:
         assert main(["verify", str(tree), "--labels", str(labels)]) == 0
         assert "valid" in capsys.readouterr().out
 
+    def test_label_rejects_order_whose_recurrence_is_invalid(self, capsys, p5_file,
+                                                             tmp_path):
+        # the recurrence on this order gives labels 0 2 6 10 12, which fail at (0, 1)
+        order = tmp_path / "p5.order"
+        order.write_text("0 1 2 3 4\n")
+        assert main(["label", p5_file, "--order", str(order)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "(0, 1)" in err
+
+    def test_label_certifying_order(self, capsys, p5_file, tmp_path):
+        order = tmp_path / "p5.order"
+        order.write_text("2 1 4 0 3\n")
+        assert main(["certify", p5_file, "--order", str(order)]) == 0
+        capsys.readouterr()
+        assert main(["label", p5_file, "--order", str(order)]) == 0
+        out, err = capsys.readouterr()
+        assert out.splitlines() == ["0 8", "1 4", "2 0", "3 10", "4 6"]
+        assert err == ""
+
     def test_verify_violation_prints_pair(self, capsys, p4_file, tmp_path):
         labels = tmp_path / "bad.labels"
         labels.write_text("1 0\n3 2\n0 4\n2 5\n")

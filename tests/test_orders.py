@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from radiotree import (
     ASequence,
@@ -10,12 +11,15 @@ from radiotree import (
     check_condition_b,
     check_ddb_conditions,
     check_order,
+    distance_matrix,
     gen_caterpillar,
+    gen_random_two_branch,
     is_admissible,
     is_feasible,
     maximal_remote_intervals,
     metrics,
 )
+from radiotree.orders import _condition_b_core
 
 
 def path_metrics(n):
@@ -155,6 +159,60 @@ class TestConditionB:
         m, order = c31_order()
         ok, pair = check_condition_b(m, order, a_sequence(m, order))
         assert ok, pair
+
+    def test_window_looks_past_a_rise_in_the_prefix_sums(self):
+        # A path 0..6 and a star at 7, both on the center 0, d = 8.  Vertices
+        # 5 and 6 (levels 5 and 6) in a row make the prefix sums rise, so for
+        # i = 0 the right-hand side is 1 at j = 2 and 2 again at j = 3, 4.  The
+        # first violation is (0, 4): d(2, 3) = 1 < 2.  A scan that stopped at
+        # the first right-hand side <= 1 would report (1, 4) instead.
+        m = metrics(build_tree([(i, i + 1) for i in range(6)] + [(0, 7)]
+                               + [(7, v) for v in range(8, 13)]))
+        seq = (2, 9, 5, 6, 3, 0, 12, 8, 11, 10, 1, 4, 7)
+        a = (0, 1, 1, 0, 1, 1, 1, 0, 1, 1, 0, 0)
+        assert all_pairs_condition_b(m, seq, a) == (False, (0, 4))
+        assert check_condition_b(m, seq, ASequence(a=a)) == (False, (0, 4))
+
+
+def all_pairs_condition_b(m, seq, a):
+    """Reference for ``_condition_b_core``: every pair, table distances."""
+    dist = distance_matrix(m.tree)
+    de = m.diameter + m.epsilon
+    prefix = [0]
+    for t in range(len(seq) - 1):
+        prefix.append(prefix[-1] + m.level[seq[t]] + m.level[seq[t + 1]] - a[t] - de)
+    for i in range(len(seq)):
+        for j in range(i + 1, len(seq)):
+            if dist[seq[i]][seq[j]] < prefix[j] - prefix[i] + m.diameter + 1:
+                return False, (i, j)
+    return True, None
+
+
+@st.composite
+def two_branch_orders(draw):
+    """A two-branch tree with p = 4..30, a random order and a random a-sequence.
+
+    Vertex i hangs from a drawn earlier vertex, so the draws include paths,
+    brooms and lopsided trees whose deep vertices make the prefix sums of
+    condition (b) rise; a draw that is not two-branch falls back to a seeded
+    uniform two-branch tree.
+    """
+    p = draw(st.integers(4, 30))
+    tree = build_tree([(i, draw(st.integers(0, i - 1))) for i in range(1, p)])
+    m = metrics(tree)
+    if not m.two_branch:
+        m = metrics(gen_random_two_branch(p, draw(st.integers(0, 10**6))).tree)
+    w = len(m.weight_centers)
+    seq = tuple(draw(st.permutations(range(p))))
+    a = (0,) + tuple(draw(st.lists(st.sampled_from((0, w)), min_size=p - 2, max_size=p - 2)))
+    return m, seq, a
+
+
+@given(two_branch_orders())
+@settings(max_examples=200, deadline=None)
+def test_windowed_condition_b_matches_all_pairs(case):
+    m, seq, a = case
+    assert _condition_b_core(m, seq, a) == all_pairs_condition_b(m, seq, a)
 
 
 class TestDdbConditions:

@@ -1,4 +1,7 @@
+import random
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from radiotree import (
     BadEdge,
@@ -17,6 +20,7 @@ from radiotree import (
     parse_tree_text,
     phi,
 )
+from radiotree.tree import _make_tree
 
 
 def path(n):
@@ -177,6 +181,58 @@ class TestDistanceByLevels:
             for u in range(t.p):
                 for v in range(t.p):
                     assert distance_by_levels(m, u, v) == d[u][v]
+
+
+def random_tree(p, seed):
+    rng = random.Random(seed)
+    return _make_tree(p, [(i, rng.randrange(i)) for i in range(1, p)])
+
+
+def assert_metrics_match_table(tree):
+    m = metrics(tree)
+    d = distance_matrix(tree)
+    assert m.vertex_weight == tuple(sum(row) for row in d)
+    assert m.diameter == max(max(row) for row in d)
+    for u in range(tree.p):
+        for v in range(tree.p):
+            assert m.distance(u, v) == d[u][v]
+
+
+class TestMetricsAgainstTable:
+    """The O(p) metrics and the level-identity distance against BFS rows."""
+
+    @given(st.integers(1, 40), st.integers(0, 10**6))
+    @example(1, 0)
+    @example(2, 0)
+    @example(3, 0)
+    @settings(max_examples=150, deadline=None)
+    def test_random_trees(self, p, seed):
+        assert_metrics_match_table(random_tree(p, seed))
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 1)],
+        [(0, 1), (1, 2), (2, 3)],
+        [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)],
+        [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5)],  # double star
+        [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (4, 6), (4, 7)],  # path, edge, star
+    ])
+    def test_two_center_trees(self, edges):
+        tree = build_tree(edges)
+        assert len(metrics(tree).weight_centers) == 2
+        assert_metrics_match_table(tree)
+
+    @pytest.mark.parametrize("p", [5000, 5001])
+    def test_long_path_closed_forms(self, p):
+        m = metrics(path(p))
+        assert m.vertex_weight == tuple(
+            i * (i + 1) // 2 + (p - 1 - i) * (p - i) // 2 for i in range(p))
+        assert m.diameter == p - 1
+        assert m.weight_centers == frozenset({(p - 1) // 2, p // 2})
+        rng = random.Random(p)
+        pairs = [(0, p - 1), (p - 1, 0), (1, p - 2), (p // 2 - 1, p // 2), (7, 7)]
+        pairs += [(rng.randrange(p), rng.randrange(p)) for _ in range(200)]
+        for u, v in pairs:
+            assert m.distance(u, v) == abs(u - v)
 
 
 class TestTextFormat:

@@ -10,8 +10,10 @@ largest label.  Three routes to a labelling live here:
   a fixed order (every radio labelling induces its label order, and the greedy
   completion of that order never has a larger span, so searching orders with
   greedy completion is exact);
-* :func:`verify_labelling` — the independent all-pairs checker everything
-  else is audited against.
+* :func:`verify_labelling` — the independent checker everything else is
+  audited against; it computes its own distances (no :class:`TreeMetrics`)
+  and checks only the pairs that can fail, those within a label gap below
+  the diameter.
 
 :func:`jf_profile` reports the per-step slack ``J_f`` and the aggregate
 ``sigma`` that appear in the span decomposition
@@ -34,7 +36,7 @@ from .errors import (
     NotTwoBranch,
 )
 from .orders import ASequence, check_order
-from .tree import Tree, TreeMetrics, delta, distance_matrix, phi
+from .tree import Tree, TreeMetrics, _bfs, delta, distance_matrix, phi
 
 
 @dataclass(frozen=True)
@@ -86,10 +88,20 @@ def label_from_order(m: TreeMetrics, order: Sequence, aseq: ASequence) -> RadioL
 
 
 def verify_labelling(tree: Tree, labelling: RadioLabelling) -> tuple:
-    """Check the radio condition on all pairs.
+    """Check the radio condition on every pair that can fail.
 
-    Returns (ok, first violating (u, v) pair or None); equal labels violate
-    the condition too (any pair needs gap >= 1) and are reported the same way.
+    Distinct vertices are at distance >= 1, so a pair whose labels differ by
+    ``diam`` or more meets ``|f(u) - f(v)| >= diam + 1 - d(u, v)``.  The
+    vertices are sorted by label and each is compared only with its
+    successors while the label gap is below ``diam``: with distinct labels
+    that is at most ``diam - 1`` successors per vertex, O(p * diam) pairs.
+    Distances come from the verifier's own BFS from vertex 0 (climbing
+    parents to where the two root paths meet), not from :class:`TreeMetrics`
+    or a distance table.
+
+    Returns (ok, pair): ``pair`` is None, or the lexicographically first
+    violating (u, v) with u < v, the pair a scan of all pairs would report;
+    equal labels violate the condition too (any pair needs gap >= 1).
     A labelling outside the contract raises instead: :class:`BadVertex` for a
     key that is not a vertex of the tree, :class:`NonIntegerLabel` or
     :class:`NegativeLabel` for a bad label, :class:`MissingLabel` for an
@@ -105,13 +117,35 @@ def verify_labelling(tree: Tree, labelling: RadioLabelling) -> tuple:
     missing = [v for v in range(tree.p) if v not in labels]
     if missing:
         raise MissingLabel(f"vertices without labels: {missing}")
-    dist = distance_matrix(tree)
-    diam = max(max(row) for row in dist) if tree.p > 1 else 0
-    for u in range(tree.p):
-        for v in range(u + 1, tree.p):
-            if abs(labels[u] - labels[v]) < diam + 1 - dist[u][v]:
-                return False, (u, v)
-    return True, None
+    # Own distances, independent of TreeMetrics: depths and parents from one
+    # BFS rooted at 0, the diameter from a second BFS from the last vertex
+    # the first one reached (an end of a longest path).
+    depth, parent, reached = _bfs(tree.adjacency, [0])
+    diam = max(_bfs(tree.adjacency, [reached[-1]])[0])
+    # Distinct vertices are at distance >= 1, so a pair whose labels differ by
+    # diam or more passes: scan each vertex's successors in label order only
+    # while the gap stays below diam.
+    by_label = sorted(range(tree.p), key=labels.__getitem__)
+    first = None
+    for i, u in enumerate(by_label):
+        lu = labels[u]
+        for j in range(i + 1, tree.p):
+            v = by_label[j]
+            gap = labels[v] - lu
+            if gap >= diam:
+                break
+            a, b = u, v  # climb to the vertex where the root paths meet
+            while depth[a] > depth[b]:
+                a = parent[a]
+            while depth[b] > depth[a]:
+                b = parent[b]
+            while a != b:
+                a, b = parent[a], parent[b]
+            if gap < diam + 1 - (depth[u] + depth[v] - 2 * depth[a]):
+                pair = (u, v) if u < v else (v, u)
+                if first is None or pair < first:
+                    first = pair
+    return first is None, first
 
 
 def greedy_label_from_order(m: TreeMetrics, order: Sequence) -> RadioLabelling:

@@ -18,8 +18,9 @@ The level decomposition also yields a closed form for distances:
 highest level on the common part of the two center-to-vertex paths and
 ``delta`` marks pairs whose path crosses both weight centers.  This identity
 is the only pairwise distance on :class:`TreeMetrics`; the full table of
-:func:`distance_matrix` is built only by the all-pairs users (the independent
-verifier, the greedy completion and the exact solver).
+:func:`distance_matrix` is built only by the all-pairs users (the greedy
+completion and the exact solver).  The independent verifier climbs parent
+pointers of its own BFS instead, so certification builds no table.
 """
 
 from __future__ import annotations

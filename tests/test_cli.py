@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from radiotree import rn_caterpillar
+from radiotree import CertificationFailure, bounds, cli, families, rn_caterpillar
 from radiotree.cli import main
 
 REPORT_KEYS = [
@@ -305,6 +305,41 @@ class TestDemo:
         assert code == 0
         assert rep["certification"] == {"certified": True, "stage": None,
                                         "span": rn_caterpillar(n, k)}
+
+    @pytest.fixture
+    def certify_calls(self, monkeypatch):
+        """Count certify_tightness calls at every module that binds it."""
+        calls = []
+
+        def counted(m, order):
+            calls.append(order)
+            return bounds.certify_tightness(m, order)
+
+        monkeypatch.setattr(families, "certify_tightness", counted)
+        monkeypatch.setattr(cli, "certify_tightness", counted)
+        return calls
+
+    @pytest.mark.parametrize("argv", [
+        ["caterpillar", "--n", "5", "--k", "3"],
+        ["levelwise", "--z", "2", "--degrees", "2,3"],
+        ["lmh", "--z", "1", "--m", "3", "--h", "2"],
+    ])
+    def test_certifies_once(self, capsys, certify_calls, argv):
+        code, rep = run_json(capsys, ["demo", *argv, "--json"])
+        assert code == 0 and rep["certification"]["certified"]
+        assert rep["certification"]["span"] == rep["bound_improved"]
+        assert len(certify_calls) == 1
+
+    def test_failure_names_the_stage(self, capsys, monkeypatch):
+        def failing(m, order):
+            raise CertificationFailure("verification", "radio condition fails")
+
+        monkeypatch.setattr(families, "certify_tightness", failing)
+        code, rep = run_json(capsys, ["demo", "caterpillar", "--n", "3",
+                                      "--k", "1", "--json"])
+        assert code == 1
+        assert rep["certification"] == {"certified": False, "stage": "verification",
+                                        "span": None}
 
 
 class TestDeterminism:

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from radiotree import (
     ASequence,
@@ -10,14 +11,18 @@ from radiotree import (
     RadioLabelling,
     a_sequence,
     build_tree,
+    certify_tightness,
+    distance_matrix,
     format_labels_text,
     gen_caterpillar,
+    gen_path,
     greedy_label_from_order,
     jf_profile,
     label_from_order,
     metrics,
     order_of,
     parse_labels_text,
+    proof_order_caterpillar,
     verify_labelling,
 )
 
@@ -87,6 +92,87 @@ class TestVerifyLabelling:
     def test_non_integer_label(self, bad):
         with pytest.raises(NonIntegerLabel):
             verify_labelling(path(5), RadioLabelling({2: 0, 1: 4, 4: bad, 0: 8, 3: 10}))
+
+    def test_first_pair_in_label_order_is_not_the_first_pair(self):
+        # on P_4 (diameter 3) the window meets (3, 2) first, at labels 0 and
+        # 1, but the lexicographically first violation is (0, 1)
+        lab = RadioLabelling({3: 0, 2: 1, 0: 10, 1: 11})
+        assert all_pairs_verify(path(4), lab) == (False, (0, 1))
+        assert verify_labelling(path(4), lab) == (False, (0, 1))
+
+    def test_certification_builds_no_distance_table(self):
+        # C(5,25000), p = 100,005: the constructed order is certified twice
+        # (inside proof_order_caterpillar and here) without a p x p table
+        inst = gen_caterpillar(5, 25000)
+        before = distance_matrix.cache_info()
+        m = metrics(inst.tree)
+        lab = certify_tightness(m, proof_order_caterpillar(inst))
+        after = distance_matrix.cache_info()
+        assert lab.span == inst.closed_form_rn
+        assert (after.misses, after.currsize) == (before.misses, before.currsize)
+
+
+def all_pairs_verify(tree, labelling):
+    """Reference for :func:`verify_labelling`: every pair in lexicographic
+    order, table distances, the diameter as the table's maximum."""
+    labels = labelling.labels
+    dist = distance_matrix(tree)
+    diam = max(max(row) for row in dist) if tree.p > 1 else 0
+    for u in range(tree.p):
+        for v in range(u + 1, tree.p):
+            if abs(labels[u] - labels[v]) < diam + 1 - dist[u][v]:
+                return False, (u, v)
+    return True, None
+
+
+@st.composite
+def relabelled_trees(draw):
+    """A tree with p = 1..30 under a random vertex numbering.
+
+    Either vertex i hangs from a drawn earlier vertex, or two such trees of
+    equal size are joined by an edge between their roots, which makes the
+    two roots the weight centers.  The numbering is then shuffled so that
+    vertex 0, the verifier's BFS root, sits anywhere in the tree.
+    """
+    def hang(base, size):
+        return [(base + i, base + draw(st.integers(0, i - 1))) for i in range(1, size)]
+
+    if draw(st.booleans()):
+        p = draw(st.integers(1, 30))
+        edges = hang(0, p)
+    else:
+        half = draw(st.integers(1, 15))
+        p = 2 * half
+        edges = hang(0, half) + hang(half, half) + [(0, half)]
+    if p == 1:
+        return gen_path(1).tree  # build_tree needs at least one edge
+    perm = draw(st.permutations(range(p)))
+    return build_tree([(perm[u], perm[v]) for u, v in edges])
+
+
+@st.composite
+def labelled_trees(draw):
+    """A tree and a labelling of it: random small labels (often repeated and
+    mostly invalid), a greedy valid labelling, or one with a label nudged."""
+    tree = draw(relabelled_trees())
+    kind = draw(st.sampled_from(["random", "greedy", "nudged"]))
+    if kind == "random":
+        top = draw(st.integers(0, 3 * tree.p))
+        values = draw(st.lists(st.integers(0, top), min_size=tree.p, max_size=tree.p))
+        return tree, RadioLabelling(dict(enumerate(values)))
+    order = draw(st.permutations(range(tree.p)))
+    labels = dict(greedy_label_from_order(metrics(tree), order).labels)
+    if kind == "nudged":
+        v = draw(st.integers(0, tree.p - 1))
+        labels[v] = max(0, labels[v] + draw(st.sampled_from([-3, -2, -1, 1, 2, 3])))
+    return tree, RadioLabelling(labels)
+
+
+@given(labelled_trees())
+@settings(max_examples=400, deadline=None)
+def test_windowed_verify_matches_all_pairs(case):
+    tree, lab = case
+    assert verify_labelling(tree, lab) == all_pairs_verify(tree, lab)
 
 
 class TestGreedy:

@@ -199,7 +199,8 @@ def cmd_exact(args) -> int:
     m = metrics(tree)
     report = _base_report(m)
     try:
-        res = exact_rn(tree, max_order=args.max_order, timeout_s=args.timeout_s)
+        res = exact_rn(tree, max_order=args.max_order, timeout_s=args.timeout_s,
+                       max_nodes=args.max_nodes)
     except OrderTooLarge as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_RESOURCE
@@ -207,6 +208,8 @@ def cmd_exact(args) -> int:
     if args.stats:
         exact["elapsed_s"] = res.stats.elapsed_s
         exact["pruned"] = res.stats.pruned
+        # rn is proven to lie in [lower_bound, rn]; the two agree when completed
+        exact["lower_bound"] = res.stats.lower_bound
     report["exact"] = exact
     if args.labels:
         report["labels"] = {str(v): res.witness.labels[v]
@@ -378,6 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("tree")
     s.add_argument("--max-order", type=positive_int, default=DEFAULT_MAX_ORDER)
     s.add_argument("--timeout-s", type=positive_float, default=DEFAULT_TIMEOUT_S)
+    s.add_argument("--max-nodes", type=positive_int, default=None,
+                   help="node budget; when it runs out, exit 4 as on a timeout")
     s.add_argument("--labels", action="store_true",
                    help="include a witness labelling in the report")
     s.add_argument("--stats", action="store_true")

@@ -6,6 +6,13 @@ the greedy completion of that order is pointwise minimal (each label is the
 smallest value consistent with all already-placed vertices), so some order's
 greedy completion attains the radio number.
 
+The search is bound-first.  A probe first looks only for a span at or below
+LB, the paper's improved bound on two-branch trees with more than three
+vertices and the basic bound otherwise.  When none exists the probe has
+proved rn >= LB + 1, and a downward search from a greedy incumbent stops as
+soon as it reaches that floor.  LB only decides where the search looks
+first; every answer rests on complete pruned searches (see :func:`_search`).
+
 Symmetry reduction: the first vertex of the order only ranges over one
 representative per equivalence class of vertices, where two vertices are
 equivalent when the trees rooted at them have identical canonical forms —
@@ -14,6 +21,10 @@ to the other, so orders starting at equivalent vertices produce equal spans.
 
 Pruning: a candidate is skipped when one of two lower bounds on every
 completion through it already reaches the incumbent (see :func:`_search`).
+
+Resource limits: a wall-clock ``timeout_s`` and a deterministic node budget
+``max_nodes``.  When either stops the search, the result carries the proven
+interval ``[stats.lower_bound, rn]`` instead of rn.
 """
 
 from __future__ import annotations
@@ -22,13 +33,14 @@ import time
 from dataclasses import dataclass
 from typing import Mapping
 
+from .bounds import lower_bound_basic, lower_bound_improved
 from .errors import OrderTooLarge
 from .labelling import RadioLabelling, greedy_label_from_order, verify_labelling
-from .tree import Tree, distance_matrix, metrics
+from .tree import Tree, TreeMetrics, distance_matrix, metrics
 
 DEFAULT_MAX_ORDER = 12
 DEFAULT_TIMEOUT_S = 300.0
-TIME_CHECK_MASK = 0xFFF  # check the clock every 4096 node expansions
+LIMIT_CHECK_INTERVAL = 4096  # read the clock every 4096 node expansions
 
 
 def kernel_name() -> str:
@@ -42,6 +54,7 @@ class SolveStats:
     elapsed_s: float
     completed: bool
     pruned: Mapping[str, int]  # candidates skipped, per rule: remaining, suffix_bound
+    lower_bound: int  # proven lower bound on the radio number; == rn when completed
 
 
 @dataclass(frozen=True)
@@ -69,14 +82,18 @@ def _start_representatives(tree: Tree) -> list:
     return sorted(seen.values())
 
 
-def _search(p, dist, diam, level, eps, starts, ub, ub_order, deadline):
+def _search(p, dist, diam, level, eps, starts, ub, ub_order, floor,
+            deadline, max_nodes):
     """Depth-first branch-and-bound over vertex orders with greedy completion.
 
     Returns (best_span, best_order, nodes, pruned, completed).  ``ub`` and
-    ``ub_order`` seed the incumbent; the search looks for strictly better
-    orders and keeps the first one found at each improvement.  ``deadline``
-    is a monotonic timestamp (or None); on timeout the incumbent is returned
-    with completed=False.
+    ``ub_order`` seed the incumbent (``ub_order`` may be None: a bare
+    threshold); the search looks for strictly better orders and keeps the
+    first one found at each improvement.  It stops as soon as the incumbent
+    is ``<= floor``, which the caller must have proved is a lower bound on the
+    span of every order.  ``deadline`` is a monotonic timestamp and
+    ``max_nodes`` a node budget (either may be None); when one of them stops
+    the search the incumbent is returned with completed=False.
 
     Placing vertex ``u`` after the current partial order forces its label to
     ``req[u]``, the greedy minimum over all placed vertices ``w`` of
@@ -102,14 +119,27 @@ def _search(p, dist, diam, level, eps, starts, ub, ub_order, deadline):
     of incumbents, the result and its order are those of the unpruned search.
     ``sum L`` over the unplaced vertices is kept as a running total and their
     levels as a count per level, both updated on place and unplace.
+
+    A completed search therefore proves one of two things.  If the incumbent
+    improved, ``best_span`` is the least span of any order: either the search
+    ran out, or it stopped at ``best_span <= floor <= rn``.  If it did not,
+    every order spans at least ``ub``.  :func:`exact_rn` uses the second
+    reading as a probe: ``ub = LB + 1`` with no order either finds the least
+    span (at most LB) or proves ``rn >= LB + 1``, whether or not LB is a valid
+    bound.  That proven value is then the ``floor`` of the downward search, so
+    no answer rests on the paper's improved bound.
     """
     best = ub
-    best_order = list(ub_order)
+    best_order = None if ub_order is None else list(ub_order)
     nodes = 0
     pruned_remaining = 0
     pruned_suffix = 0
-    timed_out = False
+    halted = limited = False  # stopped at the floor / by a resource limit
+    node_limit = float("inf") if max_nodes is None else max_nodes
+    next_check = min(LIMIT_CHECK_INTERVAL, node_limit)
     step = diam + eps
+    if best <= floor:
+        return best, best_order, 0, {"remaining": 0, "suffix_bound": 0}, True
 
     order = [0] * p
     placed = [False] * p
@@ -124,11 +154,12 @@ def _search(p, dist, diam, level, eps, starts, ub, ub_order, deadline):
 
     def extend(depth, span):
         nonlocal best, best_order, nodes, pruned_remaining, pruned_suffix
-        nonlocal timed_out, unplaced_level_sum
+        nonlocal halted, limited, next_check, unplaced_level_sum
         if depth == p:
             if span < best:
                 best = span
                 best_order = order[:p]
+                halted = span <= floor
             return
         remaining_after = p - depth - 1
         if remaining_after:
@@ -154,11 +185,13 @@ def _search(p, dist, diam, level, eps, starts, ub, ub_order, deadline):
                     lab + suffix_base + lu + (lo2 if lu == lo1 else lo1) >= best:
                 pruned_suffix += 1
                 continue
+            if nodes == next_check:
+                if nodes == node_limit or (deadline is not None
+                                           and time.monotonic() > deadline):
+                    halted = limited = True
+                    return
+                next_check = min(nodes + LIMIT_CHECK_INTERVAL, node_limit)
             nodes += 1
-            if nodes & TIME_CHECK_MASK == 0 and deadline is not None \
-                    and time.monotonic() > deadline:
-                timed_out = True
-                return
             order[depth] = u
             placed[u] = True
             unplaced_at_level[lu] -= 1
@@ -177,38 +210,76 @@ def _search(p, dist, diam, level, eps, starts, ub, ub_order, deadline):
             unplaced_level_sum += lu
             for v in range(p):
                 req[v] = snap[v]
-            if timed_out:
+            if halted:
                 return
 
     extend(0, 0)
     pruned = {"remaining": pruned_remaining, "suffix_bound": pruned_suffix}
-    return best, best_order, nodes, pruned, not timed_out
+    return best, best_order, nodes, pruned, not limited
+
+
+def _probe_bounds(m: TreeMetrics) -> tuple:
+    """``(proven, target)`` for :func:`exact_rn`.
+
+    ``proven`` is the basic bound (0 when d < 2), which the ``suffix_bound``
+    argument of :func:`_search` proves for every tree: at depth 0 it bounds
+    every span by ``(p-1)(d+eps) - 2L(T) + L(x_0) + L(x_r)``, and at most one
+    of the distinct ends ``x_0, x_r`` is the center when ``eps = 1``, so
+    ``L(x_0) + L(x_r) >= eps``.  ``target`` is the
+    span the probe looks for first: the improved bound on two-branch trees
+    with p > 3 (P_3 has rn 3, below its improved bound of 4), else ``proven``.
+    """
+    if m.diameter < 2:
+        return 0, 0
+    proven = lower_bound_basic(m)
+    if m.two_branch and m.p > 3:
+        return proven, lower_bound_improved(m)
+    return proven, proven
 
 
 def exact_rn(tree: Tree, max_order: int = DEFAULT_MAX_ORDER,
-             timeout_s: float | None = DEFAULT_TIMEOUT_S) -> SolveResult:
-    """Exact radio number by exhaustive pruned search.
+             timeout_s: float | None = DEFAULT_TIMEOUT_S,
+             max_nodes: int | None = None) -> SolveResult:
+    """Exact radio number by exhaustive pruned search, bound first.
 
-    Raises :class:`OrderTooLarge` beyond ``max_order`` vertices.  On timeout
-    the best incumbent is returned with ``stats.completed`` False (its span is
-    then only an upper bound on the radio number).
+    Raises :class:`OrderTooLarge` beyond ``max_order`` vertices.  When the
+    ``timeout_s`` clock or the ``max_nodes`` budget (node expansions over
+    both phases) runs out, the best incumbent is returned with
+    ``stats.completed`` False: its span is then only an upper bound, and
+    ``stats.lower_bound`` the proven lower one.
     """
     if tree.p > max_order:
         raise OrderTooLarge(f"{tree.p} vertices exceeds the limit {max_order}")
     m = metrics(tree)
     dist = [list(row) for row in distance_matrix(tree)]
-    # Seed the incumbent with the greedy completion of the identity order.
-    seed_order = tuple(range(tree.p))
-    seed = greedy_label_from_order(m, seed_order)
-    ub_order = sorted(seed.labels, key=seed.labels.get)
+    # The downward search starts from the greedy completion of the identity order.
+    seed = greedy_label_from_order(m, tuple(range(tree.p)))
+    seed_order = sorted(seed.labels, key=seed.labels.get)
     starts = _start_representatives(tree)
     deadline = None if timeout_s is None else time.monotonic() + timeout_s
+    proven, target = _probe_bounds(m)
+
+    def search(ub, ub_order, floor, budget):
+        return _search(tree.p, dist, m.diameter, m.level, m.epsilon, starts,
+                       ub, ub_order, floor, deadline, budget)
 
     t0 = time.monotonic()
-    best, best_order, nodes, pruned, completed = _search(
-        tree.p, dist, m.diameter, m.level, m.epsilon, starts, seed.span,
-        ub_order, deadline,
-    )
+    # Probe: is there a span <= target?
+    best, best_order, nodes, pruned, completed = search(target + 1, None, proven, max_nodes)
+    lower_bound = proven
+    if completed and best_order is None:
+        # The probe proved rn >= target + 1: search down to that floor.
+        lower_bound = target + 1
+        budget = None if max_nodes is None else max_nodes - nodes
+        best, best_order, more, more_pruned, completed = search(
+            seed.span, seed_order, lower_bound, budget)
+        nodes += more
+        pruned = {rule: pruned[rule] + more_pruned[rule] for rule in pruned}
+    elif not completed and (best_order is None or seed.span < best):
+        # the probe was stopped before it beat the greedy seed
+        best, best_order = seed.span, seed_order
+    if completed:
+        lower_bound = best
     elapsed = time.monotonic() - t0
 
     witness = greedy_label_from_order(m, tuple(best_order))
@@ -221,7 +292,7 @@ def exact_rn(tree: Tree, max_order: int = DEFAULT_MAX_ORDER,
         rn=best,
         witness=witness,
         stats=SolveStats(nodes=nodes, elapsed_s=elapsed, completed=completed,
-                         pruned=pruned),
+                         pruned=pruned, lower_bound=lower_bound),
     )
 
 

@@ -167,8 +167,9 @@ class TreeMetrics:
 
     def distance(self, u: int, v: int) -> int:
         """d(u, v) by the level identity L(u) + L(v) - 2*phi(u, v) + delta(u, v)."""
-        phi_uv = phi(self, u, v)  # checks u and v
-        return self.level[u] + self.level[v] - 2 * phi_uv + delta(self, u, v)
+        self.tree.check_vertex(u)
+        self.tree.check_vertex(v)
+        return self.level[u] + self.level[v] - 2 * _phi(self, u, v) + _delta(self, u, v)
 
 
 def metrics(tree: Tree) -> TreeMetrics:
@@ -255,6 +256,11 @@ def phi(m: TreeMetrics, u: int, v: int) -> int:
     climb from the deeper vertex until the paths meet."""
     m.tree.check_vertex(u)
     m.tree.check_vertex(v)
+    return _phi(m, u, v)
+
+
+def _phi(m: TreeMetrics, u: int, v: int) -> int:
+    """:func:`phi` on vertices already checked."""
     if m.center_of[u] != m.center_of[v]:
         return 0  # the paths end at different centers and share no vertex
     level, parent = m.level, m.parent
@@ -271,6 +277,11 @@ def delta(m: TreeMetrics, u: int, v: int) -> int:
     """1 iff there are two weight centers and the u-v path crosses both."""
     m.tree.check_vertex(u)
     m.tree.check_vertex(v)
+    return _delta(m, u, v)
+
+
+def _delta(m: TreeMetrics, u: int, v: int) -> int:
+    """:func:`delta` on vertices already checked."""
     return 1 if m.center_of[u] != m.center_of[v] else 0
 
 

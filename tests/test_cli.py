@@ -5,6 +5,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from radiotree import CertificationFailure, bounds, cli, families, rn_caterpillar
 from radiotree.cli import main
+from radiotree.tree import format_tree_text
 
 REPORT_KEYS = [
     "p",
@@ -200,13 +201,27 @@ class TestExact:
         assert code == 0
         assert rep["exact"]["rn"] == 34
         assert rep["exact"]["completed"] is True
-        assert "elapsed_s" not in rep["exact"]
-        assert "pruned" not in rep["exact"]
+        assert list(rep["exact"]) == ["rn", "completed", "nodes"]
 
     def test_stats_opt_in(self, capsys, p9_file):
         code, rep = run_json(capsys, ["exact", p9_file, "--json", "--stats"])
         assert code == 0 and "elapsed_s" in rep["exact"]
         assert set(rep["exact"]["pruned"]) == {"remaining", "suffix_bound"}
+        assert rep["exact"]["lower_bound"] == rep["exact"]["rn"] == 34
+
+    def test_node_budget_reports_interval(self, capsys, tmp_path):
+        # rn 45 = improved bound + 3: the probe fails within the budget, so
+        # rn >= improved + 1 is proven, and the downward search runs out
+        path = tmp_path / "r12.txt"
+        path.write_text(format_tree_text(families.gen_random_two_branch(12, 1).tree))
+        argv = ["exact", str(path), "--max-nodes", "1000", "--stats", "--json"]
+        code, rep = run_json(capsys, argv)
+        assert code == 4
+        exact = rep["exact"]
+        assert exact["completed"] is False and exact["nodes"] == 1000
+        assert exact["lower_bound"] == rep["bound_improved"] + 1 <= 45 <= exact["rn"]
+        assert main(argv[:-1]) == 4
+        assert "lower_bound: " in capsys.readouterr().out
 
     def test_max_order_limit(self, capsys, p9_file):
         assert main(["exact", p9_file, "--max-order", "5"]) == 4
@@ -216,6 +231,7 @@ class TestExact:
         ["--timeout-s", "0"],
         ["--timeout-s", "nan"],
         ["--max-order", "0"],
+        ["--max-nodes", "0"],
     ])
     def test_bad_limits_are_usage_errors(self, capsys, p9_file, flags):
         with pytest.raises(SystemExit) as exc:

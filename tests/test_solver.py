@@ -12,6 +12,8 @@ from radiotree import (
     gen_path,
     gen_random_two_branch,
     greedy_label_from_order,
+    lower_bound_basic,
+    lower_bound_improved,
     metrics,
     rn_path,
     verify_labelling,
@@ -69,12 +71,41 @@ class TestContract:
         assert exact_rn(path(6), max_order=6).rn == rn_path(6)
 
     def test_completed_flag(self):
-        assert exact_rn(path(5)).stats.completed
+        stats = exact_rn(path(5)).stats
+        assert stats.completed
+        assert stats.lower_bound == 10
 
     def test_timeout_returns_incumbent(self):
-        res = exact_rn(path(11), timeout_s=0.01)
+        # rn 45 = improved bound + 3, about 125k nodes: the clock is read
+        res = exact_rn(gen_random_two_branch(12, 1).tree, timeout_s=0.01)
         assert not res.stats.completed
-        assert res.rn >= rn_path(11)  # incumbent is an upper bound only
+        assert res.rn >= 45  # incumbent is an upper bound only
+
+    def test_node_budget_returns_incumbent(self):
+        tree = gen_random_two_branch(12, 1).tree
+        res = exact_rn(tree, max_nodes=10_000)
+        assert not res.stats.completed
+        assert res.rn >= 45
+        assert res.stats.nodes == 10_000
+        # the probe failed inside the budget: rn >= improved bound + 1 is proven
+        assert res.stats.lower_bound == lower_bound_improved(metrics(tree)) + 1 <= 45
+        again = exact_rn(tree, max_nodes=10_000)  # a budget stop is deterministic
+        assert again.witness.labels == res.witness.labels
+        assert again.stats.pruned == res.stats.pruned
+
+    def test_budget_inside_probe_proves_only_basic_bound(self):
+        tree = gen_random_two_branch(12, 1).tree
+        res = exact_rn(tree, max_nodes=100)
+        assert not res.stats.completed and res.stats.nodes == 100
+        assert res.stats.lower_bound == lower_bound_basic(metrics(tree)) <= 45 <= res.rn
+        ok, _ = verify_labelling(tree, res.witness)
+        assert ok and res.witness.span == res.rn
+
+    def test_p13_within_node_budget(self):
+        # the probe proves P_13 in about 25k nodes; a downward search alone needs 543,615
+        res = exact_rn(path(13), max_order=13, max_nodes=100_000)
+        assert res.stats.completed
+        assert res.rn == res.stats.lower_bound == 74 == rn_path(13)
 
     def test_determinism(self):
         a = exact_rn(path(8))
@@ -84,27 +115,54 @@ class TestContract:
         assert a.witness.labels == b.witness.labels
 
 
+def probe_outcome(tree, rn):
+    """Which phases of the bound-first search decided ``rn``."""
+    m = metrics(tree)
+    target = lower_bound_improved(m) if m.two_branch and m.p > 3 \
+        else lower_bound_basic(m)
+    kind = "two-branch" if m.two_branch else "other"
+    return kind, "probe" if rn <= target else "fallback"
+
+
 class TestBruteForceReference:
+    # the smallest two-branch tree whose rn (22) exceeds the improved bound (20)
+    LOOSE_TWO_BRANCH = [(0, 1), (0, 5), (1, 2), (2, 3), (2, 4), (5, 6), (6, 7)]
+
+    def check(self, trees):
+        outcomes = set()
+        for tree in trees:
+            rn = exact_rn(tree).rn
+            assert rn == brute_force_rn(tree)
+            outcomes.add(probe_outcome(tree, rn))
+        return outcomes
+
     def test_random_trees(self):
         # arbitrary trees, half of them not two-branch
         rng = random.Random(11)
+        trees = []
         for _ in range(30):
             n = rng.randrange(4, 8)
-            tree = build_tree([(i, rng.randrange(i)) for i in range(1, n)])
-            assert exact_rn(tree).rn == brute_force_rn(tree)
+            trees.append(build_tree([(i, rng.randrange(i)) for i in range(1, n)]))
+        outcomes = self.check(trees)
+        assert {("two-branch", "probe"), ("other", "probe"),
+                ("other", "fallback")} <= outcomes
 
     def test_random_two_branch_trees(self):
-        for n in range(4, 8):
-            for seed in range(4):
-                tree = gen_random_two_branch(n, seed).tree
-                assert exact_rn(tree).rn == brute_force_rn(tree)
+        trees = [gen_random_two_branch(n, seed).tree
+                 for n in range(4, 8) for seed in range(4)]
+        trees.append(build_tree(self.LOOSE_TWO_BRANCH))
+        outcomes = self.check(trees)
+        assert {("two-branch", "probe"), ("two-branch", "fallback")} <= outcomes
 
 
 class TestPruneCounters:
     def test_both_rules_fire_on_p10(self):
-        pruned = exact_rn(path(10)).stats.pruned
-        assert set(pruned) == {"remaining", "suffix_bound"}
-        assert pruned["suffix_bound"] > 0
+        stats = exact_rn(path(10)).stats
+        assert set(stats.pruned) == {"remaining", "suffix_bound"}
+        assert stats.pruned["remaining"] > 0
+        assert stats.pruned["suffix_bound"] > 0
+        # rn equals the improved bound, so the probe settles it (194 nodes)
+        assert stats.nodes <= 1_000
 
 
 class TestAdapters:

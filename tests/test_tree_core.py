@@ -152,6 +152,29 @@ class TestPhiDelta:
     def test_delta_p4_same_side(self):
         assert delta(metrics(path(4)), 0, 1) == 0
 
+    @pytest.mark.parametrize("fn", [phi, delta, lambda m, u, v: m.distance(u, v)],
+                             ids=["phi", "delta", "distance"])
+    @pytest.mark.parametrize("bad", [-1, 4, True, 1.0, "0"])
+    def test_bad_vertex_raises(self, fn, bad):
+        m = metrics(path(4))
+        with pytest.raises(BadVertex):
+            fn(m, bad, 0)
+        with pytest.raises(BadVertex):
+            fn(m, 0, bad)
+
+    def test_distance_checks_each_vertex_once(self, monkeypatch):
+        checked = []
+        original = Tree.check_vertex
+
+        def counting(tree, u):
+            checked.append(u)
+            original(tree, u)
+
+        m = metrics(path(6))
+        monkeypatch.setattr(Tree, "check_vertex", counting)
+        assert m.distance(1, 4) == 3
+        assert checked == [1, 4]
+
 
 class TestDistanceByLevels:
     def test_p5(self):

@@ -69,6 +69,15 @@ def certify_tightness(m: TreeMetrics, order: Sequence) -> RadioLabelling:
     verified) or raises :class:`CertificationFailure` naming the first failed
     stage: condition_a, a_sequence, combined_sum, condition_b, construction,
     or verification.
+
+    A failure says only that *this* order does not certify, not that the
+    bound is missed: an optimal order need not certify.  On the p = 13 tree
+    with edges 0-7 1-0 1-2 2-3 3-4 3-6 4-5 7-8 8-9 8-12 9-10 10-11 (rn 60,
+    the improved bound), the order 0 5 8 3 9 2 12 4 11 1 10 6 7 has a greedy
+    labelling of span 60, yet fails condition (b): its greedy labels put the
+    xi increment one step before the remote vertex, where :func:`a_sequence`
+    puts it on the remote vertex.  So ``radiotree certify`` on the order of
+    an optimal labelling can exit 1.
     """
     seq = check_order(m, order)
     ok, diag = check_condition_a(m, seq)

@@ -145,6 +145,13 @@ def a_sequence(m: TreeMetrics, order: Sequence) -> ASequence:
     a_0 = 0; for t = 1..p-2, a_t = |W| - a_{t-1} when u_t is remote and neither
     order-neighbour is a weight center, else a_t = 0.  Every a_t must stay in
     {0, |W|}.
+
+    The rule fixes where the increments go, so an optimal order whose own
+    greedy labels place them elsewhere is not certified.  Example: on the
+    p = 13 tree with edges 0-7 1-0 1-2 2-3 3-4 3-6 4-5 7-8 8-9 8-12 9-10
+    10-11 (rn 60), the order 0 5 8 3 9 2 12 4 11 1 10 6 7 spans 60 greedily
+    with the increment at a_7, but this rule gives a_8 = 1 (u_8 = 11 is
+    remote), and condition (b) fails.
     """
     if not m.two_branch:
         raise NotTwoBranch("a-sequence is defined for two-branch trees only")

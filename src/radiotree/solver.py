@@ -13,22 +13,28 @@ proved rn >= LB + 1, and a downward search from a greedy incumbent stops as
 soon as it reaches that floor.  LB only decides where the search looks
 first; every answer rests on complete pruned searches (see :func:`_search`).
 
-Symmetry reduction: the first vertex of the order only ranges over one
-representative per equivalence class of vertices, where two vertices are
-equivalent when the trees rooted at them have identical canonical forms —
+Symmetry reduction, by two rules.  The first vertex of the order only ranges
+over one representative per equivalence class of vertices, where two vertices
+are equivalent when the trees rooted at them have identical canonical forms —
 equality of rooted canonical forms yields an automorphism carrying one root
 to the other, so orders starting at equivalent vertices produce equal spans.
+Leaves with the same neighbour ("twins") are placed in increasing id order: a
+leaf is skipped while its next-smaller twin is unplaced, since swapping two
+twins is an automorphism (see :func:`_search`).
 
 Pruning: a candidate is skipped when one of two lower bounds on every
 completion through it already reaches the incumbent (see :func:`_search`).
 
 Resource limits: a wall-clock ``timeout_s`` and a deterministic node budget
 ``max_nodes``.  When either stops the search, the result carries the proven
-interval ``[stats.lower_bound, rn]`` instead of rn.
+interval ``[stats.lower_bound, rn]`` instead of rn.  The search recurses once
+per placed vertex, so trees deeper than the interpreter's recursion limit
+allows are refused up front, like trees above ``max_order``.
 """
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass
 from typing import Mapping
@@ -41,6 +47,8 @@ from .tree import Tree, TreeMetrics, distance_matrix, metrics
 DEFAULT_MAX_ORDER = 12
 DEFAULT_TIMEOUT_S = 300.0
 LIMIT_CHECK_INTERVAL = 4096  # read the clock every 4096 node expansions
+# The search recurses once per placed vertex; frames left to its callers.
+STACK_HEADROOM = 200
 
 
 def kernel_name() -> str:
@@ -53,7 +61,7 @@ class SolveStats:
     nodes: int
     elapsed_s: float
     completed: bool
-    pruned: Mapping[str, int]  # candidates skipped, per rule: remaining, suffix_bound
+    pruned: Mapping[str, int]  # candidates skipped, per rule: twin, remaining, suffix_bound
     lower_bound: int  # proven lower bound on the radio number; == rn when completed
 
 
@@ -64,25 +72,51 @@ class SolveResult:
     stats: SolveStats
 
 
-def _rooted_canonical(adjacency, root: int) -> str:
-    """Canonical form of the tree rooted at ``root`` (sorted-subtree encoding)."""
-    def canon(u: int, parent: int) -> str:
-        subs = sorted(canon(v, u) for v in adjacency[u] if v != parent)
-        return "(" + "".join(subs) + ")"
-    return canon(root, -1)
+def _rooted_canonical(adjacency, root: int, codes: dict) -> int:
+    """Canonical code of the tree rooted at ``root``.
+
+    Bottom-up encoding: a vertex's code is the index in ``codes`` of the
+    sorted tuple of its children's codes, so two roots encoded with the same
+    ``codes`` get equal codes iff their rooted trees are isomorphic.  The walk
+    is iterative, so the depth of the tree does not matter.
+    """
+    parent = [-1] * len(adjacency)
+    order = [root]
+    for u in order:
+        for v in adjacency[u]:
+            if v != parent[u]:
+                parent[v] = u
+                order.append(v)
+    children = [[] for _ in adjacency]
+    code = 0
+    for u in reversed(order):  # children before parents; the root comes last
+        code = codes.setdefault(tuple(sorted(children[u])), len(codes))
+        if u != root:
+            children[parent[u]].append(code)
+    return code
 
 
 def _start_representatives(tree: Tree) -> list:
     """Smallest vertex id per class of root-interchangeable vertices."""
+    codes = {}
     seen = {}
     for v in range(tree.p):
-        key = _rooted_canonical(tree.adjacency, v)
-        if key not in seen:
-            seen[key] = v
+        seen.setdefault(_rooted_canonical(tree.adjacency, v, codes), v)
     return sorted(seen.values())
 
 
-def _search(p, dist, diam, level, eps, starts, ub, ub_order, floor,
+def _twin_prev(adjacency) -> list:
+    """For each leaf, the next-smaller leaf with the same neighbour; else -1."""
+    prev = [-1] * len(adjacency)
+    last = {}  # neighbour -> largest leaf seen so far hanging from it
+    for u, nbrs in enumerate(adjacency):
+        if len(nbrs) == 1:
+            prev[u] = last.get(nbrs[0], -1)
+            last[nbrs[0]] = u
+    return prev
+
+
+def _search(p, dist, diam, level, eps, starts, twin_prev, ub, ub_order, floor,
             deadline, max_nodes):
     """Depth-first branch-and-bound over vertex orders with greedy completion.
 
@@ -94,6 +128,28 @@ def _search(p, dist, diam, level, eps, starts, ub, ub_order, floor,
     span of every order.  ``deadline`` is a monotonic timestamp and
     ``max_nodes`` a node budget (either may be None); when one of them stops
     the search the incumbent is returned with completed=False.
+
+    ``starts`` lists the vertices tried first (depth 0).  ``twin_prev[u]`` is
+    the next-smaller leaf with the same neighbour as ``u`` (its "twin"), or
+    -1; candidate ``u`` is skipped (``twin``) while ``twin_prev[u]`` is
+    unplaced, so twins are placed in increasing id order.  This is exact:
+
+    * Swapping two twins is an automorphism that fixes every other vertex, so
+      it fixes the placed prefix.
+    * Two unplaced twins have equal ``req`` (equal distances to every placed
+      vertex) and equal level (the swap maps the weight centers to
+      themselves), so the rules below cut both or neither.
+    * Candidates are tried in increasing id order, so the smaller twin's
+      subtree is searched first.  The skipped subtree is its mirror image:
+      its completions have exactly the same spans, so none of them can beat
+      the incumbent that the first subtree left behind.
+    * Hence, by induction from the deepest level up, the sequence of
+      incumbents, the result, its order, and what a probe proves are those
+      of the search without the rule; only ``nodes`` and the ``pruned``
+      counters change.
+    * A start representative never has a smaller twin (twins have equal
+      rooted canonical forms), so the depth-0 rule and this one never
+      disagree.
 
     Placing vertex ``u`` after the current partial order forces its label to
     ``req[u]``, the greedy minimum over all placed vertices ``w`` of
@@ -132,6 +188,7 @@ def _search(p, dist, diam, level, eps, starts, ub, ub_order, floor,
     best = ub
     best_order = None if ub_order is None else list(ub_order)
     nodes = 0
+    pruned_twin = 0
     pruned_remaining = 0
     pruned_suffix = 0
     halted = limited = False  # stopped at the floor / by a resource limit
@@ -139,10 +196,11 @@ def _search(p, dist, diam, level, eps, starts, ub, ub_order, floor,
     next_check = min(LIMIT_CHECK_INTERVAL, node_limit)
     step = diam + eps
     if best <= floor:
-        return best, best_order, 0, {"remaining": 0, "suffix_bound": 0}, True
+        return best, best_order, 0, {"twin": 0, "remaining": 0, "suffix_bound": 0}, True
 
     order = [0] * p
-    placed = [False] * p
+    # placed[-1] is a sentinel that stays True, so twin_prev -1 never skips
+    placed = [False] * p + [True]
     # req[u]: minimal feasible label for u given the current partial order;
     # one saved copy per depth for O(p) backtracking.
     req = [0] * p
@@ -153,7 +211,7 @@ def _search(p, dist, diam, level, eps, starts, ub, ub_order, floor,
         unplaced_at_level[lv] += 1
 
     def extend(depth, span):
-        nonlocal best, best_order, nodes, pruned_remaining, pruned_suffix
+        nonlocal best, best_order, nodes, pruned_twin, pruned_remaining, pruned_suffix
         nonlocal halted, limited, next_check, unplaced_level_sum
         if depth == p:
             if span < best:
@@ -175,6 +233,9 @@ def _search(p, dist, diam, level, eps, starts, ub, ub_order, floor,
             suffix_base = remaining_after * step - 2 * unplaced_level_sum
         for u in (starts if depth == 0 else range(p)):
             if placed[u]:
+                continue
+            if not placed[twin_prev[u]]:
+                pruned_twin += 1
                 continue
             lab = req[u]
             if lab + remaining_after >= best:
@@ -214,7 +275,8 @@ def _search(p, dist, diam, level, eps, starts, ub, ub_order, floor,
                 return
 
     extend(0, 0)
-    pruned = {"remaining": pruned_remaining, "suffix_bound": pruned_suffix}
+    pruned = {"twin": pruned_twin, "remaining": pruned_remaining,
+              "suffix_bound": pruned_suffix}
     return best, best_order, nodes, pruned, not limited
 
 
@@ -242,7 +304,9 @@ def exact_rn(tree: Tree, max_order: int = DEFAULT_MAX_ORDER,
              max_nodes: int | None = None) -> SolveResult:
     """Exact radio number by exhaustive pruned search, bound first.
 
-    Raises :class:`OrderTooLarge` beyond ``max_order`` vertices.  When the
+    Raises :class:`OrderTooLarge` beyond ``max_order`` vertices, or beyond
+    the depth the recursive search can reach (the interpreter's recursion
+    limit less ``STACK_HEADROOM``), before doing any work.  When the
     ``timeout_s`` clock or the ``max_nodes`` budget (node expansions over
     both phases) runs out, the best incumbent is returned with
     ``stats.completed`` False: its span is then only an upper bound, and
@@ -250,18 +314,23 @@ def exact_rn(tree: Tree, max_order: int = DEFAULT_MAX_ORDER,
     """
     if tree.p > max_order:
         raise OrderTooLarge(f"{tree.p} vertices exceeds the limit {max_order}")
+    depth_limit = sys.getrecursionlimit() - STACK_HEADROOM
+    if tree.p > depth_limit:
+        raise OrderTooLarge(
+            f"{tree.p} vertices exceeds the search's recursion depth limit {depth_limit}")
     m = metrics(tree)
     dist = [list(row) for row in distance_matrix(tree)]
     # The downward search starts from the greedy completion of the identity order.
     seed = greedy_label_from_order(m, tuple(range(tree.p)))
     seed_order = sorted(seed.labels, key=seed.labels.get)
     starts = _start_representatives(tree)
+    twin_prev = _twin_prev(tree.adjacency)
     deadline = None if timeout_s is None else time.monotonic() + timeout_s
     proven, target = _probe_bounds(m)
 
     def search(ub, ub_order, floor, budget):
         return _search(tree.p, dist, m.diameter, m.level, m.epsilon, starts,
-                       ub, ub_order, floor, deadline, budget)
+                       twin_prev, ub, ub_order, floor, deadline, budget)
 
     t0 = time.monotonic()
     # Probe: is there a span <= target?

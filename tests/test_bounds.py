@@ -11,6 +11,7 @@ from radiotree import (
     gen_caterpillar,
     gen_levelwise,
     gen_lmh,
+    greedy_label_from_order,
     liu_bound_even,
     liu_bound_odd,
     lower_bound_basic,
@@ -104,6 +105,17 @@ class TestCertifyTightness:
         with pytest.raises(CertificationFailure) as exc:
             certify_tightness(path_metrics(5), (0, 1, 2, 3, 4))
         assert exc.value.stage == "condition_a"
+
+    def test_optimal_order_need_not_certify(self):
+        # greedy span 60 = the improved bound, so the order is optimal, but
+        # its labels take the xi increment one step before the remote vertex
+        m = metrics(build_tree([(0, 7), (1, 0), (1, 2), (2, 3), (3, 4), (3, 6),
+                                (4, 5), (7, 8), (8, 9), (8, 12), (9, 10), (10, 11)]))
+        order = (0, 5, 8, 3, 9, 2, 12, 4, 11, 1, 10, 6, 7)
+        assert greedy_label_from_order(m, order).span == lower_bound_improved(m) == 60
+        with pytest.raises(CertificationFailure) as exc:
+            certify_tightness(m, order)
+        assert exc.value.stage == "condition_b"
 
 
 class TestBoundReport:

@@ -206,7 +206,7 @@ class TestExact:
     def test_stats_opt_in(self, capsys, p9_file):
         code, rep = run_json(capsys, ["exact", p9_file, "--json", "--stats"])
         assert code == 0 and "elapsed_s" in rep["exact"]
-        assert set(rep["exact"]["pruned"]) == {"remaining", "suffix_bound"}
+        assert set(rep["exact"]["pruned"]) == {"twin", "remaining", "suffix_bound"}
         assert rep["exact"]["lower_bound"] == rep["exact"]["rn"] == 34
 
     def test_node_budget_reports_interval(self, capsys, tmp_path):
@@ -225,6 +225,15 @@ class TestExact:
 
     def test_max_order_limit(self, capsys, p9_file):
         assert main(["exact", p9_file, "--max-order", "5"]) == 4
+
+    def test_deep_tree_is_a_resource_error(self, capsys, tmp_path):
+        # deeper than the recursive search can go: exit 4 before any work
+        path = tmp_path / "p1500.txt"
+        path.write_text(format_tree_text(families.gen_path(1500).tree))
+        argv = ["exact", str(path), "--max-order", "5000", "--max-nodes", "1"]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "recursion depth" in err
 
     @pytest.mark.parametrize("flags", [
         ["--timeout-s", "-1"],
@@ -380,13 +389,29 @@ _fuzz_file = st.one_of(
 )
 
 
+# optional flags, each drawn for the verbs that take it
+_fuzz_flags = st.fixed_dictionaries({
+    "--json": st.booleans(),
+    "--stats": st.booleans(),
+    "--max-order": st.none() | st.integers(1, 8),
+    "--max-nodes": st.none() | st.integers(1, 1000),
+})
+_FUZZ_VERB_FLAGS = {
+    "analyze": {"--json"},
+    "bounds": {"--json"},
+    "certify": {"--json"},
+    "exact": {"--json", "--stats", "--max-order", "--max-nodes"},
+}
+
+
 class TestFuzz:
-    @given(command=st.sampled_from(["analyze", "certify", "verify", "label"]),
-           tree=_fuzz_file, order=_fuzz_file, labels=_fuzz_file)
-    @settings(max_examples=120, deadline=None,
+    @given(command=st.sampled_from(["analyze", "bounds", "certify", "verify",
+                                    "label", "exact"]),
+           tree=_fuzz_file, order=_fuzz_file, labels=_fuzz_file, flags=_fuzz_flags)
+    @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_random_files_exit_with_documented_codes(self, tmp_path, command,
-                                                     tree, order, labels):
+                                                     tree, order, labels, flags):
         paths = {}
         for name, data in (("tree", tree), ("order", order), ("labels", labels)):
             paths[name] = tmp_path / name
@@ -396,4 +421,11 @@ class TestFuzz:
             argv += ["--order", str(paths["order"])]
         if command == "verify":
             argv += ["--labels", str(paths["labels"])]
+        for flag, value in flags.items():
+            if flag not in _FUZZ_VERB_FLAGS.get(command, ()):
+                continue
+            if value is True:
+                argv.append(flag)
+            elif value not in (None, False):
+                argv += [flag, str(value)]
         assert main(argv) in {0, 1, 2, 3, 4}

@@ -1,14 +1,18 @@
 import itertools
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from radiotree import (
     OrderTooLarge,
     build_tree,
+    distance_matrix,
     exact_matches_formula,
     exact_rn,
     gen_caterpillar,
+    gen_levelwise,
     gen_path,
     gen_random_two_branch,
     greedy_label_from_order,
@@ -18,10 +22,38 @@ from radiotree import (
     rn_path,
     verify_labelling,
 )
+from radiotree import solver
 
 
 def path(n):
     return build_tree([(i, i + 1) for i in range(n - 1)])
+
+
+def star(k):
+    return build_tree([(0, i) for i in range(1, k + 1)])
+
+
+def spider(legs):
+    """Legs of the given lengths joined at vertex 0."""
+    edges, nxt = [], 1
+    for length in legs:
+        prev = 0
+        for _ in range(length):
+            edges.append((prev, nxt))
+            prev, nxt = nxt, nxt + 1
+    return build_tree(edges)
+
+
+def double_broom(left, handle, right):
+    """A path on ``handle`` vertices with ``left`` leaves on its first vertex
+    and ``right`` leaves on its last."""
+    edges = [(i, i + 1) for i in range(handle - 1)]
+    nxt = handle
+    for end, leaves in ((0, left), (handle - 1, right)):
+        for _ in range(leaves):
+            edges.append((end, nxt))
+            nxt += 1
+    return build_tree(edges)
 
 
 def brute_force_rn(tree):
@@ -65,6 +97,27 @@ class TestContract:
         with pytest.raises(OrderTooLarge):
             exact_rn(path(13))
 
+    def test_order_beyond_recursion_depth(self):
+        # the search recurses once per placed vertex, so such trees are
+        # refused up front, whatever max_order says
+        limit = sys.getrecursionlimit() - solver.STACK_HEADROOM
+        with pytest.raises(OrderTooLarge):
+            exact_rn(path(limit + 1), max_order=10 * limit)
+
+    def test_deepest_allowed_search(self):
+        # the twin rule places a star's leaves in one order, so the search
+        # dives to the full depth at once
+        limit = sys.getrecursionlimit() - solver.STACK_HEADROOM
+        res = exact_rn(star(limit - 1), max_order=limit)
+        assert res.stats.completed and res.rn == limit
+
+    def test_rooted_canonical_is_iterative(self):
+        adjacency = path(5000).adjacency
+        codes = {}
+        ends = {solver._rooted_canonical(adjacency, v, codes) for v in (0, 4999)}
+        assert len(ends) == 1
+        assert solver._rooted_canonical(adjacency, 2500, codes) not in ends
+
     def test_max_order_override(self):
         with pytest.raises(OrderTooLarge):
             exact_rn(path(6), max_order=5)
@@ -76,7 +129,7 @@ class TestContract:
         assert stats.lower_bound == 10
 
     def test_timeout_returns_incumbent(self):
-        # rn 45 = improved bound + 3, about 125k nodes: the clock is read
+        # rn 45 = improved bound + 3, about 90k nodes: the clock is read
         res = exact_rn(gen_random_two_branch(12, 1).tree, timeout_s=0.01)
         assert not res.stats.completed
         assert res.rn >= 45  # incumbent is an upper bound only
@@ -154,15 +207,77 @@ class TestBruteForceReference:
         outcomes = self.check(trees)
         assert {("two-branch", "probe"), ("two-branch", "fallback")} <= outcomes
 
+    def test_twin_rich_trees(self):
+        # many leaves sharing a neighbour: where the twin rule skips most
+        trees = [star(k) for k in range(2, 7)]
+        trees += [gen_caterpillar(3, 1).tree, gen_caterpillar(3, 2).tree,
+                  gen_caterpillar(4, 2).tree]
+        trees += [spider(legs) for legs in ((1, 1, 2), (1, 1, 1, 2), (1, 1, 3),
+                                            (1, 1, 2, 2))]
+        trees += [double_broom(2, 2, 2), double_broom(2, 3, 2),
+                  double_broom(3, 2, 3)]
+        assert all(t.p <= 8 for t in trees)
+        assert any(exact_rn(t).stats.pruned["twin"] > 0 for t in trees)
+        self.check(trees)
+
+
+def search_inputs(tree):
+    """The arguments :func:`solver._search` gets from ``exact_rn``, less the
+    incumbent and limits, with the twin table separate."""
+    m = metrics(tree)
+    dist = [list(row) for row in distance_matrix(tree)]
+    args = (tree.p, dist, m.diameter, m.level, m.epsilon,
+            solver._start_representatives(tree))
+    return m, args, solver._twin_prev(tree.adjacency)
+
+
+# random trees on 2..9 vertices: vertex i hangs from some j < i
+_trees = st.integers(2, 9).flatmap(
+    lambda n: st.tuples(*[st.integers(0, i - 1) for i in range(1, n)])
+).map(lambda parents: build_tree([(i + 1, j) for i, j in enumerate(parents)]))
+
+
+class TestTwinRule:
+    @given(tree=_trees)
+    @settings(max_examples=50, deadline=None)
+    def test_same_result_as_without_the_rule(self, tree):
+        m, args, twin_prev = search_inputs(tree)
+        no_twins = [-1] * tree.p
+        seed = greedy_label_from_order(m, tuple(range(tree.p)))
+        seed_order = sorted(seed.labels, key=seed.labels.get)
+        proven, target = solver._probe_bounds(m)
+        # exact_rn's probe, and a downward search with no floor to stop at
+        for ub, ub_order, floor in ((target + 1, None, proven),
+                                    (seed.span, seed_order, 0)):
+            with_rule = solver._search(*args, twin_prev, ub, ub_order, floor, None, None)
+            without = solver._search(*args, no_twins, ub, ub_order, floor, None, None)
+            assert with_rule[:2] == without[:2]
+            assert with_rule[2] <= without[2]
+            assert with_rule[4] and without[4]
+            assert without[3]["twin"] == 0
+
+    def test_twin_prev(self):
+        # leaves 1, 2, 3 hang from 0, leaves 5, 6 from 4; 4 is not a leaf
+        tree = build_tree([(0, 1), (0, 2), (0, 3), (0, 4), (4, 5), (4, 6)])
+        assert solver._twin_prev(tree.adjacency) == [-1, -1, 1, 2, -1, -1, 5]
+        assert solver._twin_prev(path(2).adjacency) == [-1, -1]
+
 
 class TestPruneCounters:
     def test_both_rules_fire_on_p10(self):
         stats = exact_rn(path(10)).stats
-        assert set(stats.pruned) == {"remaining", "suffix_bound"}
+        assert set(stats.pruned) == {"twin", "remaining", "suffix_bound"}
         assert stats.pruned["remaining"] > 0
         assert stats.pruned["suffix_bound"] > 0
         # rn equals the improved bound, so the probe settles it (194 nodes)
         assert stats.nodes <= 1_000
+
+    def test_twin_rule_fires_on_levelwise_tree(self):
+        # T^2_{2,4}: two groups of three twin leaves; 11,330 nodes without the rule
+        stats = exact_rn(gen_levelwise(2, [2, 4]).tree).stats
+        assert stats.completed
+        assert stats.pruned["twin"] > 0
+        assert stats.nodes <= 1_500
 
 
 class TestAdapters:

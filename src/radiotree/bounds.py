@@ -79,6 +79,7 @@ def certify_tightness(m: TreeMetrics, order: Sequence) -> RadioLabelling:
     puts it on the remote vertex.  So ``radiotree certify`` on the order of
     an optimal labelling can exit 1.
     """
+    # the one order check: each stage takes the checked tuple as it is
     seq = check_order(m, order)
     ok, diag = check_condition_a(m, seq)
     if not ok:

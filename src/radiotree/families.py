@@ -381,6 +381,9 @@ def proof_order_levelwise(inst: FamilyInstance) -> tuple:
         rank = _levelwise_branch_position(idx, ms, h)
         (vps if name.startswith("w'") else vs)[rank] = vid
     half = (p - 2) // 2
+    if half == 1:
+        # T^2_{2} is the path P_4: a center, the far leaf, the near leaf, the other center
+        return _certify_or_raise(inst, (names["w"], vps[1], vs[1], names["w'"]))
     order = [None] * p
     order[0] = vs[half]
     order[1] = vps[1]

@@ -35,7 +35,7 @@ from .errors import (
     NonIntegerLabel,
     NotTwoBranch,
 )
-from .orders import ASequence, check_order
+from .orders import ASequence, _as_order
 from .tree import Tree, TreeMetrics, _bfs, delta, distance_matrix, phi
 
 
@@ -71,7 +71,7 @@ def label_from_order(m: TreeMetrics, order: Sequence, aseq: ASequence) -> RadioL
         raise NotTwoBranch("the order-driven recurrence targets two-branch trees")
     if m.diameter < 2:
         raise DiameterTooSmall("the order-driven recurrence needs diameter >= 2")
-    seq = check_order(m, order)
+    seq = _as_order(m, order)
     if len(aseq.a) != len(seq) - 1:
         raise LengthMismatch(
             f"a-sequence length {len(aseq.a)} for order length {len(seq)}"
@@ -95,57 +95,118 @@ def verify_labelling(tree: Tree, labelling: RadioLabelling) -> tuple:
     vertices are sorted by label and each is compared only with its
     successors while the label gap is below ``diam``: with distinct labels
     that is at most ``diam - 1`` successors per vertex, O(p * diam) pairs.
-    Distances come from the verifier's own BFS from vertex 0 (climbing
-    parents to where the two root paths meet), not from :class:`TreeMetrics`
-    or a distance table.
+    Equal labels always violate (``d <= diam``), so before any distance is
+    computed each block of equal labels yields a violation, its two smallest
+    vertices.  Only a pair with a vertex at or below the smaller vertex ``a``
+    of the first such violation can come before it, and only those pairs
+    are compared.  The vertices below ``a`` carry distinct labels, so
+    repeated labels stay at O(p * diam) pairs too (all-zero labels compare
+    p - 1).
+
+    Distances come from the verifier's own BFS, not from
+    :class:`TreeMetrics` or a distance table: rooted at the middle vertex of
+    a longest path (found by a double BFS), so depths are at most
+    ``ceil(diam/2)``; a pair in different subtrees of the root is
+    ``depth(u) + depth(v)`` apart, and a pair in one subtree climbs parents
+    to the vertex where the two root paths meet.
 
     Returns (ok, pair): ``pair`` is None, or the lexicographically first
-    violating (u, v) with u < v, the pair a scan of all pairs would report;
-    equal labels violate the condition too (any pair needs gap >= 1).
+    violating (u, v) with u < v, the pair a scan of all pairs would report.
     A labelling outside the contract raises instead: :class:`BadVertex` for a
     key that is not a vertex of the tree, :class:`NonIntegerLabel` or
     :class:`NegativeLabel` for a bad label, :class:`MissingLabel` for an
     unlabelled vertex.
     """
     labels = labelling.labels
+    p = tree.p
     for v, lab in labels.items():
-        tree.check_vertex(v)
-        if not isinstance(lab, int) or isinstance(lab, bool):
+        if type(v) is not int or not 0 <= v < p:
+            tree.check_vertex(v)  # raises, unless v is an int subclass in range
+        if type(lab) is not int and (not isinstance(lab, int) or isinstance(lab, bool)):
             raise NonIntegerLabel(f"vertex {v} has non-integer label {lab!r}")
         if lab < 0:
             raise NegativeLabel(f"vertex {v} has negative label {lab}")
-    missing = [v for v in range(tree.p) if v not in labels]
-    if missing:
+    if len(labels) != p:
+        missing = [v for v in range(p) if v not in labels]
         raise MissingLabel(f"vertices without labels: {missing}")
-    # Own distances, independent of TreeMetrics: depths and parents from one
-    # BFS rooted at 0, the diameter from a second BFS from the last vertex
-    # the first one reached (an end of a longest path).
-    depth, parent, reached = _bfs(tree.adjacency, [0])
-    diam = max(_bfs(tree.adjacency, [reached[-1]])[0])
-    # Distinct vertices are at distance >= 1, so a pair whose labels differ by
-    # diam or more passes: scan each vertex's successors in label order only
-    # while the gap stays below diam.
-    by_label = sorted(range(tree.p), key=labels.__getitem__)
-    first = None
-    for i, u in enumerate(by_label):
-        lu = labels[u]
-        for j in range(i + 1, tree.p):
-            v = by_label[j]
-            gap = labels[v] - lu
-            if gap >= diam:
-                break
-            a, b = u, v  # climb to the vertex where the root paths meet
-            while depth[a] > depth[b]:
-                a = parent[a]
-            while depth[b] > depth[a]:
-                b = parent[b]
-            while a != b:
-                a, b = parent[a], parent[b]
-            if gap < diam + 1 - (depth[u] + depth[v] - 2 * depth[a]):
+    first, _ = _first_violation(tree.adjacency, labels)
+    return first is None, first
+
+
+def _middle_rooted(adjacency) -> tuple:
+    """The verifier's own distance oracle: ``(diam, depth, parent, top)``.
+
+    A double BFS finds a longest path (the last vertex reached from 0 ends
+    one; a BFS from there gives its length and, through its parents, the
+    path), and a third BFS is rooted at the path's middle vertex, so every
+    depth is at most ``ceil(diam/2)``.  ``top[v]`` is the root's child whose
+    subtree holds v (the root for the root): vertices with different ``top``
+    are ``depth[u] + depth[v]`` apart.
+    """
+    far = _bfs(adjacency, [0])[2][-1]
+    dist, up, reached = _bfs(adjacency, [far])
+    root = end = reached[-1]
+    diam = dist[end]
+    for _ in range(diam // 2):
+        root = up[root]
+    depth, parent, order = _bfs(adjacency, [root])
+    top = [root] * len(adjacency)
+    for v in order[1:]:
+        u = parent[v]
+        top[v] = v if u == root else top[u]
+    return diam, depth, parent, top
+
+
+def _first_violation(adjacency, lab) -> tuple:
+    """The windowed scan behind :func:`verify_labelling` on the labels
+    ``lab`` (indexed by vertex): ``(first violating pair or None, pairs
+    compared)``."""
+    p = len(adjacency)
+    diam, depth, parent, top = _middle_rooted(adjacency)
+    # vertex ids and label positions share these int objects, so the
+    # position lists below allocate no ints of their own
+    ids = list(range(p))
+    by_label = sorted(ids, key=lab.__getitem__)  # stable: ties by id
+    keys = [lab[v] for v in by_label]
+    # Adjacent equal keys give each block of equal labels its two smallest ids.
+    first = min(((by_label[i], by_label[i + 1]) for i in range(p - 1) if keys[i] == keys[i + 1]),
+                default=None)
+    # Only a pair with a vertex at or below low can precede first.  Round k
+    # compares the label positions (i, i + k) whose gap is below diam: i from
+    # `ahead`, the positions of vertices at or below low, or i + k from
+    # `behind`, the same positions, when vertex i lies above low.  Gaps only
+    # grow with k, so both lists only shrink.
+    if first is None:
+        low, ahead, behind = p, ids, []
+    else:
+        low = first[0]
+        ahead = behind = [i for i in ids if by_label[i] <= low]
+    compared = 0
+    k = 1
+    while ahead or behind:
+        ahead = [i for i in ahead if i + k < p and keys[i + k] - keys[i] < diam]
+        behind = [j for j in behind if j >= k and keys[j] - keys[j - k] < diam]
+        starts = ahead + [j - k for j in behind if by_label[j - k] > low] if behind else ahead
+        compared += len(starts)
+        for i in starts:
+            u, v = by_label[i], by_label[i + k]
+            if top[u] != top[v]:
+                d = depth[u] + depth[v]
+            else:
+                a, b = u, v  # one subtree: climb to where the root paths meet
+                while depth[a] > depth[b]:
+                    a = parent[a]
+                while depth[b] > depth[a]:
+                    b = parent[b]
+                while a != b:
+                    a, b = parent[a], parent[b]
+                d = depth[u] + depth[v] - 2 * depth[a]
+            if keys[i + k] - keys[i] + d <= diam:
                 pair = (u, v) if u < v else (v, u)
                 if first is None or pair < first:
                     first = pair
-    return first is None, first
+        k += 1
+    return first, compared
 
 
 def greedy_label_from_order(m: TreeMetrics, order: Sequence) -> RadioLabelling:
@@ -155,7 +216,7 @@ def greedy_label_from_order(m: TreeMetrics, order: Sequence) -> RadioLabelling:
     constraint against *all* placed vertices (the constraints are global, so
     looking only at the previous vertex would not be sound).
     """
-    seq = check_order(m, order)
+    seq = _as_order(m, order)
     dist = distance_matrix(m.tree)
     diam = m.diameter
     labels = {seq[0]: 0}

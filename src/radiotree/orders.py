@@ -20,6 +20,7 @@ the combinatorial side of that question:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 from .errors import (
@@ -29,7 +30,7 @@ from .errors import (
     NotAPermutation,
     NotTwoBranch,
 )
-from .tree import TreeMetrics
+from .tree import CENTER_BRANCH, TreeMetrics
 
 
 @dataclass(frozen=True)
@@ -47,12 +48,38 @@ class ASequence:
         return sum(self.a)
 
 
+class _CheckedOrder(tuple):
+    """A tuple that :func:`check_order` has validated: a permutation of the
+    vertex ids 0..p-1, where p is its length.  Tuples are immutable, so it
+    stays one."""
+
+    __slots__ = ()
+
+
 def check_order(m: TreeMetrics, order: Sequence) -> tuple:
-    """Validate that ``order`` is a permutation of 0..p-1; return it as a tuple."""
+    """Validate that ``order`` is a permutation of the vertex ids 0..p-1;
+    return it as a tuple.
+
+    Ids are ints (not bools, floats or other numbers that compare equal to
+    one), so the pair scans downstream index by them without checking again.
+    """
     seq = tuple(order)
-    if len(seq) != m.p or set(seq) != set(range(m.p)):
+    if len(seq) != m.p or set(seq) != set(range(m.p)) \
+            or any(not issubclass(k, int) or k is bool for k in set(map(type, seq))):
         raise NotAPermutation(f"order {seq!r} is not a permutation of 0..{m.p - 1}")
-    return seq
+    return _CheckedOrder(seq)
+
+
+def _as_order(m: TreeMetrics, order: Sequence) -> tuple:
+    """``order`` itself when :func:`check_order` already returned it for a
+    tree with as many vertices, else ``check_order(m, order)``.
+
+    :func:`radiotree.bounds.certify_tightness` checks its order once and hands
+    the result to every stage; a stage called directly still checks.
+    """
+    if type(order) is _CheckedOrder and len(order) == m.p:
+        return order
+    return check_order(m, order)
 
 
 def maximal_remote_intervals(m: TreeMetrics, order: Sequence) -> list:
@@ -60,7 +87,7 @@ def maximal_remote_intervals(m: TreeMetrics, order: Sequence) -> list:
 
     Returned as (start, end) index pairs, inclusive, ascending.
     """
-    seq = check_order(m, order)
+    seq = _as_order(m, order)
     runs = []
     start = None
     for i, u in enumerate(seq):
@@ -96,7 +123,7 @@ def is_admissible(m: TreeMetrics, order: Sequence) -> bool:
     and the remote vertices not order-adjacent to a center fall in even runs
     (one odd run allowed when their count is odd).  With two centers they must
     additionally sit at order positions i, j with j > i + 2."""
-    seq = check_order(m, order)
+    seq = _as_order(m, order)
     p = len(seq)
     pos = {u: i for i, u in enumerate(seq)}
     centers = sorted(m.weight_centers, key=pos.get)
@@ -155,7 +182,7 @@ def a_sequence(m: TreeMetrics, order: Sequence) -> ASequence:
     """
     if not m.two_branch:
         raise NotTwoBranch("a-sequence is defined for two-branch trees only")
-    seq = check_order(m, order)
+    seq = _as_order(m, order)
     p = len(seq)
     w = len(m.weight_centers)
     a = [0] * (p - 1)
@@ -185,7 +212,7 @@ def check_condition_a(m: TreeMetrics, order: Sequence) -> tuple:
         raise NotTwoBranch("condition (a) is defined for two-branch trees only")
     if m.diameter < 2:
         raise DiameterTooSmall("condition (a) needs diameter >= 2")
-    seq = check_order(m, order)
+    seq = _as_order(m, order)
     end_sum = m.level[seq[0]] + m.level[seq[-1]]
     s = len(m.remote_set)
     w = len(m.weight_centers)
@@ -219,25 +246,49 @@ def _condition_b_core(m: TreeMetrics, seq: tuple, a: tuple) -> tuple:
     Distinct vertices are at least 1 apart, so a pair with RHS <= 1 cannot
     fail: it is skipped, and the scan over j stops once every RHS ahead is
     <= 1.  The first violating pair is still the all-pairs scan's.
+
+    ``seq`` must be a permutation of the vertex ids (the callers pass what
+    :func:`check_order` returned), so the loop indexes the per-vertex tuples
+    without checks or method calls.  A pair in different branches of T - W,
+    or with a weight center in it, is ``L(u) + L(v) + delta`` apart (phi is
+    0); only a pair inside one branch climbs parent pointers to its meeting
+    vertex.  A certifying order alternates between the two branches, so most
+    pairs take the first route.
     """
     p = len(seq)
-    de = m.diameter + m.epsilon
+    diam = m.diameter
+    de = diam + m.epsilon
+    level, parent = m.level, m.parent
+    # per order position: level, part (the branch of T - W, or for a weight
+    # center a part of its own) and nearest center
+    lev = [level[v] for v in seq]
+    part = [m.branch_id[v] if m.branch_id[v] != CENTER_BRANCH else -1 - v for v in seq]
+    cen = [m.center_of[v] for v in seq]
     # prefix[j] - prefix[i] = sum_{t=i}^{j-1} (L(u_t)+L(u_{t+1}) - a_t - (d+eps))
-    prefix = [0] * p
-    for t in range(p - 1):
-        step = m.level[seq[t]] + m.level[seq[t + 1]] - a[t] - de
-        prefix[t + 1] = prefix[t] + step
-    ahead = prefix[:]  # ahead[j] = max(prefix[j:])
-    for j in range(p - 2, -1, -1):
-        ahead[j] = max(ahead[j], ahead[j + 1])
+    prefix = [0, *accumulate([x + y - at - de for x, y, at in zip(lev, lev[1:], a)])]
+    ahead = list(accumulate(reversed(prefix), max))[::-1]  # ahead[j] = max(prefix[j:])
     for i in range(p - 1):
-        base = prefix[i] - m.diameter - 1  # rhs(i, j) = prefix[j] - base
+        base = prefix[i] - diam - 1  # rhs(i, j) = prefix[j] - base
+        lu, pu, cu = lev[i], part[i], cen[i]
         for j in range(i + 1, p):
             if ahead[j] - base <= 1:
                 break
             rhs = prefix[j] - base
-            if rhs > 1 and m.distance(seq[i], seq[j]) < rhs:
-                return False, (i, j)
+            if rhs <= 1:
+                continue
+            if pu != part[j]:  # phi = 0
+                if lu + lev[j] + (cu != cen[j]) < rhs:
+                    return False, (i, j)
+            else:  # one branch, one center: climb to the meeting vertex
+                x, y = seq[i], seq[j]
+                while level[x] > level[y]:
+                    x = parent[x]
+                while level[y] > level[x]:
+                    y = parent[y]
+                while x != y:
+                    x, y = parent[x], parent[y]
+                if lu + lev[j] - 2 * level[x] < rhs:
+                    return False, (i, j)
     return True, None
 
 
@@ -246,7 +297,7 @@ def check_condition_b(m: TreeMetrics, order: Sequence, aseq: ASequence) -> tuple
 
     Returns (ok, first violating (i, j) or None), first in lexicographic order.
     """
-    seq = check_order(m, order)
+    seq = _as_order(m, order)
     if len(aseq.a) != len(seq) - 1:
         raise LengthMismatch(
             f"a-sequence length {len(aseq.a)} for order length {len(seq)}"
@@ -264,7 +315,7 @@ def check_ddb_conditions(m: TreeMetrics, order: Sequence) -> tuple:
     """
     if m.diameter < 2:
         raise DiameterTooSmall("basic-bound conditions need diameter >= 2")
-    seq = check_order(m, order)
+    seq = _as_order(m, order)
     first, last = seq[0], seq[-1]
     if len(m.weight_centers) == 1:
         (w,) = m.weight_centers

@@ -16,11 +16,19 @@ consume are derived here once per tree and carried in :class:`TreeMetrics`:
 The level decomposition also yields a closed form for distances:
 ``d(u, v) = L(u) + L(v) - 2*phi(u, v) + delta(u, v)`` where ``phi`` is the
 highest level on the common part of the two center-to-vertex paths and
-``delta`` marks pairs whose path crosses both weight centers.  This identity
-is the only pairwise distance on :class:`TreeMetrics`; the full table of
-:func:`distance_matrix` is built only by the all-pairs users (the greedy
-completion and the exact solver).  The independent verifier climbs parent
-pointers of its own BFS instead, so certification builds no table.
+``delta`` marks pairs whose path crosses both weight centers.  Two vertices
+in different branches of ``T - W`` (or a weight center and any other vertex)
+have ``phi = 0``, so their distance is ``L(u) + L(v) + delta(u, v)`` from the
+levels alone; only a pair inside one branch climbs parent pointers.  This
+identity is the only pairwise distance on :class:`TreeMetrics`; the full
+table of :func:`distance_matrix` is built only by the all-pairs users (the
+greedy completion and the exact solver).
+
+The independent verifier (:func:`radiotree.labelling.verify_labelling`) uses
+none of this.  It roots its own BFS at the middle vertex of a longest path,
+so every vertex is at depth at most ``ceil(d/2)``: a pair in different
+subtrees of that root is ``depth(u) + depth(v)`` apart, and a pair in one
+subtree climbs parent pointers.  Certification therefore builds no table.
 """
 
 from __future__ import annotations
@@ -260,9 +268,13 @@ def phi(m: TreeMetrics, u: int, v: int) -> int:
 
 
 def _phi(m: TreeMetrics, u: int, v: int) -> int:
-    """:func:`phi` on vertices already checked."""
-    if m.center_of[u] != m.center_of[v]:
-        return 0  # the paths end at different centers and share no vertex
+    """:func:`phi` on vertices already checked.
+
+    Paths into different branches of T - W share at most their center, at
+    level 0, so only a pair inside one branch climbs.
+    """
+    if m.branch_id[u] != m.branch_id[v] or m.center_of[u] != m.center_of[v]:
+        return 0  # different branches, or the two centers
     level, parent = m.level, m.parent
     while level[u] > level[v]:
         u = parent[u]

@@ -1,24 +1,33 @@
 import pytest
 
 from radiotree import (
+    ASequence,
     CertificationFailure,
     DHalfTooSmall,
+    NotAPermutation,
     NotOmegaTree,
     NotTwoBranch,
+    a_sequence,
     bound_report,
     build_tree,
     certify_tightness,
+    check_condition_a,
+    check_condition_b,
+    check_order,
     gen_caterpillar,
     gen_levelwise,
     gen_lmh,
     greedy_label_from_order,
+    label_from_order,
     liu_bound_even,
     liu_bound_odd,
     lower_bound_basic,
     lower_bound_improved,
     metrics,
+    proof_order_caterpillar,
     strict_gap_predicate,
 )
+from radiotree import bounds, orders
 
 
 def path_metrics(n):
@@ -116,6 +125,51 @@ class TestCertifyTightness:
         with pytest.raises(CertificationFailure) as exc:
             certify_tightness(m, order)
         assert exc.value.stage == "condition_b"
+
+
+class TestOneOrderCheck:
+    """certify_tightness validates its order once and hands the checked order
+    to every stage; a stage called on its own still validates."""
+
+    def test_one_check_per_certificate(self, monkeypatch):
+        inst = gen_caterpillar(5, 50)
+        m = metrics(inst.tree)
+        order = list(proof_order_caterpillar(inst))
+        calls = []
+        original = orders.check_order
+
+        def counting(m, order):
+            calls.append(len(order))
+            return original(m, order)
+
+        # every module that binds the name
+        monkeypatch.setattr(orders, "check_order", counting)
+        monkeypatch.setattr(bounds, "check_order", counting)
+        lab = certify_tightness(m, order)
+        assert lab.span == inst.closed_form_rn
+        assert calls == [m.p]
+
+    @pytest.mark.parametrize("bad", [
+        (2, 1, 4, 0, 0),        # a repeat
+        (2, 1, 4, 0),           # too short
+        (2, 1, 4, 0, 3.0),      # a float equal to a vertex id
+        (2, True, 4, 0, 3),     # a bool equal to a vertex id
+    ])
+    def test_each_stage_checks_on_its_own(self, bad):
+        m = path_metrics(5)
+        aseq = ASequence(a=(0, 0, 1, 0))
+        for stage in (lambda: check_condition_a(m, bad),
+                      lambda: a_sequence(m, bad),
+                      lambda: check_condition_b(m, bad, aseq),
+                      lambda: label_from_order(m, bad, aseq),
+                      lambda: certify_tightness(m, bad)):
+            with pytest.raises(NotAPermutation):
+                stage()
+
+    def test_checked_order_of_another_size_is_checked_again(self):
+        seq = check_order(path_metrics(5), (2, 1, 4, 0, 3))
+        with pytest.raises(NotAPermutation):
+            check_condition_a(path_metrics(6), seq)
 
 
 class TestBoundReport:

@@ -396,6 +396,20 @@ _fuzz_flags = st.fixed_dictionaries({
     "--max-order": st.none() | st.integers(1, 8),
     "--max-nodes": st.none() | st.integers(1, 1000),
 })
+# family parameters for gen and demo: out-of-range values included, each
+# instance small (p stays below a few hundred)
+_fuzz_family = st.sampled_from(["path", "caterpillar", "levelwise", "lmh", "random"])
+_fuzz_params = st.fixed_dictionaries({
+    "--n": st.none() | st.integers(-2, 14).map(str),
+    "--k": st.none() | st.integers(-1, 6).map(str),
+    "--z": st.none() | st.integers(-1, 3).map(str),
+    "--m": st.none() | st.integers(-1, 6).map(str),
+    "--h": st.none() | st.integers(-1, 5).map(str),
+    "--degrees": st.none() | st.lists(st.integers(-1, 5), min_size=1, max_size=4)
+    .map(lambda ds: ",".join(map(str, ds))),
+    "--seed": st.none() | st.integers(0, 3).map(str),
+})
+_FUZZ_GEN_SWITCHES = ("--names", "--with-order", "--dot")
 _FUZZ_VERB_FLAGS = {
     "analyze": {"--json"},
     "bounds": {"--json"},
@@ -429,3 +443,23 @@ class TestFuzz:
             elif value not in (None, False):
                 argv += [flag, str(value)]
         assert main(argv) in {0, 1, 2, 3, 4}
+
+    @given(verb=st.sampled_from(["gen", "demo"]), family=_fuzz_family, params=_fuzz_params,
+           output=st.booleans(), switches=st.sets(st.sampled_from(_FUZZ_GEN_SWITCHES)),
+           json_out=st.booleans())
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_family_verbs_exit_with_documented_codes(self, tmp_path, capsys, verb, family,
+                                                     params, output, switches, json_out):
+        argv = [verb, family]
+        for flag, value in params.items():
+            if value is not None:
+                argv.append(f"{flag}={value}")  # "--n -2" would read as an option
+        if verb == "gen":
+            if output:
+                argv += ["-o", str(tmp_path / "tree.txt")]
+            argv += sorted(switches)
+        elif json_out:
+            argv.append("--json")
+        assert main(argv) in {0, 1, 2, 3, 4}
+        assert "Traceback" not in capsys.readouterr().err

@@ -190,6 +190,14 @@ class TestLevelwise:
         lab = certify_tightness(metrics(inst.tree), proof_order_levelwise(inst))
         assert lab.span == rn_levelwise(z, degs)
 
+    def test_two_roots_height1_is_p4(self):
+        # found by the CLI fuzz: the z = 2 interleaving needs two vertices
+        # per side and raised KeyError on T^2_{2}
+        inst = gen_levelwise(2, (2,))
+        assert sorted(inst.tree.edges) == [(0, 1), (0, 2), (1, 3)]
+        lab = certify_tightness(metrics(inst.tree), proof_order_levelwise(inst))
+        assert lab.span == inst.closed_form_rn == 5
+
     def test_order_unsupported_off_grid(self):
         with pytest.raises(UnsupportedParams):
             proof_order_levelwise(gen_levelwise(1, (3, 3)))

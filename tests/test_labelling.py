@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,6 +27,8 @@ from radiotree import (
     proof_order_caterpillar,
     verify_labelling,
 )
+from radiotree import labelling
+from radiotree.labelling import _first_violation, _middle_rooted
 
 
 def path(n):
@@ -153,9 +157,10 @@ def relabelled_trees(draw):
 @st.composite
 def labelled_trees(draw):
     """A tree and a labelling of it: random small labels (often repeated and
-    mostly invalid), a greedy valid labelling, or one with a label nudged."""
+    mostly invalid), a greedy valid labelling, one with a label nudged, or
+    one with large blocks of vertices sharing a label."""
     tree = draw(relabelled_trees())
-    kind = draw(st.sampled_from(["random", "greedy", "nudged"]))
+    kind = draw(st.sampled_from(["random", "greedy", "nudged", "blocks"]))
     if kind == "random":
         top = draw(st.integers(0, 3 * tree.p))
         values = draw(st.lists(st.integers(0, top), min_size=tree.p, max_size=tree.p))
@@ -165,14 +170,80 @@ def labelled_trees(draw):
     if kind == "nudged":
         v = draw(st.integers(0, tree.p - 1))
         labels[v] = max(0, labels[v] + draw(st.sampled_from([-3, -2, -1, 1, 2, 3])))
+    if kind == "blocks":
+        # each block is a run of the order (or all of it) moved onto one label
+        for _ in range(draw(st.integers(1, 3))):
+            start = draw(st.integers(0, tree.p - 1))
+            stop = draw(st.integers(start + 1, tree.p))
+            value = labels[order[draw(st.integers(0, tree.p - 1))]]
+            for v in order[start:stop]:
+                labels[v] = value
     return tree, RadioLabelling(labels)
 
 
 @given(labelled_trees())
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=500, deadline=None)
 def test_windowed_verify_matches_all_pairs(case):
     tree, lab = case
     assert verify_labelling(tree, lab) == all_pairs_verify(tree, lab)
+
+
+def broom_at_far_end(n, bristles):
+    """A path 0..n-1 with ``bristles`` leaves on n-1: vertex 0 is a leaf at
+    the end of a longest path, as far from the middle as a vertex can be."""
+    return build_tree([(i, i + 1) for i in range(n - 1)]
+                      + [(n - 1, n + j) for j in range(bristles)])
+
+
+class TestVerifierDistances:
+    @given(relabelled_trees())
+    @settings(max_examples=150, deadline=None)
+    def test_middle_rooted_oracle(self, tree):
+        diam, depth, parent, top = _middle_rooted(tree.adjacency)
+        dist = distance_matrix(tree)
+        (root,) = [v for v in range(tree.p) if depth[v] == 0]
+        assert diam == max(max(row) for row in dist)
+        assert max(depth) == (diam + 1) // 2  # rooted at the middle
+        assert list(depth) == list(dist[root])
+        assert parent[root] == -1
+        for u in range(tree.p):
+            if u != root:
+                assert dist[u][parent[u]] == 1 and depth[parent[u]] == depth[u] - 1
+            for v in range(tree.p):
+                if top[u] != top[v]:
+                    assert dist[u][v] == depth[u] + depth[v]
+
+    def test_vertex_zero_at_the_end_of_a_long_path(self):
+        tree = broom_at_far_end(40, 5)
+        diam, depth, _, _ = _middle_rooted(tree.adjacency)
+        assert (diam, max(depth), depth[0]) == (40, 20, 20)
+        m = metrics(tree)
+        rng = random.Random(40)
+        for _ in range(20):
+            labels = dict(greedy_label_from_order(m, rng.sample(range(tree.p), tree.p)).labels)
+            assert verify_labelling(tree, RadioLabelling(labels)) == (True, None)
+            v = rng.randrange(tree.p)
+            labels[v] = max(0, labels[v] + rng.choice([-3, -1, 1, 3]))
+            lab = RadioLabelling(labels)
+            assert verify_labelling(tree, lab) == all_pairs_verify(tree, lab)
+
+
+def test_all_zero_labels_compare_a_linear_number_of_pairs(monkeypatch):
+    # Equal labels always violate, so the block of p zeros yields (0, 1) at
+    # once; only pairs with vertex 0 can come before it.  The old window held
+    # all p(p-1)/2 = 200 million pairs here.
+    tree = gen_caterpillar(5, 5000).tree  # p = 20,005
+    compared = []
+
+    def counting(adjacency, lab):
+        first, n = _first_violation(adjacency, lab)
+        compared.append(n)
+        return first, n
+
+    monkeypatch.setattr(labelling, "_first_violation", counting)
+    lab = RadioLabelling(dict.fromkeys(range(tree.p), 0))
+    assert verify_labelling(tree, lab) == (False, (0, 1))
+    assert compared == [tree.p - 1]
 
 
 class TestGreedy:

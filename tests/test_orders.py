@@ -190,16 +190,37 @@ def all_pairs_condition_b(m, seq, a):
 
 @st.composite
 def two_branch_orders(draw):
-    """A two-branch tree with p = 4..30, a random order and a random a-sequence.
+    """A two-branch tree with p = 3..31, a random order and a random a-sequence.
 
-    Vertex i hangs from a drawn earlier vertex, so the draws include paths,
-    brooms and lopsided trees whose deep vertices make the prefix sums of
-    condition (b) rise; a draw that is not two-branch falls back to a seeded
-    uniform two-branch tree.
+    The tree is one of three shapes, under a shuffled numbering:
+    - "any": vertex i hangs from a drawn earlier vertex, so the draws include
+      paths, brooms and lopsided trees whose deep vertices make the prefix
+      sums of condition (b) rise;
+    - "one": two random branches hung from vertex 0;
+    - "two": two halves of equal size whose roots are joined, each root with
+      one child, so the roots are the two weight centers.
+    A draw that is not two-branch falls back to a seeded uniform two-branch
+    tree.  Every vertex, the centers included, is in the order.
     """
-    p = draw(st.integers(4, 30))
-    tree = build_tree([(i, draw(st.integers(0, i - 1))) for i in range(1, p)])
-    m = metrics(tree)
+    def hang(base, size):
+        return [(base + i, base + draw(st.integers(0, i - 1))) for i in range(1, size)]
+
+    shape = draw(st.sampled_from(["any", "one", "two"]))
+    if shape == "any":
+        p = draw(st.integers(4, 30))
+        edges = hang(0, p)
+    elif shape == "one":
+        left, right = draw(st.integers(1, 15)), draw(st.integers(1, 15))
+        p = 1 + left + right
+        edges = hang(1, left) + hang(1 + left, right) + [(0, 1), (0, 1 + left)]
+    else:
+        half = draw(st.integers(2, 15))
+        p = 2 * half
+        edges = hang(1, half - 1) + hang(half + 1, half - 1) + [(0, 1), (half, half + 1), (0, half)]
+    perm = draw(st.permutations(range(p)))
+    m = metrics(build_tree([(perm[u], perm[v]) for u, v in edges]))
+    if shape == "two":
+        assert m.weight_centers == {perm[0], perm[half]} and m.two_branch
     if not m.two_branch:
         m = metrics(gen_random_two_branch(p, draw(st.integers(0, 10**6))).tree)
     w = len(m.weight_centers)
@@ -209,7 +230,7 @@ def two_branch_orders(draw):
 
 
 @given(two_branch_orders())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_windowed_condition_b_matches_all_pairs(case):
     m, seq, a = case
     assert _condition_b_core(m, seq, a) == all_pairs_condition_b(m, seq, a)

@@ -21,6 +21,7 @@ from radiotree import (
     phi,
 )
 from radiotree.tree import _make_tree
+from test_labelling import relabelled_trees
 
 
 def path(n):
@@ -231,6 +232,12 @@ class TestMetricsAgainstTable:
     @settings(max_examples=150, deadline=None)
     def test_random_trees(self, p, seed):
         assert_metrics_match_table(random_tree(p, seed))
+
+    @given(relabelled_trees())
+    @settings(max_examples=150, deadline=None)
+    def test_one_and_two_center_trees(self, tree):
+        # every pair, weight centers (branch CENTER_BRANCH) included
+        assert_metrics_match_table(tree)
 
     @pytest.mark.parametrize("edges", [
         [(0, 1)],

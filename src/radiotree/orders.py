@@ -184,15 +184,12 @@ def a_sequence(m: TreeMetrics, order: Sequence) -> ASequence:
         raise NotTwoBranch("a-sequence is defined for two-branch trees only")
     seq = _as_order(m, order)
     p = len(seq)
-    w = len(m.weight_centers)
+    remote, centers = m.remote_set, m.weight_centers
+    w = len(centers)
     a = [0] * (p - 1)
     for t in range(1, p - 1):
-        u = seq[t]
-        if u in m.remote_set and seq[t - 1] not in m.weight_centers \
-                and seq[t + 1] not in m.weight_centers:
+        if seq[t] in remote and seq[t - 1] not in centers and seq[t + 1] not in centers:
             a[t] = w - a[t - 1]
-        else:
-            a[t] = 0
         if a[t] not in (0, w):
             raise InfeasibleASequence(f"a_{t} = {a[t]} outside {{0, {w}}}")
     return ASequence(a=tuple(a))
@@ -249,16 +246,17 @@ def _condition_b_core(m: TreeMetrics, seq: tuple, a: tuple) -> tuple:
 
     ``seq`` must be a permutation of the vertex ids (the callers pass what
     :func:`check_order` returned), so the loop indexes the per-vertex tuples
-    without checks or method calls.  A pair in different branches of T - W,
-    or with a weight center in it, is ``L(u) + L(v) + delta`` apart (phi is
-    0); only a pair inside one branch climbs parent pointers to its meeting
-    vertex.  A certifying order alternates between the two branches, so most
-    pairs take the first route.
+    without checks.  A pair in different branches of T - W, or with a weight
+    center in it, is ``L(u) + L(v) + delta`` apart (phi is 0), read off the
+    per-position lists; only a pair inside one branch calls
+    :meth:`TreeMetrics.distance`, whose phi climbs parent pointers.  A
+    certifying order alternates between the two branches, so most pairs take
+    the first route.
     """
     p = len(seq)
     diam = m.diameter
     de = diam + m.epsilon
-    level, parent = m.level, m.parent
+    level, distance = m.level, m.distance
     # per order position: level, part (the branch of T - W, or for a weight
     # center a part of its own) and nearest center
     lev = [level[v] for v in seq]
@@ -279,16 +277,8 @@ def _condition_b_core(m: TreeMetrics, seq: tuple, a: tuple) -> tuple:
             if pu != part[j]:  # phi = 0
                 if lu + lev[j] + (cu != cen[j]) < rhs:
                     return False, (i, j)
-            else:  # one branch, one center: climb to the meeting vertex
-                x, y = seq[i], seq[j]
-                while level[x] > level[y]:
-                    x = parent[x]
-                while level[y] > level[x]:
-                    y = parent[y]
-                while x != y:
-                    x, y = parent[x], parent[y]
-                if lu + lev[j] - 2 * level[x] < rhs:
-                    return False, (i, j)
+            elif distance(seq[i], seq[j]) < rhs:  # one branch: phi climbs
+                return False, (i, j)
     return True, None
 
 

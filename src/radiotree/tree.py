@@ -52,7 +52,10 @@ class Tree:
     adjacency: tuple  # tuple of sorted tuples of neighbour ids
 
     def check_vertex(self, u: int) -> None:
-        if not isinstance(u, int) or isinstance(u, bool) or not 0 <= u < self.p:
+        # a plain int skips the isinstance tests: condition (b) checks every
+        # same-branch pair through TreeMetrics.distance
+        if type(u) is not int and (not isinstance(u, int) or isinstance(u, bool)) \
+                or not 0 <= u < self.p:
             raise BadVertex(f"vertex {u!r} not in 0..{self.p - 1}")
 
 

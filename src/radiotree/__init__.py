@@ -87,7 +87,6 @@ from .tree import (
     TreeMetrics,
     build_tree,
     delta,
-    distance,
     distance_by_levels,
     distance_matrix,
     format_tree_text,

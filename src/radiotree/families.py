@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 from math import prod
 
 from .bounds import certify_tightness
@@ -33,7 +34,7 @@ from .errors import (
     OutOfRange,
     UnsupportedParams,
 )
-from .tree import Tree, TreeMetrics, _make_tree, build_tree, metrics
+from .tree import Tree, _make_tree, build_tree, metrics
 
 
 @dataclass(frozen=True)
@@ -44,22 +45,27 @@ class FamilyInstance:
     vertex_names: dict  # conventional name -> vertex id
     closed_form_rn: int | None
 
-    def metrics(self) -> TreeMetrics:
-        return metrics(self.tree)
 
-
-def _certify_or_raise(inst: FamilyInstance, order: tuple) -> tuple:
-    """Validate a constructed order through the certification pipeline."""
-    m = metrics(inst.tree)
+def _certify_or_raise(inst: FamilyInstance, by_pos: dict) -> tuple:
+    """The one exit of every ``proof_order_*``: turn a position -> name table
+    into the order of vertex ids and validate it through the certification
+    pipeline.  The positions must be exactly 0..p-1."""
+    p = inst.tree.p
+    if by_pos.keys() != set(range(p)):
+        wrong = sorted(by_pos.keys() ^ set(range(p)))
+        raise InvalidProofOrder("positions", f"{inst.name}: bad order positions {wrong}")
+    names = inst.vertex_names
+    order = tuple(names[by_pos[t]] for t in range(p))
+    del by_pos  # a caller's temporary table need not outlive certification's peak
     try:
-        lab = certify_tightness(m, order)
+        lab = certify_tightness(metrics(inst.tree), order)
     except CertificationFailure as exc:
         raise InvalidProofOrder(exc.stage, f"{inst.name}: {exc.detail}") from exc
     if inst.closed_form_rn is not None and lab.span != inst.closed_form_rn:
         raise InvalidProofOrder(
             "span", f"{inst.name}: span {lab.span} != closed form {inst.closed_form_rn}"
         )
-    return tuple(order)
+    return order
 
 
 # --- paths -----------------------------------------------------------------
@@ -227,30 +233,33 @@ def proof_order_caterpillar(inst: FamilyInstance) -> tuple:
     n, k = inst.params["n"], inst.params["k"]
     p = inst.tree.p
     if n == 3:
-        by_pos = _cat_order_odd_small(n, k, p)
+        build = _cat_order_odd_small
     elif n == 4:
-        by_pos = _cat_order_even_small(n, k, p)
+        build = _cat_order_even_small
     elif n % 2 == 1:
-        by_pos = _cat_order_odd_large(n, k, p)
+        build = _cat_order_odd_large
     elif k >= 2:
-        by_pos = _cat_order_even_large(n, k, p)
+        build = _cat_order_even_large
     else:
-        by_pos = _cat_order_even_k1(n, k, p)
-    if len(by_pos) != p or set(by_pos) != set(range(p)):
-        raise InvalidProofOrder("positions", f"{inst.name}: order positions {sorted(by_pos)}")
-    order = tuple(inst.vertex_names[by_pos[t]] for t in range(p))
-    return _certify_or_raise(inst, order)
+        build = _cat_order_even_k1
+    return _certify_or_raise(inst, build(n, k, p))
 
 
 # --- level-wise regular trees T^z ------------------------------------------
 
 def rn_levelwise(z: int, degrees) -> int:
-    """Closed form for T^z with degree list (2, m_1, ..., m_{h-1}), m_i >= 3."""
+    """Closed form for T^z with degree list (2, m_1, ..., m_{h-1}), m_i >= 3.
+
+    T^1_{2} (z = 1, h = 1) is the path P_3: its rn 3 lies one below the
+    formula's 4, so it is out of range; T^2_{2} = P_4 keeps the formula (5).
+    """
     ms = list(degrees)
     h = len(ms)
-    if z not in (1, 2) or h < 1 or ms[0] != 2 or any(m < 3 for m in ms[1:]):
+    if (z not in (1, 2) or h < 1 or ms[0] != 2 or any(m < 3 for m in ms[1:])
+            or (z, h) == (1, 1)):
         raise OutOfRange(
-            f"level-wise closed form needs z in {{1,2}}, m_0 = 2, m_i >= 3; got z={z}, {ms}"
+            f"level-wise closed form needs z in {{1,2}}, m_0 = 2, m_i >= 3 and, for z = 1, "
+            f"h >= 2; got z={z}, {ms}"
         )
     body = sum((4 * (h - i) - 2) * prod(m - 1 for m in ms[1:i + 1])
                for i in range(1, h))
@@ -311,9 +320,10 @@ def gen_levelwise(z: int, degrees) -> FamilyInstance:
                 v = new_vertex(f"w{mark}_{{{c}}}")
                 edges.append((root, v))
                 grow(v, mark, f"{c},", 1)
-    closed = None
-    if ms[0] == 2 and all(m >= 3 for m in ms[1:]):
+    try:
         closed = rn_levelwise(z, ms)
+    except OutOfRange:
+        closed = None
     deg_str = ",".join(str(m) for m in ms)
     return FamilyInstance(
         tree=build_tree(edges) if edges else _make_tree(1, []),
@@ -324,78 +334,50 @@ def gen_levelwise(z: int, degrees) -> FamilyInstance:
     )
 
 
-def _levelwise_branch_position(index_tail, ms, h) -> int:
-    """Within-branch rank of the vertex with child-index path (i_2..i_l)
-    under the certifying order: leaves first, then inner levels bottom-up."""
-    l = len(index_tail) + 1  # level of the vertex
-    j = 1
-    width = 1  # prod of (m_s - 1) for s = 1 .. t-2
-    for t in range(2, l + 1):
-        j += index_tail[t - 2] * width
-        width *= ms[t - 1] - 1
-    tail = 0
-    run = prod(m - 1 for m in ms[1:l + 1])
-    for t in range(l, h):
-        tail += run
-        if t + 1 < h:
-            run *= ms[t + 1] - 1
-    return j + tail
+def _levelwise_names(z: int, ms) -> list:
+    """The vertex names of T^z in the order of :func:`proof_order_levelwise`."""
+    # the index-path tails ",i_2,...,i_l" of each level l, i_2 fastest
+    tails = [[""]]
+    for m in ms[1:]:
+        tails.append([f"{t},{i}" for i in range(m - 1) for t in tails[-1]])
+
+    def branch(head):
+        return [f"{head}{t}}}" for level in reversed(tails) for t in level]
+
+    if z == 1:
+        return ["w", *chain.from_iterable(zip(branch("w_{0"), branch("w_{1")))]
+    a, b = branch("w_{0"), branch("w'_{0")
+    if len(a) == 1:
+        # T^2_{2} is the path P_4: a center, the far leaf, the near leaf, the other center
+        return ["w", b[0], a[0], "w'"]
+    return [a[-1], b[0], "w", b[1], a[0], "w'", a[1],
+            *chain.from_iterable(zip(b[2:-1], a[2:-1])), b[-1]]
 
 
 def proof_order_levelwise(inst: FamilyInstance) -> tuple:
-    """Certifying order for T^z with m_0 = 2 and all other degrees >= 3."""
-    z, ms = inst.params["z"], list(inst.params["degrees"])
-    h = len(ms)
-    if ms[0] != 2 or any(m < 3 for m in ms[1:]) or h < 1:
+    """Certifying order for T^z with m_0 = 2 and all other degrees >= 3.
+
+    Each root-branch (a child w_{i} of a root with all its descendants) is
+    listed level by level, the deepest level first and level 1 last.  Within
+    a level the first child index below the branch head varies fastest: the
+    level-l vertices w_{i,i_2,...,i_l} run through the product of the ranges
+    m_{l-1} - 1, ..., m_1 - 1.  For z = 1 the root w comes first, then the
+    branches below w_{0} and w_{1} interleaved, w_{0,...} first.  For z = 2,
+    with A and B the branches below w and w' (a vertices each), the order is
+    A_a, B_1, w, B_2, A_1, w', A_2, then B_i, A_i for i = 3..a-1, then B_a: the
+    centers sit at positions 2 and 5.  T^2_{2} is the path P_4, ordered
+    w, B_1, A_1, w'.
+
+    The order exists where the closed form does: T^1_{2} is the path P_3,
+    whose rn 3 lies below its improved bound, so it has neither.
+    """
+    z, ms = inst.params["z"], inst.params["degrees"]
+    if inst.closed_form_rn is None:
         raise UnsupportedParams(
-            f"certifying order needs m_0 = 2 and m_i >= 3, got {ms}"
+            f"certifying order needs m_0 = 2, m_i >= 3 and, for z = 1, h >= 2; "
+            f"got z={z}, {list(ms)}"
         )
-    names = inst.vertex_names
-    p = inst.tree.p
-
-    def index_path(name):
-        return tuple(int(c) for c in name.split("{")[1].rstrip("}").split(","))
-
-    if z == 1:
-        order = [None] * p
-        order[0] = names["w"]
-        for name, vid in names.items():
-            if name == "w":
-                continue
-            idx = index_path(name)
-            # the first index picks the branch; ranks interleave the branches
-            j = 2 * (_levelwise_branch_position(idx[1:], ms, h) - 1) + 1 + idx[0]
-            order[j] = vid
-        if any(v is None for v in order):
-            raise InvalidProofOrder("positions", f"{inst.name}: incomplete order")
-        return _certify_or_raise(inst, tuple(order))
-
-    # z = 2: interleave the two root-branches, centers inside
-    vs = {}
-    vps = {}
-    for name, vid in names.items():
-        if name in ("w", "w'"):
-            continue
-        # each root has a single child here, so the leading index is dropped
-        idx = index_path(name)[1:]
-        rank = _levelwise_branch_position(idx, ms, h)
-        (vps if name.startswith("w'") else vs)[rank] = vid
-    half = (p - 2) // 2
-    if half == 1:
-        # T^2_{2} is the path P_4: a center, the far leaf, the near leaf, the other center
-        return _certify_or_raise(inst, (names["w"], vps[1], vs[1], names["w'"]))
-    order = [None] * p
-    order[0] = vs[half]
-    order[1] = vps[1]
-    order[2] = names["w"]
-    order[3] = vps[2]
-    order[4] = vs[1]
-    order[5] = names["w'"]
-    order[6] = vs[2]
-    order[p - 1] = vps[half]
-    for j in range(7, p - 1):
-        order[j] = vs[(j - 2) // 2] if j % 2 == 0 else vps[(j - 1) // 2]
-    return _certify_or_raise(inst, tuple(order))
+    return _certify_or_raise(inst, dict(enumerate(_levelwise_names(z, ms))))
 
 
 # --- the leg family L^z_{m,h} ----------------------------------------------
@@ -458,11 +440,7 @@ def gen_lmh(z: int, m: int, h: int) -> FamilyInstance:
     )
 
 
-def proof_order_lmh(inst: FamilyInstance) -> tuple:
-    """Certifying order for L^z_{m,h} (leaves first, legs bottom-up)."""
-    z, m, h = inst.params["z"], inst.params["m"], inst.params["h"]
-    p = inst.tree.p
-    names = inst.vertex_names
+def _lmh_positions(z: int, m: int, h: int, p: int) -> dict:
     by_pos = {}
     if z == 1:
         by_pos[0] = "r"
@@ -497,10 +475,13 @@ def proof_order_lmh(inst: FamilyInstance) -> tuple:
                     else:
                         t = 2 * i + 2 * m * (h - j - 1) + l
                     by_pos[t] = f"w^{l}_{{{i},{j}}}"
-    if len(by_pos) != p or set(by_pos) != set(range(p)):
-        raise InvalidProofOrder("positions", f"{inst.name}: positions {sorted(by_pos)}")
-    order = tuple(names[by_pos[t]] for t in range(p))
-    return _certify_or_raise(inst, order)
+    return by_pos
+
+
+def proof_order_lmh(inst: FamilyInstance) -> tuple:
+    """Certifying order for L^z_{m,h} (leaves first, legs bottom-up)."""
+    z, m, h = inst.params["z"], inst.params["m"], inst.params["h"]
+    return _certify_or_raise(inst, _lmh_positions(z, m, h, inst.tree.p))
 
 
 # --- random two-branch instances -------------------------------------------

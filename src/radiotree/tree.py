@@ -139,15 +139,6 @@ def _bfs(adjacency, sources: Sequence) -> tuple:
     return dist, parent, order
 
 
-def distance(tree: Tree, u: int, v: int) -> int:
-    """Shortest-path hop count between ``u`` and ``v`` (one BFS)."""
-    tree.check_vertex(u)
-    tree.check_vertex(v)
-    if u == v:
-        return 0
-    return _bfs(tree.adjacency, [u])[0][v]
-
-
 @lru_cache(maxsize=128)
 def distance_matrix(tree: Tree) -> tuple:
     """Full p x p distance table (cached per tree), for all-pairs users."""

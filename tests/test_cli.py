@@ -323,6 +323,13 @@ class TestDemo:
                                       "--degrees", "2,3,3", "--json"])
         assert code == 0 and rep["certification"]["span"] == 35
 
+    @pytest.mark.parametrize("degrees", ["2", "3,3"])
+    def test_levelwise_without_certifying_order(self, capsys, degrees):
+        # T^1_{2} is the path P_3, whose rn 3 is below its improved bound 4:
+        # an input error like any off-grid degree list, not "not certified"
+        assert main(["demo", "levelwise", "--z", "1", "--degrees", degrees]) == 3
+        assert "certifying order" in capsys.readouterr().err
+
     @pytest.mark.parametrize("n,k", [(4, 9), (16, 1)])
     def test_caterpillar_constructed_order(self, capsys, n, k):
         code, rep = run_json(capsys, ["demo", "caterpillar", "--n", str(n),

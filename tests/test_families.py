@@ -4,6 +4,7 @@ import pytest
 
 from radiotree import (
     BadParams,
+    InvalidProofOrder,
     OutOfRange,
     UnsupportedParams,
     certify_tightness,
@@ -25,6 +26,7 @@ from radiotree import (
     rn_lmh,
     rn_path,
 )
+from radiotree.families import _certify_or_raise
 
 CAT_GRID = [(n, k) for n in range(3, 13) for k in range(1, 5)]
 LEVEL_GRID = [
@@ -48,6 +50,51 @@ SEARCHED_CAT_ORDERS = {
              "v_{5,1} v_{8,1} v_{1,1} v_7",
     (14, 1): "v_7 v_{14,1} v_1 v_9 v_2 v_10 v_3 v_11 v_4 v_12 v_5 v_13 v_6 v_14 "
              "v_{6,1} v_{9,1} v_{1,1} v_8",
+}
+
+# the orders proof_order_levelwise returned before it was rebuilt to walk the
+# child-index paths; a construction of the same orders must return them unchanged
+PINNED_LEVEL_ORDERS = {
+    (1, (2, 3)): "w w_{0,0} w_{1,0} w_{0,1} w_{1,1} w_{0} w_{1}",
+    (2, (2, 3)): "w_{0} w'_{0,0} w w'_{0,1} w_{0,0} w' w_{0,1} w'_{0}",
+    (1, (2, 4)): "w w_{0,0} w_{1,0} w_{0,1} w_{1,1} w_{0,2} w_{1,2} w_{0} w_{1}",
+    (2, (2, 4)): "w_{0} w'_{0,0} w w'_{0,1} w_{0,0} w' w_{0,1} w'_{0,2} w_{0,2} w'_{0}",
+    (1, (2, 3, 3)): (
+        "w w_{0,0,0} w_{1,0,0} w_{0,1,0} w_{1,1,0} w_{0,0,1} w_{1,0,1} "
+        "w_{0,1,1} w_{1,1,1} w_{0,0} w_{1,0} w_{0,1} w_{1,1} w_{0} w_{1}"
+    ),
+    (2, (2, 3, 3)): (
+        "w_{0} w'_{0,0,0} w w'_{0,1,0} w_{0,0,0} w' w_{0,1,0} w'_{0,0,1} "
+        "w_{0,0,1} w'_{0,1,1} w_{0,1,1} w'_{0,0} w_{0,0} w'_{0,1} w_{0,1} "
+        "w'_{0}"
+    ),
+    (1, (2, 12, 3)): (
+        "w w_{0,0,0} w_{1,0,0} w_{0,1,0} w_{1,1,0} w_{0,2,0} w_{1,2,0} "
+        "w_{0,3,0} w_{1,3,0} w_{0,4,0} w_{1,4,0} w_{0,5,0} w_{1,5,0} "
+        "w_{0,6,0} w_{1,6,0} w_{0,7,0} w_{1,7,0} w_{0,8,0} w_{1,8,0} "
+        "w_{0,9,0} w_{1,9,0} w_{0,10,0} w_{1,10,0} w_{0,0,1} w_{1,0,1} "
+        "w_{0,1,1} w_{1,1,1} w_{0,2,1} w_{1,2,1} w_{0,3,1} w_{1,3,1} "
+        "w_{0,4,1} w_{1,4,1} w_{0,5,1} w_{1,5,1} w_{0,6,1} w_{1,6,1} "
+        "w_{0,7,1} w_{1,7,1} w_{0,8,1} w_{1,8,1} w_{0,9,1} w_{1,9,1} "
+        "w_{0,10,1} w_{1,10,1} w_{0,0} w_{1,0} w_{0,1} w_{1,1} w_{0,2} "
+        "w_{1,2} w_{0,3} w_{1,3} w_{0,4} w_{1,4} w_{0,5} w_{1,5} w_{0,6} "
+        "w_{1,6} w_{0,7} w_{1,7} w_{0,8} w_{1,8} w_{0,9} w_{1,9} w_{0,10} "
+        "w_{1,10} w_{0} w_{1}"
+    ),
+    (2, (2, 12, 3)): (
+        "w_{0} w'_{0,0,0} w w'_{0,1,0} w_{0,0,0} w' w_{0,1,0} w'_{0,2,0} "
+        "w_{0,2,0} w'_{0,3,0} w_{0,3,0} w'_{0,4,0} w_{0,4,0} w'_{0,5,0} "
+        "w_{0,5,0} w'_{0,6,0} w_{0,6,0} w'_{0,7,0} w_{0,7,0} w'_{0,8,0} "
+        "w_{0,8,0} w'_{0,9,0} w_{0,9,0} w'_{0,10,0} w_{0,10,0} w'_{0,0,1} "
+        "w_{0,0,1} w'_{0,1,1} w_{0,1,1} w'_{0,2,1} w_{0,2,1} w'_{0,3,1} "
+        "w_{0,3,1} w'_{0,4,1} w_{0,4,1} w'_{0,5,1} w_{0,5,1} w'_{0,6,1} "
+        "w_{0,6,1} w'_{0,7,1} w_{0,7,1} w'_{0,8,1} w_{0,8,1} w'_{0,9,1} "
+        "w_{0,9,1} w'_{0,10,1} w_{0,10,1} w'_{0,0} w_{0,0} w'_{0,1} w_{0,1} "
+        "w'_{0,2} w_{0,2} w'_{0,3} w_{0,3} w'_{0,4} w_{0,4} w'_{0,5} w_{0,5} "
+        "w'_{0,6} w_{0,6} w'_{0,7} w_{0,7} w'_{0,8} w_{0,8} w'_{0,9} w_{0,9} "
+        "w'_{0,10} w_{0,10} w'_{0}"
+    ),
+    (2, (2,)): "w w'_{0} w_{0} w'",
 }
 
 
@@ -198,6 +245,25 @@ class TestLevelwise:
         lab = certify_tightness(metrics(inst.tree), proof_order_levelwise(inst))
         assert lab.span == inst.closed_form_rn == 5
 
+    @pytest.mark.parametrize("z,degs", sorted(PINNED_LEVEL_ORDERS))
+    def test_matches_pinned_order(self, z, degs):
+        inst = gen_levelwise(z, degs)
+        nm = inst.vertex_names
+        expected = tuple(nm[s] for s in PINNED_LEVEL_ORDERS[z, degs].split())
+        assert proof_order_levelwise(inst) == expected
+
+    def test_one_root_height1_is_p3_without_closed_form(self):
+        # T^1_{2} is the path P_3: rn 3, one below its improved bound 4, so
+        # neither the level-wise formula nor a certifying order applies
+        inst = gen_levelwise(1, (2,))
+        assert sorted(inst.tree.edges) == [(0, 1), (0, 2)]
+        assert exact_rn(inst.tree).rn == 3
+        assert inst.closed_form_rn is None
+        with pytest.raises(OutOfRange):
+            rn_levelwise(1, (2,))
+        with pytest.raises(UnsupportedParams):
+            proof_order_levelwise(inst)
+
     def test_order_unsupported_off_grid(self):
         with pytest.raises(UnsupportedParams):
             proof_order_levelwise(gen_levelwise(1, (3, 3)))
@@ -245,6 +311,18 @@ class TestLmh:
         for z in (1, 2):
             for m in (2, 3, 4):
                 assert rn_lmh(z, m, 2) == rn_levelwise(z, (2, m + 1))
+
+
+class TestPositionTable:
+    @pytest.mark.parametrize("by_pos", [
+        {0: "v_2", 1: "v_4", 2: "v_1"},  # a position missing
+        {0: "v_2", 1: "v_4", 2: "v_1", 4: "v_3"},  # one out of range
+        {0: "v_2", 1: "v_4", 2: "v_1", 3: "v_3", 4: "v_3"},  # one too many
+    ])
+    def test_positions_must_be_exactly_0_to_p_minus_1(self, by_pos):
+        with pytest.raises(InvalidProofOrder) as exc:
+            _certify_or_raise(gen_path(4), by_pos)
+        assert exc.value.stage == "positions"
 
 
 class TestRandomTwoBranch:

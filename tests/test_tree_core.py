@@ -12,7 +12,6 @@ from radiotree import (
     Tree,
     build_tree,
     delta,
-    distance,
     distance_by_levels,
     distance_matrix,
     format_tree_text,
@@ -114,23 +113,19 @@ class TestMetrics:
 
 class TestDistance:
     def test_endpoints(self):
-        assert distance(path(5), 0, 4) == 4
+        assert metrics(path(5)).distance(0, 4) == 4
 
     def test_identity(self):
-        assert distance(path(5), 3, 3) == 0
+        assert metrics(path(5)).distance(3, 3) == 0
 
     def test_p4(self):
-        assert distance(path(4), 0, 2) == 2
+        assert metrics(path(4)).distance(0, 2) == 2
 
     def test_matrix_symmetric(self):
         d = distance_matrix(path(6))
         for u in range(6):
             for v in range(6):
                 assert d[u][v] == d[v][u]
-
-    def test_bad_vertex(self):
-        with pytest.raises(BadVertex):
-            distance(path(4), 0, 4)
 
 
 class TestPhiDelta:

@@ -166,15 +166,16 @@ def cmd_label(args) -> int:
     m = metrics(tree)
     order = _read_order(args.order)
     if args.greedy:
-        lab = greedy_label_from_order(m, order)  # valid by construction
+        lab = greedy_label_from_order(m, order)
     else:
         # the recurrence is valid only for an order meeting condition (b)
         lab = label_from_order(m, order, a_sequence(m, order))
-        ok, pair = verify_labelling(tree, lab)
-        if not ok:
-            print(f"labelling from this order violates the radio condition at pair {pair}",
-                  file=sys.stderr)
-            return EXIT_FAIL
+    # whatever is printed is checked first, the greedy completion included
+    ok, pair = verify_labelling(tree, lab)
+    if not ok:
+        print(f"labelling from this order violates the radio condition at pair {pair}",
+              file=sys.stderr)
+        return EXIT_FAIL
     if args.dot:
         sys.stdout.write(_dot(tree, labelling=lab))
     else:

@@ -22,6 +22,7 @@ largest label.  Three routes to a labelling live here:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -36,7 +37,7 @@ from .errors import (
     NotTwoBranch,
 )
 from .orders import ASequence, _as_order
-from .tree import Tree, TreeMetrics, _bfs, delta, distance_matrix, phi
+from .tree import Tree, TreeMetrics, _bfs, delta, phi
 
 
 @dataclass(frozen=True)
@@ -218,18 +219,28 @@ def _first_violation(adjacency, lab) -> tuple:
 def greedy_label_from_order(m: TreeMetrics, order: Sequence) -> RadioLabelling:
     """Pointwise-minimal valid labelling inducing the given order.
 
-    f(u_0) = 0 and each next label is the smallest value satisfying the radio
-    constraint against *all* placed vertices (the constraints are global, so
-    looking only at the previous vertex would not be sound).
+    f(u_0) = 0 and each next label f(u_i) is the smallest value meeting the
+    radio constraint ``f(w) + diam + 1 - d(w, u_i)`` against every placed
+    vertex w (the constraints are global: the previous vertex alone would
+    not be sound).  Only a window of placed vertices can set that max.  The
+    labels strictly increase along the order, since each is at least the
+    previous one plus 1.  A placed w with ``f(w) <= f(u_{i-1}) - diam``
+    adds at most ``f(w) + diam <= f(u_{i-1})``, below the term
+    ``f(u_{i-1}) + 1`` or more of u_{i-1} itself.  So the max runs over the
+    placed vertices labelled above ``f(u_{i-1}) - diam``: at most diam of
+    them, always including u_{i-1}, found by bisection on the increasing
+    labels.  Distances come from :meth:`TreeMetrics.distance`; no table is
+    built, so the completion is O(p * diam) pairs.
     """
     seq = _as_order(m, order)
-    dist = distance_matrix(m.tree)
+    dist = m.distance
     diam = m.diameter
-    labels = {seq[0]: 0}
+    placed = [0]  # the labels of seq[:i], increasing
     for i in range(1, len(seq)):
         u = seq[i]
-        labels[u] = max(labels[w] + diam + 1 - dist[w][u] for w in labels)
-    return RadioLabelling(labels=labels)
+        start = bisect_right(placed, placed[-1] - diam)
+        placed.append(max(placed[j] + diam + 1 - dist(seq[j], u) for j in range(start, i)))
+    return RadioLabelling(labels=dict(zip(seq, placed)))
 
 
 def order_of(labelling: RadioLabelling) -> tuple:

@@ -62,11 +62,22 @@ def check_order(m: TreeMetrics, order: Sequence) -> tuple:
 
     Ids are ints (not bools, floats or other numbers that compare equal to
     one), so the pair scans downstream index by them without checking again.
+    The ids are range-checked before any is used as an index (a -1 would
+    index from the end); then p ids in range that mark all p bytes of a
+    seen-mark are a permutation, in p bytes rather than two p-sized sets.
     """
     seq = tuple(order)
-    if len(seq) != m.p or set(seq) != set(range(m.p)) \
-            or any(not issubclass(k, int) or k is bool for k in set(map(type, seq))):
-        raise NotAPermutation(f"order {seq!r} is not a permutation of 0..{m.p - 1}")
+    p = m.p
+    ok = len(seq) == p \
+        and not any(not issubclass(k, int) or k is bool for k in set(map(type, seq))) \
+        and min(seq) >= 0 and max(seq) < p
+    if ok:
+        seen = bytearray(p)
+        for v in seq:
+            seen[v] = 1
+        ok = 0 not in seen
+    if not ok:
+        raise NotAPermutation(f"order {seq!r} is not a permutation of 0..{p - 1}")
     return _CheckedOrder(seq)
 
 

@@ -319,7 +319,7 @@ def exact_rn(tree: Tree, max_order: int = DEFAULT_MAX_ORDER,
         raise OrderTooLarge(
             f"{tree.p} vertices exceeds the search's recursion depth limit {depth_limit}")
     m = metrics(tree)
-    dist = [list(row) for row in distance_matrix(tree)]
+    dist = distance_matrix(tree)
     # The downward search starts from the greedy completion of the identity order.
     seed = greedy_label_from_order(m, tuple(range(tree.p)))
     seed_order = sorted(seed.labels, key=seed.labels.get)

@@ -21,8 +21,7 @@ in different branches of ``T - W`` (or a weight center and any other vertex)
 have ``phi = 0``, so their distance is ``L(u) + L(v) + delta(u, v)`` from the
 levels alone; only a pair inside one branch climbs parent pointers.  This
 identity is the only pairwise distance on :class:`TreeMetrics`; the full
-table of :func:`distance_matrix` is built only by the all-pairs users (the
-greedy completion and the exact solver).
+table of :func:`distance_matrix` is built only by the exact solver.
 
 The independent verifier (:func:`radiotree.labelling.verify_labelling`) uses
 none of this.  It roots its own BFS at the middle vertex of a longest path,
@@ -34,7 +33,6 @@ subtree climbs parent pointers.  Certification therefore builds no table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import islice
 from typing import Iterable, Sequence
 
@@ -139,10 +137,9 @@ def _bfs(adjacency, sources: Sequence) -> tuple:
     return dist, parent, order
 
 
-@lru_cache(maxsize=128)
-def distance_matrix(tree: Tree) -> tuple:
-    """Full p x p distance table (cached per tree), for all-pairs users."""
-    return tuple(tuple(_bfs(tree.adjacency, [s])[0]) for s in range(tree.p))
+def distance_matrix(tree: Tree) -> list:
+    """Full p x p distance table, a fresh list of lists, for all-pairs users."""
+    return [_bfs(tree.adjacency, [s])[0] for s in range(tree.p)]
 
 
 @dataclass(frozen=True)

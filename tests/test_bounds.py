@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from radiotree import (
@@ -154,6 +156,8 @@ class TestOneOrderCheck:
         (2, 1, 4, 0),           # too short
         (2, 1, 4, 0, 3.0),      # a float equal to a vertex id
         (2, True, 4, 0, 3),     # a bool equal to a vertex id
+        (2, 1, 4, 0, -1),       # a negative id, which would index from the end
+        (2, 1, 4, 0, 5),        # an id equal to p
     ])
     def test_each_stage_checks_on_its_own(self, bad):
         m = path_metrics(5)
@@ -165,6 +169,19 @@ class TestOneOrderCheck:
                       lambda: certify_tightness(m, bad)):
             with pytest.raises(NotAPermutation):
                 stage()
+
+    def test_check_order_memory(self):
+        # C(5,25000), p = 100,005: a p-byte seen-mark, not two p-sized sets
+        inst = gen_caterpillar(5, 25000)
+        m = metrics(inst.tree)
+        order = tuple(proof_order_caterpillar(inst))
+        tracemalloc.start()
+        try:
+            check_order(m, order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
     def test_checked_order_of_another_size_is_checked_again(self):
         seq = check_order(path_metrics(5), (2, 1, 4, 0, 3))

@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from radiotree import CertificationFailure, bounds, cli, families, rn_caterpillar
+from radiotree import CertificationFailure, RadioLabelling, bounds, cli, families, rn_caterpillar
 from radiotree.cli import main
 from radiotree.tree import format_tree_text
 
@@ -186,6 +186,17 @@ class TestLabelAndVerify:
         assert main(["label", p4_file, "--order", str(order), "--greedy"]) == 0
         out = capsys.readouterr().out
         assert "2 5" in out.splitlines()
+
+    def test_greedy_label_is_verified(self, capsys, monkeypatch, p4_file, tmp_path):
+        # a greedy completion that broke the radio condition is not printed
+        monkeypatch.setattr(cli, "greedy_label_from_order",
+                            lambda m, order: RadioLabelling({0: 0, 1: 1, 2: 2, 3: 3}))
+        order = tmp_path / "p4.order"
+        order.write_text("1 3 0 2\n")
+        assert main(["label", p4_file, "--order", str(order), "--greedy"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "violates the radio condition at pair (0, 1)" in captured.err
 
     def test_label_dot(self, capsys, p4_file, tmp_path):
         order = tmp_path / "p4.order"

@@ -1,7 +1,8 @@
 import random
+import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from radiotree import (
     ASequence,
@@ -104,16 +105,24 @@ class TestVerifyLabelling:
         assert all_pairs_verify(path(4), lab) == (False, (0, 1))
         assert verify_labelling(path(4), lab) == (False, (0, 1))
 
-    def test_certification_builds_no_distance_table(self):
+    def test_certification_builds_no_distance_table(self, monkeypatch):
         # C(5,25000), p = 100,005: the constructed order is certified twice
         # (inside proof_order_caterpillar and here) without a p x p table
+        forbid_distance_table(monkeypatch)
         inst = gen_caterpillar(5, 25000)
-        before = distance_matrix.cache_info()
         m = metrics(inst.tree)
         lab = certify_tightness(m, proof_order_caterpillar(inst))
-        after = distance_matrix.cache_info()
         assert lab.span == inst.closed_form_rn
-        assert (after.misses, after.currsize) == (before.misses, before.currsize)
+
+
+def forbid_distance_table(monkeypatch):
+    """Make :func:`distance_matrix` raise in every module that binds it."""
+    def no_table(tree):
+        raise AssertionError(f"built a {tree.p} x {tree.p} distance table")
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "radiotree" and hasattr(module, "distance_matrix"):
+            monkeypatch.setattr(module, "distance_matrix", no_table)
 
 
 def all_pairs_verify(tree, labelling):
@@ -264,6 +273,20 @@ class TestGreedy:
         m = metrics(path(2))
         assert greedy_label_from_order(m, (0, 1)).labels == {0: 0, 1: 1}
 
+    def test_builds_no_distance_table(self, monkeypatch):
+        # C(5,2500), p = 10,005: the certifying order and a shuffled one
+        forbid_distance_table(monkeypatch)
+        inst = gen_caterpillar(5, 2500)
+        m = metrics(inst.tree)
+        order = proof_order_caterpillar(inst)
+        lab = greedy_label_from_order(m, order)
+        # pointwise below the recurrence's labels, which attain rn
+        assert lab.span == inst.closed_form_rn
+        assert verify_labelling(inst.tree, lab) == (True, None)
+        shuffled = random.Random(2500).sample(order, len(order))
+        lab = greedy_label_from_order(m, shuffled)
+        assert verify_labelling(inst.tree, lab) == (True, None)
+
     def test_greedy_never_worse_than_any_labelling(self):
         # rebuilding any valid labelling through its own order cannot increase span
         tree = path(5)
@@ -273,6 +296,33 @@ class TestGreedy:
         assert ok
         rebuilt = greedy_label_from_order(m, order_of(lab))
         assert rebuilt.span <= lab.span
+
+
+def all_placed_greedy(tree, order):
+    """Reference for :func:`greedy_label_from_order`: each label is the max
+    over every placed vertex, with table distances."""
+    dist = distance_matrix(tree)
+    diam = max(map(max, dist))
+    labels = {order[0]: 0}
+    for u in order[1:]:
+        labels[u] = max(labels[w] + diam + 1 - dist[w][u] for w in labels)
+    return labels
+
+
+@st.composite
+def ordered_trees(draw):
+    tree = draw(relabelled_trees())
+    return tree, draw(st.permutations(range(tree.p)))
+
+
+@given(ordered_trees())
+@example((path(2), (1, 0)))  # diameter 1: the window is the previous vertex alone
+@example((gen_path(1).tree, (0,)))
+@example((path(12), tuple(range(12))))  # labels 11 apart: a window of one
+@settings(max_examples=400, deadline=None)
+def test_greedy_window_matches_all_placed(case):
+    tree, order = case
+    assert greedy_label_from_order(metrics(tree), order).labels == all_placed_greedy(tree, order)
 
 
 class TestOrderOf:

@@ -36,7 +36,7 @@ from .errors import (
 )
 from .labelling import RadioLabelling, label_from_order, verify_labelling
 from .orders import a_sequence, check_condition_a, check_condition_b, check_order
-from .tree import Tree, TreeMetrics, _bfs, metrics
+from .tree import Tree, TreeMetrics, _bfs
 
 
 def lower_bound_basic(m: TreeMetrics) -> int:
@@ -164,13 +164,13 @@ def _split_at(tree: Tree, x: int) -> list:
     return [dict(c) for c in sides.values()]
 
 
-def _check_omega_vertex(tree: Tree, m: TreeMetrics, x: int) -> None:
-    tree.check_vertex(x)
-    if x not in m.weight_centers or len(tree.adjacency[x]) != 2:
+def _check_omega_vertex(m: TreeMetrics, x: int) -> None:
+    m.tree.check_vertex(x)
+    if x not in m.weight_centers or len(m.tree.adjacency[x]) != 2:
         raise NotOmegaTree(f"vertex {x} is not a degree-2 weight center")
 
 
-def liu_bound_even(tree: Tree, x: int) -> int:
+def liu_bound_even(m: TreeMetrics, x: int) -> int:
     """Earlier lower bound for even diameter 2*dh and a degree-2 weight
     center x.
 
@@ -180,14 +180,13 @@ def liu_bound_even(tree: Tree, x: int) -> int:
     when only one side reaches depth dh, that side is R and the bound is
     (p-1)(2dh+1) - 2w(x) + max{ceil((sum_i (2i+1)|R_{dh+i}| - 2)/2), 1}.
     """
-    m = metrics(tree)
-    _check_omega_vertex(tree, m, x)
+    _check_omega_vertex(m, x)
     if m.diameter % 2 != 0:
         raise NotOmegaTree(f"even-diameter bound on diameter {m.diameter}")
     dh = m.diameter // 2
-    side_a, side_b = _split_at(tree, x)
+    side_a, side_b = _split_at(m.tree, x)
     w = m.vertex_weight[x]
-    base = (tree.p - 1) * (2 * dh + 1) - 2 * w
+    base = (m.p - 1) * (2 * dh + 1) - 2 * w
     ca, cb = side_a.get(dh, 0), side_b.get(dh, 0)
     if ca and cb:
         if ca != cb:
@@ -199,7 +198,7 @@ def liu_bound_even(tree: Tree, x: int) -> int:
     return base + max(-((2 - total) // 2), 1)
 
 
-def liu_bound_odd(tree: Tree, x: int) -> int:
+def liu_bound_odd(m: TreeMetrics, x: int) -> int:
     """Earlier lower bound for odd diameter 2*dh + 1 (dh >= 2) and a degree-2
     weight center x.
 
@@ -208,14 +207,13 @@ def liu_bound_odd(tree: Tree, x: int) -> int:
     max{2|R_{dh+1}| - 5, 1}; when it is larger, + sum_{i>=1} (i+1)|R_{dh+i}|
     - 2 instead.
     """
-    m = metrics(tree)
-    _check_omega_vertex(tree, m, x)
+    _check_omega_vertex(m, x)
     if m.diameter % 2 != 1:
         raise NotOmegaTree(f"odd-diameter bound on diameter {m.diameter}")
     dh = m.diameter // 2
     if dh < 2:
         raise DHalfTooSmall(f"odd-diameter bound needs half-diameter >= 2, got {dh}")
-    side_a, side_b = _split_at(tree, x)
+    side_a, side_b = _split_at(m.tree, x)
     deep_a = max(side_a) > dh
     deep_b = max(side_b) > dh
     if deep_a == deep_b:
@@ -223,7 +221,7 @@ def liu_bound_odd(tree: Tree, x: int) -> int:
     right = side_a if deep_a else side_b
     h = max(right)  # eccentricity of x: R is the deeper side
     w = m.vertex_weight[x]
-    base = (tree.p - 1) * (2 * dh + 2) - 2 * w
+    base = (m.p - 1) * (2 * dh + 2) - 2 * w
     if h == dh + 1:
         return base + max(2 * right.get(dh + 1, 0) - 5, 1)
     total = sum((i + 1) * right.get(dh + i, 0) for i in range(1, h - dh + 1))

@@ -39,7 +39,7 @@ from .labelling import (
     verify_labelling,
 )
 from .solver import DEFAULT_MAX_ORDER, DEFAULT_TIMEOUT_S, exact_rn
-from .tree import Tree, format_tree_text, metrics, parse_tree_text
+from .tree import Tree, edge_pairs, format_tree_text, metrics, parse_tree_text
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -106,7 +106,7 @@ def _dot(tree: Tree, names: dict | None = None,
         if labelling is not None and v in labelling.labels:
             parts.append(f"f={labelling.labels[v]}")
         lines.append(f'  {v} [label="{" / ".join(parts)}"];')
-    for u, v in sorted(tree.edges):
+    for u, v in edge_pairs(tree):
         lines.append(f"  {u} -- {v};")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -136,9 +136,9 @@ def cmd_bounds(args) -> int:
                 return EXIT_INPUT
             x = cands[0]
         if m.diameter % 2 == 0:
-            value, line = liu_bound_even(tree, x), "even"
+            value, line = liu_bound_even(m, x), "even"
         else:
-            value, line = liu_bound_odd(tree, x), "odd"
+            value, line = liu_bound_odd(m, x), "odd"
         report["comparison"] = {"x": x, "value": value, "line": line}
     _emit(report, args.json)
     return EXIT_OK

@@ -20,6 +20,7 @@ by the full certification pipeline before being returned.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 from itertools import chain
@@ -326,7 +327,7 @@ def gen_levelwise(z: int, degrees) -> FamilyInstance:
         closed = None
     deg_str = ",".join(str(m) for m in ms)
     return FamilyInstance(
-        tree=build_tree(edges) if edges else _make_tree(1, []),
+        tree=build_tree(edges),
         name=f"T^{z}_{{{deg_str}}}",
         params={"z": z, "degrees": tuple(ms)},
         vertex_names=names,
@@ -514,7 +515,6 @@ def _decode_pruefer(seq) -> Tree:
     for v in seq:
         degree[v] += 1
     edges = []
-    import heapq
     leaves = [v for v in range(n) if degree[v] == 1]
     heapq.heapify(leaves)
     for v in seq:

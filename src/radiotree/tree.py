@@ -33,7 +33,7 @@ subtree climbs parent pointers.  Certification therefore builds no table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Sequence
 
 from .errors import BadEdge, BadVertex, DiameterTooSmall, NotATree, SparseIds
@@ -43,10 +43,14 @@ CENTER_BRANCH = -1  # sentinel branch id carried by weight centers
 
 @dataclass(frozen=True)
 class Tree:
-    """Immutable unrooted tree on vertices 0..p-1 with canonical adjacency."""
+    """Immutable unrooted tree on vertices 0..p-1, stored only as its rows.
+
+    ``adjacency[u]`` is the sorted tuple of u's neighbours.  Every other view
+    of the tree (levels, centers, branches, distances, the edge list of
+    :func:`edge_pairs`) is read off these rows; no edge set is kept.
+    """
 
     p: int
-    edges: frozenset  # frozenset of (u, v) tuples with u < v
     adjacency: tuple  # tuple of sorted tuples of neighbour ids
 
     def check_vertex(self, u: int) -> None:
@@ -58,30 +62,46 @@ class Tree:
 
 
 def _make_tree(p: int, edges: Iterable[tuple]) -> Tree:
+    """The tree on 0..p-1 with these edges, trusted to be in range."""
     adj = [[] for _ in range(p)]
-    canonical = set()
     for u, v in edges:
-        a, b = (u, v) if u < v else (v, u)
-        canonical.add((a, b))
-        adj[a].append(b)
-        adj[b].append(a)
-    return Tree(
-        p=p,
-        edges=frozenset(canonical),
-        adjacency=tuple(tuple(sorted(ns)) for ns in adj),
+        adj[u].append(v)
+        adj[v].append(u)
+    return Tree(p=p, adjacency=tuple(tuple(sorted(ns)) for ns in adj))
+
+
+def _sparse_ids(p: int, unused: int, is_unused) -> SparseIds:
+    # the first few gaps only: p may be far larger than the input
+    missing = list(islice(filter(is_unused, range(p)), 5))
+    return SparseIds(
+        f"{unused} unused vertex ids, starting {missing}; ids must cover 0..{p - 1}"
     )
 
 
 def build_tree(edge_list: Sequence) -> Tree:
     """Build a canonical :class:`Tree` from an edge list.
 
-    The vertex set is 0..max-id; raises :class:`BadEdge` on self-loops or
-    duplicates, :class:`SparseIds` when some id in range carries no edge, and
-    :class:`NotATree` when the edges do not form a single tree.
+    The vertex set is 0..max-id.  The checks run in this order, and the first
+    that fails raises:
+
+    1. one scan of the edges: :class:`BadEdge` on an id that is not a
+       non-negative integer, or on a self-loop;
+    2. :class:`SparseIds` when max-id + 1 exceeds twice the number of edges,
+       so some id must be unused; this runs before anything p-sized is
+       allocated, so a huge id costs nothing;
+    3. the sorted adjacency rows are built;
+    4. :class:`BadEdge` on a duplicate edge (a neighbour repeated in a row);
+    5. :class:`SparseIds` on an id that carries no edge (an empty row);
+    6. :class:`NotATree` when there are not p - 1 edges, or when they do not
+       connect the p vertices.
+
+    An input with one fault raises that fault's class.  An input with several
+    faults raises the first in this order, which need not be the first in
+    edge-list order: ``[(0, 1), (0, 1), (1, 10**15)]`` raises
+    :class:`SparseIds`, not the duplicate's :class:`BadEdge`.
     """
     if not edge_list:
         raise NotATree("empty edge list")
-    seen = set()
     max_id = 0
     for e in edge_list:
         u, v = e
@@ -89,27 +109,30 @@ def build_tree(edge_list: Sequence) -> Tree:
             raise BadEdge(f"edge {e!r}: vertex ids must be non-negative integers")
         if u == v:
             raise BadEdge(f"self-loop at vertex {u}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise BadEdge(f"duplicate edge {key}")
-        seen.add(key)
-        max_id = max(max_id, u, v)
+        if u > max_id:
+            max_id = u
+        if v > max_id:
+            max_id = v
     p = max_id + 1
-    used = set()
-    for u, v in seen:
-        used.add(u)
-        used.add(v)
-    if len(used) != p:
-        # the first few gaps only: max_id may be far larger than the input
-        missing = list(islice((v for v in range(p) if v not in used), 5))
-        raise SparseIds(
-            f"{p - len(used)} unused vertex ids, starting {missing}; ids must cover 0..{max_id}"
-        )
-    if len(seen) != p - 1:
-        raise NotATree(f"{len(seen)} edges for {p} vertices; a tree needs {p - 1}")
-    tree = _make_tree(p, seen)
+    n_edges = len(edge_list)
+    if p > 2 * n_edges:
+        used = set(chain.from_iterable(edge_list))  # input-sized, not p-sized
+        raise _sparse_ids(p, p - len(used), lambda v: v not in used)
+    tree = _make_tree(p, edge_list)
+    adj = tree.adjacency
+    # a repeated edge repeats a neighbour in a sorted row; the lower
+    # endpoint's row comes first, so (u, a) has u < a
+    for u, row in enumerate(adj):
+        for a, b in zip(row, row[1:]):
+            if a == b:
+                raise BadEdge(f"duplicate edge {(u, a)}")
+    unused = adj.count(())
+    if unused:
+        raise _sparse_ids(p, unused, lambda v: not adj[v])
+    if n_edges != p - 1:
+        raise NotATree(f"{n_edges} edges for {p} vertices; a tree needs {p - 1}")
     # p-1 edges + connected <=> tree
-    _, _, reached = _bfs(tree.adjacency, [0])
+    _, _, reached = _bfs(adj, [0])
     if len(reached) != p:
         raise NotATree("edge list is disconnected")
     return tree
@@ -317,7 +340,16 @@ def parse_tree_text(text: str) -> Tree:
     return build_tree(edges)
 
 
+def edge_pairs(tree: Tree):
+    """The edges as ``(u, v)`` with ``u < v``, in sorted order: each row is
+    sorted, so reading the rows in turn yields them already ordered."""
+    for u, row in enumerate(tree.adjacency):
+        for v in row:
+            if v > u:
+                yield u, v
+
+
 def format_tree_text(tree: Tree) -> str:
     """Emit the canonical edge list, one edge per line, sorted."""
-    lines = [f"{u} {v}" for u, v in sorted(tree.edges)]
+    lines = [f"{u} {v}" for u, v in edge_pairs(tree)]
     return "\n".join(lines) + "\n"

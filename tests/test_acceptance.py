@@ -151,11 +151,11 @@ def test_criterion_7_property_suite():
 
 
 def test_criterion_8_comparison_bounds():
-    assert liu_bound_even(path(9), 4) == 34
+    assert liu_bound_even(metrics(path(9)), 4) == 34
     c63 = gen_caterpillar(6, 3)
-    assert liu_bound_odd(c63.tree, c63.vertex_names["v_3"]) == 47
+    assert liu_bound_odd(metrics(c63.tree), c63.vertex_names["v_3"]) == 47
     assert lower_bound_improved(metrics(c63.tree)) == 51
     c62 = gen_caterpillar(6, 2)
-    assert liu_bound_odd(c62.tree, c62.vertex_names["v_3"]) == 39
+    assert liu_bound_odd(metrics(c62.tree), c62.vertex_names["v_3"]) == 39
     assert lower_bound_improved(metrics(c62.tree)) == 41
     print("CRITERION 8 PASS: comparison bounds 34 / 47 (gap 4) / 39 (gap 2)")

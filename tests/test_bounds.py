@@ -203,37 +203,37 @@ class TestBoundReport:
 class TestComparisonBounds:
     def test_even_p9_center(self):
         tree = build_tree([(i, i + 1) for i in range(8)])
-        assert liu_bound_even(tree, 4) == 34
+        assert liu_bound_even(metrics(tree), 4) == 34
 
     def test_even_p5_center(self):
         tree = build_tree([(i, i + 1) for i in range(4)])
-        assert liu_bound_even(tree, 2) == 10
+        assert liu_bound_even(metrics(tree), 2) == 10
 
     def test_even_binary_height2(self):
         inst = gen_levelwise(1, (2, 3))
         root = inst.vertex_names["w"]
-        assert liu_bound_even(inst.tree, root) == 13
+        assert liu_bound_even(metrics(inst.tree), root) == 13
 
     def test_odd_p6(self):
         tree = build_tree([(i, i + 1) for i in range(5)])
-        assert liu_bound_odd(tree, 2) == 13
+        assert liu_bound_odd(metrics(tree), 2) == 13
 
     def test_odd_c63(self):
         inst = gen_caterpillar(6, 3)
-        assert liu_bound_odd(inst.tree, inst.vertex_names["v_3"]) == 47
+        assert liu_bound_odd(metrics(inst.tree), inst.vertex_names["v_3"]) == 47
         assert lower_bound_improved(metrics(inst.tree)) == 51
 
     def test_odd_c62(self):
         inst = gen_caterpillar(6, 2)
-        assert liu_bound_odd(inst.tree, inst.vertex_names["v_3"]) == 39
+        assert liu_bound_odd(metrics(inst.tree), inst.vertex_names["v_3"]) == 39
         assert lower_bound_improved(metrics(inst.tree)) == 41
 
     def test_rejects_wrong_vertex(self):
         tree = build_tree([(i, i + 1) for i in range(8)])
         with pytest.raises(NotOmegaTree):
-            liu_bound_even(tree, 0)
+            liu_bound_even(metrics(tree), 0)
 
     def test_odd_needs_half_diameter_two(self):
         tree = build_tree([(i, i + 1) for i in range(3)])
         with pytest.raises(DHalfTooSmall):
-            liu_bound_odd(tree, 1)
+            liu_bound_odd(metrics(tree), 1)

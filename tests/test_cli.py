@@ -69,6 +69,11 @@ class TestAnalyze:
         bad.write_text("0 1\n2 3\n")
         assert main(["analyze", str(bad)]) == 3
 
+    def test_two_faults_still_an_input_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("0 1\n0 1\n1 1000000000000000\n")
+        assert main(["analyze", str(bad)]) == 3
+
     def test_directory_as_tree(self, capsys, tmp_path):
         assert main(["analyze", str(tmp_path)]) == 3
 

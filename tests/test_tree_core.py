@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from radiotree import (
     BadEdge,
@@ -31,7 +31,7 @@ class TestBuildTree:
     def test_smallest_path(self):
         t = build_tree([(0, 1), (1, 2)])
         assert t.p == 3
-        assert t.edges == frozenset({(0, 1), (1, 2)})
+        assert t.adjacency == ((1,), (0, 2), (1,))
 
     def test_star(self):
         t = build_tree([(0, 1), (0, 2), (0, 3)])
@@ -57,6 +57,12 @@ class TestBuildTree:
         with pytest.raises(SparseIds, match=r"starting \[2, 3, 4, 5, 6\]"):
             build_tree([(0, 1), (1, 10**15)])
 
+    def test_two_faults_report_either_without_scanning_the_range(self):
+        # the duplicate comes first in the list, the huge id first among the
+        # checks; neither report may walk the 10**15 ids
+        with pytest.raises((SparseIds, BadEdge)):
+            build_tree([(0, 1), (0, 1), (1, 10**15)])
+
     def test_cycle_rejected(self):
         with pytest.raises(NotATree):
             build_tree([(0, 1), (1, 2), (2, 0)])
@@ -68,6 +74,88 @@ class TestBuildTree:
     def test_empty_rejected(self):
         with pytest.raises(NotATree):
             build_tree([])
+
+
+def flipped_and_shuffled(draw, edges):
+    """The edges in a drawn order, each pair in a drawn direction."""
+    edges = draw(st.permutations(edges))
+    return [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
+
+
+@st.composite
+def shuffled_edge_lists(draw):
+    """The edge list of a random tree on p = 2..40 vertices under a random
+    numbering, flipped and shuffled."""
+    p = draw(st.integers(2, 40))
+    perm = draw(st.permutations(range(p)))
+    edges = [(perm[i], perm[draw(st.integers(0, i - 1))]) for i in range(1, p)]
+    return flipped_and_shuffled(draw, edges)
+
+
+def edge_set_text(edges):
+    """The text format as the edge-set representation of a tree wrote it."""
+    pairs = sorted((min(u, v), max(u, v)) for u, v in edges)
+    return "\n".join(f"{u} {v}" for u, v in pairs) + "\n"
+
+
+@st.composite
+def one_fault_edge_lists(draw):
+    """A tree's shuffled edge list with one fault injected, and the error
+    class that fault raises."""
+    edges = draw(shuffled_edge_lists())
+    p = len(edges) + 1
+    kind = draw(st.sampled_from(
+        ["duplicate", "self-loop", "negative", "not an int", "gap", "huge id", "extra edge"]))
+    i = draw(st.integers(0, len(edges) - 1))
+    u, v = edges[i]
+    if kind == "duplicate":
+        edges.insert(draw(st.integers(0, len(edges))), draw(st.sampled_from([(u, v), (v, u)])))
+        return edges, BadEdge
+    if kind == "self-loop":
+        w = draw(st.integers(0, p - 1))
+        edges.insert(draw(st.integers(0, len(edges))), (w, w))
+        return edges, BadEdge
+    if kind == "negative":
+        edges[i] = (-1 - u, v)
+        return edges, BadEdge
+    if kind == "not an int":
+        edges[i] = (str(u), v)
+        return edges, BadEdge
+    if kind == "gap":
+        # shift the ids from k up by one, so that id k carries no edge
+        k = draw(st.integers(1, p - 1))
+        return [(a + (a >= k), b + (b >= k)) for a, b in edges], SparseIds
+    if kind == "huge id":
+        return [(a if a < p - 1 else 10**15, b if b < p - 1 else 10**15)
+                for a, b in edges], SparseIds
+    present = {frozenset(e) for e in edges}
+    chords = [(a, b) for a in range(p) for b in range(a + 1, p)
+              if frozenset((a, b)) not in present]
+    assume(chords)  # P_2 has no chord
+    edges.insert(draw(st.integers(0, len(edges))), draw(st.sampled_from(chords)))
+    return edges, NotATree
+
+
+class TestBuildTreeAgainstEdgeSet:
+    """The rows against the edge set the tree no longer keeps."""
+
+    @given(shuffled_edge_lists())
+    @example([(1, 0)])
+    @settings(max_examples=200, deadline=None)
+    def test_text_is_the_sorted_edge_set(self, edges):
+        assert format_tree_text(build_tree(edges)) == edge_set_text(edges)
+
+    @given(shuffled_edge_lists(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_edge_order_and_direction_do_not_matter(self, edges, data):
+        assert build_tree(edges) == build_tree(flipped_and_shuffled(data.draw, edges))
+
+    @given(one_fault_edge_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_one_fault_raises_its_class(self, case):
+        edges, error = case
+        with pytest.raises(error):
+            build_tree(edges)
 
 
 class TestMetrics:
@@ -263,7 +351,7 @@ class TestMetricsAgainstTable:
 class TestTextFormat:
     def test_round_trip(self):
         t = build_tree([(0, 1), (1, 2), (1, 3), (3, 4)])
-        assert parse_tree_text(format_tree_text(t)).edges == t.edges
+        assert parse_tree_text(format_tree_text(t)) == t
 
     def test_comments_ignored(self):
         t = parse_tree_text("# a tree\n0 1\n1 2  # tail comment\n")

@@ -251,13 +251,13 @@ def _gen_instance(args) -> families.FamilyInstance:
     raise AssertionError(fam)
 
 
-def _proof_order(inst: families.FamilyInstance, fam: str) -> tuple:
+def _proof_order(inst: families.FamilyInstance, fam: str, m=None) -> tuple:
     if fam == "caterpillar":
-        return families.proof_order_caterpillar(inst)
+        return families.proof_order_caterpillar(inst, m)
     if fam == "levelwise":
-        return families.proof_order_levelwise(inst)
+        return families.proof_order_levelwise(inst, m)
     if fam == "lmh":
-        return families.proof_order_lmh(inst)
+        return families.proof_order_lmh(inst, m)
     raise UnsupportedParams(f"no certifying-order constructor for family {fam!r}")
 
 
@@ -294,8 +294,8 @@ def cmd_demo(args) -> int:
     report = {"family": inst.name, **_base_report(m)}
     try:
         # proof_order_* returns only an order that certify_tightness has
-        # certified, at the span of the improved bound
-        _proof_order(inst, args.family)
+        # certified, at the span of the improved bound; it reuses m
+        _proof_order(inst, args.family, m)
         report["certification"] = {
             "certified": True, "stage": None, "span": report["bound_improved"],
         }

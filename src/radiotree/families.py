@@ -12,10 +12,13 @@ Families:
   each carrying m legs (paths) reaching down to level h — equivalently T^z
   with degree list (2, m+1, 2, ..., 2).
 
-Each family carries a map from the conventional vertex names (v_i, v_{i,j},
-w_{i1,i2,...}, w^l_{i,j}, ...) to vertex ids, and a certifying order constructor
-that reproduces the known optimal span; every constructed order is validated
-by the full certification pipeline before being returned.
+Each generator numbers the vertices in a fixed layout, stated in its
+docstring, and carries a map from the conventional vertex names (v_i, v_{i,j},
+w_{i1,i2,...}, w^l_{i,j}, ...) to those ids for display.  Each certifying
+order constructor writes the ids straight into the order's slots, a slice per
+tuft, leg row or level, without reading names, and reproduces the known
+optimal span; every constructed order is validated by the full certification
+pipeline before being returned.
 """
 
 from __future__ import annotations
@@ -32,10 +35,11 @@ from .errors import (
     CertificationFailure,
     ExhaustedAttempts,
     InvalidProofOrder,
+    NotAPermutation,
     OutOfRange,
     UnsupportedParams,
 )
-from .tree import Tree, _make_tree, build_tree, metrics
+from .tree import Tree, TreeMetrics, _make_tree, build_tree, metrics
 
 
 @dataclass(frozen=True)
@@ -47,19 +51,29 @@ class FamilyInstance:
     closed_form_rn: int | None
 
 
-def _certify_or_raise(inst: FamilyInstance, by_pos: dict) -> tuple:
-    """The one exit of every ``proof_order_*``: turn a position -> name table
-    into the order of vertex ids and validate it through the certification
-    pipeline.  The positions must be exactly 0..p-1."""
-    p = inst.tree.p
-    if by_pos.keys() != set(range(p)):
-        wrong = sorted(by_pos.keys() ^ set(range(p)))
-        raise InvalidProofOrder("positions", f"{inst.name}: bad order positions {wrong}")
-    names = inst.vertex_names
-    order = tuple(names[by_pos[t]] for t in range(p))
-    del by_pos  # a caller's temporary table need not outlive certification's peak
+def _certify_or_raise(inst: FamilyInstance, order: list, m: TreeMetrics | None) -> tuple:
+    """The one exit of every ``proof_order_*``: validate an order of vertex
+    ids, built slot by slot on the generator's id layout, through the
+    certification pipeline on ``m`` (the caller's metrics of ``inst.tree``,
+    or metrics computed here when None).  A table that is not a permutation
+    of 0..p-1 (wrong length, an empty slot, a repeated or foreign id) raises
+    :class:`InvalidProofOrder` at stage ``positions``."""
+    p, order = inst.tree.p, tuple(order)  # check_order keeps this tuple: the one copy
+    if m is None:
+        m = metrics(inst.tree)
+    elif m.tree != inst.tree:
+        raise BadParams(f"{inst.name}: the metrics passed are of another tree")
     try:
-        lab = certify_tightness(metrics(inst.tree), order)
+        lab = certify_tightness(m, order)
+    except NotAPermutation:
+        # a slot is wrong when beyond p - 1, empty, not a vertex id, or a repeat
+        seen, wrong = set(), []
+        for t, v in enumerate(order):
+            if t >= p or type(v) is not int or not 0 <= v < p or v in seen:
+                wrong.append(t)
+            seen.add(v)
+        wrong += range(len(order), p)
+        raise InvalidProofOrder("positions", f"{inst.name}: bad order positions {wrong}") from None
     except CertificationFailure as exc:
         raise InvalidProofOrder(exc.stage, f"{inst.name}: {exc.detail}") from exc
     if inst.closed_form_rn is not None and lab.span != inst.closed_form_rn:
@@ -125,7 +139,11 @@ def rn_caterpillar(n: int, k: int) -> int:
 
 
 def gen_caterpillar(n: int, k: int) -> FamilyInstance:
-    """Spine v_1..v_n plus k leaves on each designated spine position."""
+    """Spine v_1..v_n plus k leaves on each designated spine position.
+
+    v_i is id i - 1; then come the tufts in spine order, v_{i,j} of the t-th
+    tuft (t from 0) being id n + t*k + j - 1.
+    """
     if n < 3 or k < 1:
         raise BadParams(f"caterpillar needs n >= 3 and k >= 1, got {(n, k)}")
     names = {f"v_{i}": i - 1 for i in range(1, n + 1)}
@@ -145,105 +163,57 @@ def gen_caterpillar(n: int, k: int) -> FamilyInstance:
     )
 
 
-def _cat_order_odd_small(n: int, k: int, p: int) -> dict:
-    # n = 3: center first, the two leaf tufts interleaved, then v_3, v_1.
-    by_pos = {0: "v_2", p - 2: "v_3", p - 1: "v_1"}
-    for j in range(1, k + 1):
-        by_pos[2 * j - 1] = f"v_{{3,{j}}}"
-        by_pos[2 * j] = f"v_{{1,{j}}}"
-    return by_pos
-
-def _cat_order_even_small(n: int, k: int, p: int) -> dict:
-    # n = 4: v_2, v_{4,1}, v_1, v_4, v_{1,1}, the remaining tufts
-    # interleaved, then v_3.  The non-remote spine ends v_1, v_4 sit next to
-    # neither weight center; the n = 3 pattern puts one there and overshoots
-    # the bound by 2.
-    by_pos = {0: "v_2", 1: "v_{4,1}", 2: "v_1", 3: "v_4", 4: "v_{1,1}", p - 1: "v_3"}
-    for j in range(2, k + 1):
-        by_pos[2 * j + 1] = f"v_{{4,{j}}}"
-        by_pos[2 * j + 2] = f"v_{{1,{j}}}"
-    return by_pos
-
-def _cat_order_odd_large(n: int, k: int, p: int) -> dict:
-    by_pos = {0: f"v_{(n - 1) // 2}", p - 1: f"v_{(n + 1) // 2}"}
-    for j in range(1, k + 1):
-        by_pos[4 * (j - 1) + 2] = f"v_{{1,{j}}}"
-        by_pos[4 * j] = f"v_{{{(n - 1) // 2},{j}}}"
-        by_pos[4 * (j - 1) + 3] = f"v_{{{(n + 3) // 2},{j}}}"
-        by_pos[4 * (j - 1) + 1] = f"v_{{{n},{j}}}"
-    for i in range(1, n + 1):
-        if i < (n - 1) // 2:
-            by_pos[4 * k + 2 * i] = f"v_{i}"
-        elif i > (n + 1) // 2:
-            by_pos[4 * k + 2 * (i - (n + 1) // 2) - 1] = f"v_{i}"
-    return by_pos
-
-def _cat_order_even_large(n: int, k: int, p: int) -> dict:
-    half = n // 2
-    by_pos = {
-        0: f"v_{half - 1}",
-        1: f"v_{{{n},1}}",
-        2: f"v_{half}",
-        3: f"v_{{{n},2}}",
-        4: "v_{1,1}",
-        5: f"v_{half + 1}",
-        6: "v_{1,2}",
-        p - 1: f"v_{half + 2}",
-        4 * k + 1: f"v_{{{half + 2},{k}}}",
-        4 * k + 2: f"v_{{{half - 1},{k}}}",
-    }
-    for j in range(3, k + 1):
-        by_pos[4 * (j - 1) + 2] = f"v_{{1,{j}}}"
-        by_pos[4 * (j - 1) + 1] = f"v_{{{n},{j}}}"
-    for j in range(1, k):
-        by_pos[4 * (j + 1)] = f"v_{{{half - 1},{j}}}"
-        by_pos[4 * (j + 1) - 1] = f"v_{{{half + 2},{j}}}"
-    for i in range(1, n + 1):
-        if i < half - 1:
-            by_pos[4 * k + 2 * (half - i)] = f"v_{i}"
-        elif i > half + 2:
-            by_pos[4 * k + 2 * (n - i) + 3] = f"v_{i}"
-    return by_pos
-
-
-def _cat_order_even_k1(n: int, k: int, p: int) -> dict:
-    # even n >= 6, k = 1: v_h, v_{n,1}, the two spine halves interleaved,
-    # then v_{h-1,1}, v_{h+2,1}, v_{1,1}, v_{h+1} (h = n/2).
-    half = n // 2
-    by_pos = {
-        0: f"v_{half}",
-        1: f"v_{{{n},1}}",
-        p - 4: f"v_{{{half - 1},1}}",
-        p - 3: f"v_{{{half + 2},1}}",
-        p - 2: "v_{1,1}",
-        p - 1: f"v_{half + 1}",
-    }
-    for i in range(1, half):
-        by_pos[2 * i] = f"v_{i}"
-        by_pos[2 * i + 1] = f"v_{half + 1 + i}"
-    return by_pos
-
-
-def proof_order_caterpillar(inst: FamilyInstance) -> tuple:
-    """The certifying order for a caterpillar instance, by case on n.
-
-    Every (n, k) has a direct construction: n = 3, n = 4, odd n >= 5, even
-    n >= 6 with k >= 2, and even n >= 6 with k = 1 (where the standard even
-    pattern needs a second leaf per tuft).
-    """
-    n, k = inst.params["n"], inst.params["k"]
-    p = inst.tree.p
+def _cat_order(n: int, k: int, p: int) -> list:
+    """The certifying order of C(n, k) on :func:`gen_caterpillar`'s ids, by
+    case: n = 3, n = 4, odd n >= 5, even n >= 6 with k >= 2, and even n >= 6
+    with k = 1 (where the standard even pattern needs a second leaf per tuft).
+    A slot left ``None`` is a construction fault that certification reports."""
+    tuft = [range(n + t * k, n + t * k + k) for t in range(4)]  # v_{i,1..k} per tuft
+    order = [None] * p
     if n == 3:
-        build = _cat_order_odd_small
+        # v_2, the tufts of v_3 and v_1 interleaved, then v_3, v_1
+        order[0], order[p - 2], order[p - 1] = 1, 2, 0
+        order[1:2 * k:2], order[2:2 * k + 1:2] = tuft[1], tuft[0]
     elif n == 4:
-        build = _cat_order_even_small
+        # v_2, v_{4,1}, v_1, v_4, v_{1,1}, the remaining tufts interleaved,
+        # then v_3.  The non-remote spine ends v_1, v_4 sit next to neither
+        # weight center; the n = 3 pattern puts one there and overshoots the
+        # bound by 2.
+        order[:5], order[p - 1] = [1, tuft[1][0], 0, 3, n], 2
+        order[5:p - 1:2], order[6:p - 1:2] = tuft[1][1:], tuft[0][1:]
     elif n % 2 == 1:
-        build = _cat_order_odd_large
+        # v_c, the four tufts interleaved, the spine ends inward, v_{c+1}
+        c = (n - 1) // 2
+        order[0], order[p - 1] = c - 1, c
+        order[1:4 * k:4], order[2:4 * k:4] = tuft[3], tuft[0]
+        order[3:4 * k:4], order[4:4 * k + 1:4] = tuft[2], tuft[1]
+        order[4 * k + 1:p - 1:2], order[4 * k + 2:p - 1:2] = range(c + 1, n), range(c - 1)
     elif k >= 2:
-        build = _cat_order_even_large
+        # v_{h-1}, v_{n,1}, v_h, v_{n,2}, v_{1,1}, v_{h+1}, v_{1,2}, the four
+        # tufts interleaved, v_{h+2,k}, v_{h-1,k}, the spine ends inward,
+        # then v_{h+2} (h = n/2)
+        h = n // 2
+        order[:7] = [h - 2, tuft[3][0], h - 1, tuft[3][1], n, h, tuft[0][1]]
+        order[4 * k + 1:4 * k + 3], order[p - 1] = [tuft[2][-1], tuft[1][-1]], h + 1
+        order[7:4 * k:4], order[8:4 * k + 1:4] = tuft[2][:-1], tuft[1][:-1]
+        order[9:4 * k:4], order[10:4 * k:4] = tuft[3][2:], tuft[0][2:]
+        order[4 * k + 3:p - 1:2] = range(n - 1, h + 1, -1)
+        order[4 * k + 4:p - 1:2] = range(h - 3, -1, -1)
     else:
-        build = _cat_order_even_k1
-    return _certify_or_raise(inst, build(n, k, p))
+        # v_h, v_{n,1}, the two spine halves interleaved, then v_{h-1,1},
+        # v_{h+2,1}, v_{1,1}, v_{h+1} (h = n/2)
+        h = n // 2
+        order[0], order[1] = h - 1, tuft[3][0]
+        order[2:n:2], order[3:n:2] = range(h - 1), range(h + 1, n)
+        order[n:] = [tuft[1][0], tuft[2][0], n, h]
+    return order
+
+
+def proof_order_caterpillar(inst: FamilyInstance, m: TreeMetrics | None = None) -> tuple:
+    """The certifying order for a caterpillar instance, by case on n (see
+    :func:`_cat_order`): every (n, k) has a direct construction."""
+    n, k = inst.params["n"], inst.params["k"]
+    return _certify_or_raise(inst, _cat_order(n, k, inst.tree.p), m)
 
 
 # --- level-wise regular trees T^z ------------------------------------------
@@ -281,7 +251,8 @@ def gen_levelwise(z: int, degrees) -> FamilyInstance:
     """Level-wise regular tree with z roots and per-level degrees m_0..m_{h-1}.
 
     Vertices are named w_{i1,i2,...,il} (and w'_{...} for the second root's
-    side when z = 2) by their child-index path from the root.
+    side when z = 2) by their child-index path from the root, and numbered in
+    preorder: w, then (z = 2) w', then each root-branch in turn.
     """
     ms = list(degrees)
     h = len(ms)
@@ -335,27 +306,33 @@ def gen_levelwise(z: int, degrees) -> FamilyInstance:
     )
 
 
-def _levelwise_names(z: int, ms) -> list:
-    """The vertex names of T^z in the order of :func:`proof_order_levelwise`."""
-    # the index-path tails ",i_2,...,i_l" of each level l, i_2 fastest
-    tails = [[""]]
-    for m in ms[1:]:
-        tails.append([f"{t},{i}" for i in range(m - 1) for t in tails[-1]])
-
-    def branch(head):
-        return [f"{head}{t}}}" for level in reversed(tails) for t in level]
-
-    if z == 1:
-        return ["w", *chain.from_iterable(zip(branch("w_{0"), branch("w_{1")))]
-    a, b = branch("w_{0"), branch("w'_{0")
-    if len(a) == 1:
+def _levelwise_order(z: int, ms) -> list:
+    """The order of :func:`proof_order_levelwise` on :func:`gen_levelwise`'s
+    ids.  Each root-branch is numbered in preorder, so the child i of a
+    level-l vertex sits ``1 + i * size[l + 1]`` ids after it, ``size[l]``
+    being the vertex count of a subtree under a level-l vertex."""
+    h = len(ms)
+    size = [1] * (h + 1)
+    for l in range(h - 1, 0, -1):
+        size[l] = 1 + (ms[l] - 1) * size[l + 1]
+    levels = [[z]]  # the head of the first branch, w_{0}
+    for l in range(1, h):
+        levels.append([x + 1 + i * size[l + 1] for i in range(ms[l] - 1) for x in levels[-1]])
+    a = list(chain.from_iterable(reversed(levels)))
+    b = [x + size[1] for x in a]  # the second branch, w_{1} or w'_{0}
+    if z == 2 and h == 1:
         # T^2_{2} is the path P_4: a center, the far leaf, the near leaf, the other center
-        return ["w", b[0], a[0], "w'"]
-    return [a[-1], b[0], "w", b[1], a[0], "w'", a[1],
-            *chain.from_iterable(zip(b[2:-1], a[2:-1])), b[-1]]
+        return [0, b[0], a[0], 1]
+    order = [None] * (2 * len(a) + z)
+    if z == 1:
+        order[0], order[1::2], order[2::2] = 0, a, b
+    else:
+        order[:7], order[-1] = [a[-1], b[0], 0, b[1], a[0], 1, a[1]], b[-1]
+        order[7:-1:2], order[8:-1:2] = b[2:-1], a[2:-1]
+    return order
 
 
-def proof_order_levelwise(inst: FamilyInstance) -> tuple:
+def proof_order_levelwise(inst: FamilyInstance, m: TreeMetrics | None = None) -> tuple:
     """Certifying order for T^z with m_0 = 2 and all other degrees >= 3.
 
     Each root-branch (a child w_{i} of a root with all its descendants) is
@@ -378,7 +355,7 @@ def proof_order_levelwise(inst: FamilyInstance) -> tuple:
             f"certifying order needs m_0 = 2, m_i >= 3 and, for z = 1, h >= 2; "
             f"got z={z}, {list(ms)}"
         )
-    return _certify_or_raise(inst, dict(enumerate(_levelwise_names(z, ms))))
+    return _certify_or_raise(inst, _levelwise_order(z, ms), m)
 
 
 # --- the leg family L^z_{m,h} ----------------------------------------------
@@ -400,7 +377,8 @@ def rn_lmh(z: int, m: int, h: int) -> int:
 def gen_lmh(z: int, m: int, h: int) -> FamilyInstance:
     """z roots; below them w^1 and w^2, each carrying m legs down to level h.
 
-    Structurally this is T^z with degree list (2, m+1, 2, ..., 2).
+    Structurally this is T^z with degree list (2, m+1, 2, ..., 2).  Ids:
+    r (or r_1, r_2), w^1, w^2, then each leg top-down, w^1's legs first.
     """
     if z not in (1, 2) or m < 2 or h < 2:
         raise BadParams(f"need z in {{1,2}}, m >= 2, h >= 2; got {(z, m, h)}")
@@ -441,48 +419,30 @@ def gen_lmh(z: int, m: int, h: int) -> FamilyInstance:
     )
 
 
-def _lmh_positions(z: int, m: int, h: int, p: int) -> dict:
-    by_pos = {}
+def _lmh_order(z: int, m: int, h: int, p: int) -> list:
+    """The order of :func:`proof_order_lmh` on :func:`gen_lmh`'s ids: the
+    legs' vertices row by row, each row alternating w^1 and w^2 leg by leg."""
+    order = [None] * p
+    leg = h - 1
+    for l in (1, 2):
+        first = z + 2 + (l - 1) * m * leg  # w^l_{1,1}; w^l_{i,j} is first + (i-1)(h-1) + j-1
+        for j in range(1, h):
+            # w^1: the leaves in row 0, then depth j in row j; w^2: depth j in row h-1-j
+            at = 2 * m * (j % leg if l == 1 else leg - j) + 2 * z + l - 2
+            order[at:at + 2 * m:2] = range(first + j - 1, first + m * leg, leg)
     if z == 1:
-        by_pos[0] = "r"
-        by_pos[p - 2] = "w^1"
-        by_pos[p - 1] = "w^2"
-        for l in (1, 2):
-            for i in range(1, m + 1):
-                by_pos[2 * i + l - 2] = f"w^{l}_{{{i},{h - 1}}}"
-            for i in range(1, m + 1):
-                for j in range(1, h - 1):
-                    if l == 1:
-                        t = 2 * (i - 1) + 2 * m * j + l
-                    else:
-                        t = 2 * (i - 1) + 2 * m * (h - j - 1) + l
-                    by_pos[t] = f"w^{l}_{{{i},{j}}}"
+        order[0], order[p - 2], order[p - 1] = 0, 1, 2  # r first, w^1, w^2 last
     else:
-        by_pos[0] = "w^2"
-        by_pos[1] = f"w^1_{{1,{h - 1}}}"
-        by_pos[2] = "r_2"
-        by_pos[3] = f"w^1_{{2,{h - 1}}}"
-        by_pos[4] = f"w^2_{{1,{h - 1}}}"
-        by_pos[5] = "r_1"
-        by_pos[6] = f"w^2_{{2,{h - 1}}}"
-        by_pos[p - 1] = "w^1"
-        for l in (1, 2):
-            for i in range(3, m + 1):
-                by_pos[2 * i + l] = f"w^{l}_{{{i},{h - 1}}}"
-            for i in range(1, m + 1):
-                for j in range(1, h - 1):
-                    if l == 1:
-                        t = 2 * i + 2 * m * j + l
-                    else:
-                        t = 2 * i + 2 * m * (h - j - 1) + l
-                    by_pos[t] = f"w^{l}_{{{i},{j}}}"
-    return by_pos
+        # w^2, w^1_{1,h-1}, r_2, w^1_{2,h-1}, w^2_{1,h-1}, r_1, w^2_{2,h-1}, ..., w^1
+        f1, f2 = 4 + leg - 1, 4 + m * leg + leg - 1
+        order[:7], order[p - 1] = [3, f1, 1, f1 + leg, f2, 0, f2 + leg], 2
+    return order
 
 
-def proof_order_lmh(inst: FamilyInstance) -> tuple:
+def proof_order_lmh(inst: FamilyInstance, m: TreeMetrics | None = None) -> tuple:
     """Certifying order for L^z_{m,h} (leaves first, legs bottom-up)."""
-    z, m, h = inst.params["z"], inst.params["m"], inst.params["h"]
-    return _certify_or_raise(inst, _lmh_positions(z, m, h, inst.tree.p))
+    z, legs, h = inst.params["z"], inst.params["m"], inst.params["h"]
+    return _certify_or_raise(inst, _lmh_order(z, legs, h, inst.tree.p), m)
 
 
 # --- random two-branch instances -------------------------------------------

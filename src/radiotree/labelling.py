@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 from .errors import (
@@ -77,15 +78,14 @@ def label_from_order(m: TreeMetrics, order: Sequence, aseq: ASequence) -> RadioL
         raise LengthMismatch(
             f"a-sequence length {len(aseq.a)} for order length {len(seq)}"
         )
-    de = m.diameter + m.epsilon
-    lev = [m.level[v] for v in seq]
-    labels = {seq[0]: 0}
-    f = 0
-    for v, lu, lv, ai in zip(seq[1:], lev, lev[1:], aseq.a):
+    de, level = m.diameter + m.epsilon, m.level
+    labels, f, lu = {seq[0]: 0}, 0, level[seq[0]]
+    for v, ai in zip(seq[1:], aseq.a):
+        lv = level[v]
         f += ai + de - lu - lv
         if f < 0:
             raise NegativeLabel(f"label for vertex {v} would be {f}")
-        labels[v] = f
+        labels[v], lu = f, lv
     return RadioLabelling(labels=labels)
 
 
@@ -106,9 +106,9 @@ def verify_labelling(tree: Tree, labelling: RadioLabelling) -> tuple:
     p - 1).
 
     Distances come from the verifier's own BFS, not from
-    :class:`TreeMetrics` or a distance table: rooted at the middle vertex of
-    a longest path (found by a double BFS), so depths are at most
-    ``ceil(diam/2)``; a pair in different subtrees of the root is
+    :class:`TreeMetrics` or a distance table: its tree is rerooted at the
+    middle vertex of a longest path (found from the same BFS's heights), so
+    depths are at most ``ceil(diam/2)``; a pair in different subtrees of the root is
     ``depth(u) + depth(v)`` apart, and a pair in one subtree climbs parents
     to the vertex where the two root paths meet.
 
@@ -138,25 +138,42 @@ def verify_labelling(tree: Tree, labelling: RadioLabelling) -> tuple:
 def _middle_rooted(adjacency) -> tuple:
     """The verifier's own distance oracle: ``(diam, depth, parent, top)``.
 
-    A double BFS finds a longest path (the last vertex reached from 0 ends
-    one; a BFS from there gives its length and, through its parents, the
-    path), and a third BFS is rooted at the path's middle vertex, so every
-    depth is at most ``ceil(diam/2)``.  ``top[v]`` is the root's child whose
-    subtree holds v (the root for the root): vertices with different ``top``
-    are ``depth[u] + depth[v]`` apart.
+    One BFS from vertex 0 and a bottom-up pass over its order give each
+    vertex's height (the longest path down from it) and the child that path
+    starts at.  A longest path of the tree turns at the vertex whose two
+    longest downward paths through different children are longest together,
+    and its middle vertex lies ``height - ceil(diam/2)`` steps down the
+    longer one.  Rerooting the BFS tree there (the parent pointers on the
+    path from it to vertex 0 turn round) makes every depth at most
+    ``ceil(diam/2)``.  ``top[v]`` is the root's child whose subtree holds v
+    (the root for the root): vertices with different ``top`` are
+    ``depth[u] + depth[v]`` apart.
     """
-    far = _bfs(adjacency, [0])[2][-1]
-    dist, up, reached = _bfs(adjacency, [far])
-    root = end = reached[-1]
-    diam = dist[end]
-    for _ in range(diam // 2):
-        root = up[root]
-    depth, parent, order = _bfs(adjacency, [root])
-    top = [root] * len(adjacency)
-    for v in order[1:]:
-        u = parent[v]
-        top[v] = v if u == root else top[u]
-    return diam, depth, parent, top
+    p = len(adjacency)
+    _, up, order = _bfs(adjacency, [0])
+    height, down = [0] * p, [-1] * p
+    diam = turn = 0
+    for v in reversed(order[1:]):
+        u, hv = up[v], height[v] + 1
+        if height[u] + hv > diam:
+            diam, turn = height[u] + hv, u
+        if hv > height[u]:
+            height[u], down[u] = hv, v
+    root = turn
+    for _ in range(height[turn] - (diam + 1) // 2):
+        root = down[root]
+    path = [root]  # then the BFS order: parents first
+    while path[-1] != 0:
+        path.append(up[path[-1]])
+    for u, v in zip(path, path[1:]):
+        up[v] = u
+    up[root], depth, top = -1, [-1] * p, [root] * p
+    depth[root] = 0
+    for v in chain(path, order):
+        if depth[v] < 0:
+            u = up[v]
+            depth[v], top[v] = depth[u] + 1, v if u == root else top[u]
+    return diam, depth, up, top
 
 
 def _first_violation(adjacency, lab) -> tuple:

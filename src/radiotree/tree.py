@@ -24,8 +24,8 @@ identity is the only pairwise distance on :class:`TreeMetrics`; the full
 table of :func:`distance_matrix` is built only by the exact solver.
 
 The independent verifier (:func:`radiotree.labelling.verify_labelling`) uses
-none of this.  It roots its own BFS at the middle vertex of a longest path,
-so every vertex is at depth at most ``ceil(d/2)``: a pair in different
+none of this.  It reroots its own BFS tree at the middle vertex of a longest
+path, so every vertex is at depth at most ``ceil(d/2)``: a pair in different
 subtrees of that root is ``depth(u) + depth(v)`` apart, and a pair in one
 subtree climbs parent pointers.  Certification therefore builds no table.
 """
@@ -85,7 +85,7 @@ def build_tree(edge_list: Sequence) -> Tree:
     that fails raises:
 
     1. one scan of the edges: :class:`BadEdge` on an id that is not a
-       non-negative integer, or on a self-loop;
+       non-negative integer (a bool is not one), or on a self-loop;
     2. :class:`SparseIds` when max-id + 1 exceeds twice the number of edges,
        so some id must be unused; this runs before anything p-sized is
        allocated, so a huge id costs nothing;
@@ -105,7 +105,9 @@ def build_tree(edge_list: Sequence) -> Tree:
     max_id = 0
     for e in edge_list:
         u, v = e
-        if not (isinstance(u, int) and isinstance(v, int)) or u < 0 or v < 0:
+        # a bool is an int, but no vertex id (Tree.check_vertex refuses it)
+        if not (isinstance(u, int) and isinstance(v, int)) or type(u) is bool \
+                or type(v) is bool or u < 0 or v < 0:
             raise BadEdge(f"edge {e!r}: vertex ids must be non-negative integers")
         if u == v:
             raise BadEdge(f"self-loop at vertex {u}")
@@ -201,18 +203,26 @@ def metrics(tree: Tree) -> TreeMetrics:
 
     # Weights by rerooting one BFS from vertex 0: moving the root from a
     # parent to its child c brings the size(c) vertices below c one step
-    # closer and takes the other p - size(c) one step farther.
-    dist0, parent0, order0 = _bfs(adj, [0])
+    # closer and takes the other p - size(c) one step farther.  The same
+    # bottom-up pass keeps each vertex's height: a longest path turns at the
+    # vertex whose two longest downward paths through different children
+    # are longest together.
+    dist0, parent, order0 = _bfs(adj, [0])
     size = [1] * p
+    height = [0] * p
+    diam = 0
     for v in reversed(order0[1:]):
-        size[parent0[v]] += size[v]
+        u, hv = parent[v], height[v] + 1
+        size[u] += size[v]
+        if height[u] + hv > diam:
+            diam = height[u] + hv
+        if hv > height[u]:
+            height[u] = hv
     weights = [0] * p
     weights[0] = sum(dist0)
     for v in order0[1:]:
-        weights[v] = weights[parent0[v]] + p - 2 * size[v]
+        weights[v] = weights[parent[v]] + p - 2 * size[v]
     weights = tuple(weights)
-    # Double BFS: the last vertex reached from 0 ends a longest path.
-    diam = max(_bfs(adj, [order0[-1]])[0])
 
     wmin = min(weights)
     centers = [v for v in range(p) if weights[v] == wmin]
@@ -225,19 +235,23 @@ def metrics(tree: Tree) -> TreeMetrics:
     cset = frozenset(centers)
     eps = 2 - len(centers)
 
-    # BFS from the centers: levels, predecessors, owning center, and the
-    # level-1 vertex above each vertex (its branch of T - W).
-    level, parent, order = _bfs(adj, centers)
+    # Levels, predecessors, owning centers and branch tops (the level-1
+    # vertex above): the BFS tree rerooted at the centers, the path to 0
+    # turned round.  The path, then the BFS order, puts parents first.
+    path = [centers[0]]
+    while path[-1] != 0:
+        path.append(parent[path[-1]])
+    for u, v in zip(path, path[1:]):
+        parent[v] = u
+    level, center_of, top = [-1] * p, [-1] * p, [-1] * p
+    for c in centers:
+        parent[c], level[c], center_of[c] = -1, 0, c
+    for v in chain(path, order0):
+        if level[v] < 0:
+            u = parent[v]
+            level[v], center_of[v] = level[u] + 1, center_of[u]
+            top[v] = v if level[u] == 0 else top[u]
     total = sum(level)
-    center_of = [-1] * p
-    top = [-1] * p
-    for v in order:
-        u = parent[v]
-        if u < 0:
-            center_of[v] = v
-        else:
-            center_of[v] = center_of[u]
-            top[v] = v if level[v] == 1 else top[u]
 
     # Branches: components of T - W, numbered by smallest contained vertex.
     branch = [CENTER_BRANCH] * p

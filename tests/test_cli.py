@@ -339,6 +339,23 @@ class TestDemo:
                                       "--degrees", "2,3,3", "--json"])
         assert code == 0 and rep["certification"]["span"] == 35
 
+    @pytest.mark.parametrize("argv", [["caterpillar", "--n", "5", "--k", "3"],
+                                      ["lmh", "--z", "2", "--m", "3", "--h", "3"],
+                                      ["levelwise", "--z", "2", "--degrees", "2,3,3"]])
+    def test_metrics_computed_once(self, capsys, monkeypatch, argv):
+        calls = []
+        original = cli.metrics
+
+        def counting(tree):
+            calls.append(tree.p)
+            return original(tree)
+
+        monkeypatch.setattr(cli, "metrics", counting)
+        monkeypatch.setattr(families, "metrics", counting)
+        code, rep = run_json(capsys, ["demo", *argv, "--json"])
+        assert code == 0 and rep["certification"]["certified"]
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("degrees", ["2", "3,3"])
     def test_levelwise_without_certifying_order(self, capsys, degrees):
         # T^1_{2} is the path P_3, whose rn 3 is below its improved bound 4:

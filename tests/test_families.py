@@ -1,3 +1,4 @@
+from itertools import chain
 from math import prod
 
 import pytest
@@ -26,6 +27,7 @@ from radiotree import (
     rn_lmh,
     rn_path,
 )
+from radiotree import families
 from radiotree.families import _certify_or_raise
 
 CAT_GRID = [(n, k) for n in range(3, 13) for k in range(1, 5)]
@@ -35,6 +37,189 @@ LEVEL_GRID = [
     for degs in [(2, 3), (2, 4), (2, 5), (2, 3, 3), (2, 4, 4), (2, 3, 4), (2, 3, 3, 3)]
 ]
 LMH_GRID = [(z, m, h) for z in (1, 2) for m in range(2, 6) for h in range(2, 5)]
+
+
+# --- name-keyed references ---------------------------------------------------
+#
+# The constructions as they were first written: position -> conventional name
+# tables, mapped to ids through ``vertex_names``.  ``proof_order_*`` now write
+# the generators' ids straight into the order's slots; these references pin
+# that the id-built orders are the same orders, case by case.
+
+def _cat_order_odd_small(n: int, k: int, p: int) -> dict:
+    # n = 3: center first, the two leaf tufts interleaved, then v_3, v_1.
+    by_pos = {0: "v_2", p - 2: "v_3", p - 1: "v_1"}
+    for j in range(1, k + 1):
+        by_pos[2 * j - 1] = f"v_{{3,{j}}}"
+        by_pos[2 * j] = f"v_{{1,{j}}}"
+    return by_pos
+
+
+def _cat_order_even_small(n: int, k: int, p: int) -> dict:
+    # n = 4: v_2, v_{4,1}, v_1, v_4, v_{1,1}, the remaining tufts
+    # interleaved, then v_3.  The non-remote spine ends v_1, v_4 sit next to
+    # neither weight center; the n = 3 pattern puts one there and overshoots
+    # the bound by 2.
+    by_pos = {0: "v_2", 1: "v_{4,1}", 2: "v_1", 3: "v_4", 4: "v_{1,1}", p - 1: "v_3"}
+    for j in range(2, k + 1):
+        by_pos[2 * j + 1] = f"v_{{4,{j}}}"
+        by_pos[2 * j + 2] = f"v_{{1,{j}}}"
+    return by_pos
+
+
+def _cat_order_odd_large(n: int, k: int, p: int) -> dict:
+    by_pos = {0: f"v_{(n - 1) // 2}", p - 1: f"v_{(n + 1) // 2}"}
+    for j in range(1, k + 1):
+        by_pos[4 * (j - 1) + 2] = f"v_{{1,{j}}}"
+        by_pos[4 * j] = f"v_{{{(n - 1) // 2},{j}}}"
+        by_pos[4 * (j - 1) + 3] = f"v_{{{(n + 3) // 2},{j}}}"
+        by_pos[4 * (j - 1) + 1] = f"v_{{{n},{j}}}"
+    for i in range(1, n + 1):
+        if i < (n - 1) // 2:
+            by_pos[4 * k + 2 * i] = f"v_{i}"
+        elif i > (n + 1) // 2:
+            by_pos[4 * k + 2 * (i - (n + 1) // 2) - 1] = f"v_{i}"
+    return by_pos
+
+
+def _cat_order_even_large(n: int, k: int, p: int) -> dict:
+    half = n // 2
+    by_pos = {
+        0: f"v_{half - 1}",
+        1: f"v_{{{n},1}}",
+        2: f"v_{half}",
+        3: f"v_{{{n},2}}",
+        4: "v_{1,1}",
+        5: f"v_{half + 1}",
+        6: "v_{1,2}",
+        p - 1: f"v_{half + 2}",
+        4 * k + 1: f"v_{{{half + 2},{k}}}",
+        4 * k + 2: f"v_{{{half - 1},{k}}}",
+    }
+    for j in range(3, k + 1):
+        by_pos[4 * (j - 1) + 2] = f"v_{{1,{j}}}"
+        by_pos[4 * (j - 1) + 1] = f"v_{{{n},{j}}}"
+    for j in range(1, k):
+        by_pos[4 * (j + 1)] = f"v_{{{half - 1},{j}}}"
+        by_pos[4 * (j + 1) - 1] = f"v_{{{half + 2},{j}}}"
+    for i in range(1, n + 1):
+        if i < half - 1:
+            by_pos[4 * k + 2 * (half - i)] = f"v_{i}"
+        elif i > half + 2:
+            by_pos[4 * k + 2 * (n - i) + 3] = f"v_{i}"
+    return by_pos
+
+
+def _cat_order_even_k1(n: int, k: int, p: int) -> dict:
+    # even n >= 6, k = 1: v_h, v_{n,1}, the two spine halves interleaved,
+    # then v_{h-1,1}, v_{h+2,1}, v_{1,1}, v_{h+1} (h = n/2).
+    half = n // 2
+    by_pos = {
+        0: f"v_{half}",
+        1: f"v_{{{n},1}}",
+        p - 4: f"v_{{{half - 1},1}}",
+        p - 3: f"v_{{{half + 2},1}}",
+        p - 2: "v_{1,1}",
+        p - 1: f"v_{half + 1}",
+    }
+    for i in range(1, half):
+        by_pos[2 * i] = f"v_{i}"
+        by_pos[2 * i + 1] = f"v_{half + 1 + i}"
+    return by_pos
+
+
+def _levelwise_names(z: int, ms) -> list:
+    """The vertex names of T^z in the order of :func:`proof_order_levelwise`,
+    by their child-index paths."""
+    # the index-path tails ",i_2,...,i_l" of each level l, i_2 fastest
+    tails = [[""]]
+    for m in ms[1:]:
+        tails.append([f"{t},{i}" for i in range(m - 1) for t in tails[-1]])
+
+    def branch(head):
+        return [f"{head}{t}}}" for level in reversed(tails) for t in level]
+
+    if z == 1:
+        return ["w", *chain.from_iterable(zip(branch("w_{0"), branch("w_{1")))]
+    a, b = branch("w_{0"), branch("w'_{0")
+    if len(a) == 1:
+        # T^2_{2} is the path P_4: a center, the far leaf, the near leaf, the other center
+        return ["w", b[0], a[0], "w'"]
+    return [a[-1], b[0], "w", b[1], a[0], "w'", a[1],
+            *chain.from_iterable(zip(b[2:-1], a[2:-1])), b[-1]]
+
+
+def _lmh_positions(z: int, m: int, h: int, p: int) -> dict:
+    by_pos = {}
+    if z == 1:
+        by_pos[0] = "r"
+        by_pos[p - 2] = "w^1"
+        by_pos[p - 1] = "w^2"
+        for l in (1, 2):
+            for i in range(1, m + 1):
+                by_pos[2 * i + l - 2] = f"w^{l}_{{{i},{h - 1}}}"
+            for i in range(1, m + 1):
+                for j in range(1, h - 1):
+                    if l == 1:
+                        t = 2 * (i - 1) + 2 * m * j + l
+                    else:
+                        t = 2 * (i - 1) + 2 * m * (h - j - 1) + l
+                    by_pos[t] = f"w^{l}_{{{i},{j}}}"
+    else:
+        by_pos[0] = "w^2"
+        by_pos[1] = f"w^1_{{1,{h - 1}}}"
+        by_pos[2] = "r_2"
+        by_pos[3] = f"w^1_{{2,{h - 1}}}"
+        by_pos[4] = f"w^2_{{1,{h - 1}}}"
+        by_pos[5] = "r_1"
+        by_pos[6] = f"w^2_{{2,{h - 1}}}"
+        by_pos[p - 1] = "w^1"
+        for l in (1, 2):
+            for i in range(3, m + 1):
+                by_pos[2 * i + l] = f"w^{l}_{{{i},{h - 1}}}"
+            for i in range(1, m + 1):
+                for j in range(1, h - 1):
+                    if l == 1:
+                        t = 2 * i + 2 * m * j + l
+                    else:
+                        t = 2 * i + 2 * m * (h - j - 1) + l
+                    by_pos[t] = f"w^{l}_{{{i},{j}}}"
+    return by_pos
+
+
+def cat_reference(inst):
+    n, k = inst.params["n"], inst.params["k"]
+    p = inst.tree.p
+    if n == 3:
+        build = _cat_order_odd_small
+    elif n == 4:
+        build = _cat_order_even_small
+    elif n % 2 == 1:
+        build = _cat_order_odd_large
+    elif k >= 2:
+        build = _cat_order_even_large
+    else:
+        build = _cat_order_even_k1
+    return by_names(inst, build(n, k, p))
+
+
+def by_names(inst, by_pos):
+    p = inst.tree.p
+    assert by_pos.keys() == set(range(p))
+    return tuple(inst.vertex_names[by_pos[t]] for t in range(p))
+
+
+# every caterpillar case (n = 3, n = 4, odd n >= 5, even n >= 6 with k >= 2 and
+# with k = 1), L^z_{m,h} and T^z for z = 1, 2, T^z with three or more levels
+# and degrees of 11 or more
+REF_CAT_GRID = [(n, k) for n in (3, 4, 5, 6, 7, 8, 9, 10, 13, 14, 21, 22) for k in (1, 2, 3, 5, 8)]
+REF_LMH_GRID = [(z, m, h) for z in (1, 2) for m in (2, 3, 4, 7, 12) for h in (2, 3, 4, 6)]
+REF_LEVEL_GRID = [
+    (z, degs)
+    for z in (1, 2)
+    for degs in [(2, 3), (2, 11), (2, 3, 3), (2, 12, 3), (2, 3, 12), (2, 11, 4, 3),
+                 (2, 3, 4, 5), (2, 4, 3, 3, 3)]
+] + [(2, (2,))]
 
 # certifying orders that an alternating-branch backtracking search returned
 # for the two ranges now built directly (C(4,k) and even-n C(n,1))
@@ -315,14 +500,76 @@ class TestLmh:
 
 class TestPositionTable:
     @pytest.mark.parametrize("by_pos", [
-        {0: "v_2", 1: "v_4", 2: "v_1"},  # a position missing
-        {0: "v_2", 1: "v_4", 2: "v_1", 4: "v_3"},  # one out of range
-        {0: "v_2", 1: "v_4", 2: "v_1", 3: "v_3", 4: "v_3"},  # one too many
+        [1, 3, 0],  # a position missing
+        [1, 3, 0, None, 2],  # a slot left empty, one beyond p - 1
+        [1, 3, 0, 2, 2],  # one too many
     ])
     def test_positions_must_be_exactly_0_to_p_minus_1(self, by_pos):
         with pytest.raises(InvalidProofOrder) as exc:
-            _certify_or_raise(gen_path(4), by_pos)
+            _certify_or_raise(gen_path(4), by_pos, None)
         assert exc.value.stage == "positions"
+
+    @pytest.mark.parametrize("by_pos,wrong", [
+        ([1, None, 0, 2], [1]),  # an empty slot
+        ([1, 3, 1, 2], [2]),  # a repeated id, at its second slot
+        ([1, 3, 4, 2], [2]),  # an id beyond p - 1
+        ([1, 3, 0], [3]),  # a slot missing
+    ])
+    def test_names_the_bad_positions(self, by_pos, wrong):
+        with pytest.raises(InvalidProofOrder, match=rf"bad order positions \{wrong}"):
+            _certify_or_raise(gen_path(4), by_pos, None)
+
+
+class TestIdBuiltOrders:
+    """The slot-by-slot id orders equal the name-keyed references."""
+
+    @pytest.mark.parametrize("n,k", REF_CAT_GRID)
+    def test_caterpillar(self, n, k):
+        inst = gen_caterpillar(n, k)
+        assert proof_order_caterpillar(inst) == cat_reference(inst)
+
+    @pytest.mark.parametrize("z,m,h", REF_LMH_GRID)
+    def test_lmh(self, z, m, h):
+        inst = gen_lmh(z, m, h)
+        assert proof_order_lmh(inst) == by_names(inst, _lmh_positions(z, m, h, inst.tree.p))
+
+    @pytest.mark.parametrize("z,degs", REF_LEVEL_GRID)
+    def test_levelwise(self, z, degs):
+        inst = gen_levelwise(z, degs)
+        names = _levelwise_names(z, degs)
+        assert proof_order_levelwise(inst) == by_names(inst, dict(enumerate(names)))
+
+    def test_returns_a_plain_tuple(self):
+        assert type(proof_order_lmh(gen_lmh(1, 2, 2))) is tuple
+
+
+class TestCallersMetrics:
+    """``proof_order_*`` certify on the caller's metrics when given them."""
+
+    @pytest.mark.parametrize("inst,build", [
+        (gen_caterpillar(5, 3), proof_order_caterpillar),
+        (gen_levelwise(2, (2, 3, 3)), proof_order_levelwise),
+        (gen_lmh(1, 3, 3), proof_order_lmh),
+    ])
+    def test_same_order_with_or_without(self, inst, build):
+        assert build(inst, metrics(inst.tree)) == build(inst)
+
+    def test_metrics_are_computed_once(self, monkeypatch):
+        inst = gen_caterpillar(5, 3)
+        m = metrics(inst.tree)
+        monkeypatch.setattr(families, "metrics", lambda tree: pytest.fail("metrics recomputed"))
+        assert proof_order_caterpillar(inst, m) == cat_reference(inst)
+
+    @pytest.mark.parametrize("other", [gen_caterpillar(5, 4), gen_lmh(1, 3, 3)])
+    def test_metrics_of_another_tree(self, other):
+        with pytest.raises(BadParams, match="another tree"):
+            proof_order_caterpillar(gen_caterpillar(5, 3), metrics(other.tree))
+
+    def test_metrics_of_an_equal_tree(self):
+        # equal rows are the same tree, even from another generator call
+        inst = gen_caterpillar(5, 3)
+        assert proof_order_caterpillar(inst, metrics(gen_caterpillar(5, 3).tree)) \
+            == proof_order_caterpillar(inst)
 
 
 class TestRandomTwoBranch:

@@ -57,6 +57,28 @@ class TestLabelFromOrder:
         lab = label_from_order(m, order, a_sequence(m, order))
         assert lab.span == 10
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_negative_label_message_at_the_first_dip(self, seed):
+        # increments below zero (ASequence checks only a_0) drive the
+        # recurrence negative; the message names the first negative label,
+        # as the step-by-step loop does
+        rng = random.Random(seed)
+        m = metrics(gen_caterpillar(rng.choice([3, 5, 6]), rng.randint(1, 4)).tree)
+        order = rng.sample(range(m.p), m.p)
+        a = (0, *(rng.choice([-9, -3, -1, 0, 0, 1]) for _ in range(m.p - 2)))
+        f, want = 0, None
+        for v, u, ai in zip(order[1:], order, a):  # the loop, kept as the reference
+            f += ai + m.diameter + m.epsilon - m.level[u] - m.level[v]
+            if f < 0:
+                want = f"label for vertex {v} would be {f}"
+                break
+        if want is None:
+            assert min(label_from_order(m, order, ASequence(a=a)).labels.values()) >= 0
+        else:
+            with pytest.raises(NegativeLabel) as exc:
+                label_from_order(m, order, ASequence(a=a))
+            assert str(exc.value) == want
+
     def test_steps_never_negative(self):
         # each step adds d + epsilon - (L_i + L_{i+1}) + a_i >= 0, so labels
         # are nondecreasing along any order
@@ -235,6 +257,28 @@ class TestVerifierDistances:
             labels[v] = max(0, labels[v] + rng.choice([-3, -1, 1, 3]))
             lab = RadioLabelling(labels)
             assert verify_labelling(tree, lab) == all_pairs_verify(tree, lab)
+
+
+def path_with_zero_inside(n, bristles, rng):
+    """A path on n vertices, with ``bristles`` leaves on one end, numbered at
+    random except that vertex 0 sits in the middle of the path: a BFS from 0
+    ends halfway along the longest path, never at its end."""
+    ids = [0, *rng.sample(range(1, n + bristles), n + bristles - 1)]
+    spine = ids[1:n // 2 + 1] + [0] + ids[n // 2 + 1:n]
+    edges = [(spine[i], spine[i + 1]) for i in range(n - 1)]
+    edges += [(spine[-1], ids[n + j]) for j in range(bristles)]
+    rng.shuffle(edges)
+    return build_tree(edges)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_diameter_from_heights_matches_the_table(seed):
+    rng = random.Random(seed)
+    tree = path_with_zero_inside(rng.randint(2, 40), rng.choice([0, 0, 1, 2, 5]), rng)
+    want = max(map(max, distance_matrix(tree)))
+    diam, depth, _, _ = _middle_rooted(tree.adjacency)
+    assert metrics(tree).diameter == diam == want
+    assert max(depth) == (want + 1) // 2
 
 
 def test_all_zero_labels_compare_a_linear_number_of_pairs(monkeypatch):

@@ -49,6 +49,18 @@ class TestBuildTree:
         with pytest.raises(BadEdge):
             build_tree([(-1, 0)])
 
+    @pytest.mark.parametrize("edges", [[(True, False)], [(0, 1), (2, True)], [(False, 1)]])
+    def test_bool_ids(self, edges):
+        # a bool is an int, but Tree.check_vertex refuses it as a vertex
+        with pytest.raises(BadEdge):
+            build_tree(edges)
+
+    def test_int_subclass_ids_still_accepted(self):
+        class Id(int):
+            pass
+
+        assert build_tree([(Id(0), Id(1))]).adjacency == ((1,), (0,))
+
     def test_sparse_ids(self):
         with pytest.raises(SparseIds):
             build_tree([(0, 2)])
@@ -300,6 +312,15 @@ def assert_metrics_match_table(tree):
     d = distance_matrix(tree)
     assert m.vertex_weight == tuple(sum(row) for row in d)
     assert m.diameter == max(max(row) for row in d)
+    # levels, predecessors and owning centers as a BFS from the centers gives
+    centers = m.weight_centers
+    for v in range(tree.p):
+        assert m.level[v] == min(d[c][v] for c in centers)
+        assert m.center_of[v] == min(centers, key=lambda c: d[c][v])
+        u = m.parent[v]
+        assert (u == -1) == (v in centers)
+        if u >= 0:
+            assert d[u][v] == 1 and m.level[u] == m.level[v] - 1
     for u in range(tree.p):
         for v in range(tree.p):
             assert m.distance(u, v) == d[u][v]

@@ -219,70 +219,48 @@ def cmd_exact(args) -> int:
     return EXIT_OK if res.stats.completed else EXIT_RESOURCE
 
 
-# the parameters each family needs; the others have defaults
-_FAMILY_PARAMS = {
-    "path": ("n",),
-    "caterpillar": ("n", "k"),
-    "levelwise": ("degrees",),
-    "lmh": ("m", "h"),
-    "random": ("n",),
-}
-
-
 class _UsageError(Exception):
     """Arguments that parse but do not fit together."""
 
 
 def _gen_instance(args) -> families.FamilyInstance:
-    fam = args.family
-    missing = [name for name in _FAMILY_PARAMS[fam] if getattr(args, name) is None]
+    gen, params, _, _ = families.FAMILIES[args.family]
+    values = [getattr(args, name) for name in params]
+    # --z and --seed have defaults; the other parameters must be given
+    missing = [name for name, value in zip(params, values) if value is None]
     if missing:
-        raise _UsageError(f"family {fam!r} needs " + ", ".join(f"--{name}" for name in missing))
-    if fam == "path":
-        return families.gen_path(args.n)
-    if fam == "caterpillar":
-        return families.gen_caterpillar(args.n, args.k)
-    if fam == "levelwise":
-        return families.gen_levelwise(args.z, args.degrees)
-    if fam == "lmh":
-        return families.gen_lmh(args.z, args.m, args.h)
-    if fam == "random":
-        return families.gen_random_two_branch(args.n, args.seed)
-    raise AssertionError(fam)
+        raise _UsageError(f"family {args.family!r} needs "
+                          + ", ".join(f"--{name}" for name in missing))
+    return gen(*values)
 
 
-def _proof_order(inst: families.FamilyInstance, fam: str, m=None) -> tuple:
-    if fam == "caterpillar":
-        return families.proof_order_caterpillar(inst, m)
-    if fam == "levelwise":
-        return families.proof_order_levelwise(inst, m)
-    if fam == "lmh":
-        return families.proof_order_lmh(inst, m)
-    raise UnsupportedParams(f"no certifying-order constructor for family {fam!r}")
+def _proof_order(inst: families.FamilyInstance, m=None) -> tuple:
+    build = families.FAMILIES[inst.family][3]
+    if build is None:
+        raise UnsupportedParams(f"no certifying-order constructor for family {inst.family!r}")
+    return build(inst, m)
 
 
 def cmd_gen(args) -> int:
+    if args.with_order and not args.output:
+        print("--with-order requires -o", file=sys.stderr)
+        return EXIT_USAGE
     inst = _gen_instance(args)
+    # the order first: a failure leaves no tree file behind
+    order = _proof_order(inst) if args.with_order else None
     if args.dot:
         text = _dot(inst.tree, names=inst.vertex_names)
     else:
         text = format_tree_text(inst.tree)
         if args.names:
-            name_lines = "".join(
-                f"# {name} {vid}\n" for name, vid in sorted(
-                    inst.vertex_names.items(), key=lambda kv: kv[1])
-            )
-            text += "# vertex names\n" + name_lines
+            text += "# vertex names\n" + "".join(
+                f"# {name} {vid}\n" for name, vid in inst.vertex_names.items())
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    if args.with_order:
-        if not args.output:
-            print("--with-order requires -o", file=sys.stderr)
-            return EXIT_USAGE
-        order = _proof_order(inst, args.family)
+    if order is not None:
         with open(args.output + ".order", "w", encoding="utf-8") as fh:
             fh.write(" ".join(str(v) for v in order) + "\n")
     return EXIT_OK
@@ -295,7 +273,7 @@ def cmd_demo(args) -> int:
     try:
         # proof_order_* returns only an order that certify_tightness has
         # certified, at the span of the improved bound; it reuses m
-        _proof_order(inst, args.family, m)
+        _proof_order(inst, m)
         report["certification"] = {
             "certified": True, "stage": None, "span": report["bound_improved"],
         }
@@ -329,8 +307,7 @@ def positive_float(text: str) -> float:
 
 
 def _add_family_arguments(sub) -> None:
-    sub.add_argument("family",
-                     choices=["path", "caterpillar", "levelwise", "lmh", "random"])
+    sub.add_argument("family", choices=families.FAMILIES)
     sub.add_argument("--n", type=int, default=None)
     sub.add_argument("--k", type=int, default=None)
     sub.add_argument("--z", type=int, default=1)

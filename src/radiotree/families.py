@@ -12,18 +12,19 @@ Families:
   each carrying m legs (paths) reaching down to level h — equivalently T^z
   with degree list (2, m+1, 2, ..., 2).
 
-Each generator numbers the vertices in a fixed layout, stated in its
-docstring, and carries a map from the conventional vertex names (v_i, v_{i,j},
-w_{i1,i2,...}, w^l_{i,j}, ...) to those ids for display.  Each certifying
-order constructor writes the ids straight into the order's slots, a slice per
-tuft, leg row or level, without reading names, and reproduces the known
-optimal span; every constructed order is validated by the full certification
-pipeline before being returned.
+Each family's vertex-id layout is written once (:func:`_cat_tufts`,
+:func:`_lmh_id`, :func:`_levelwise_sizes`) and stated in its generator's
+docstring.  The generator builds its edges from it, the certifying order
+constructor writes the same ids into the order's slots, a slice per tuft, leg
+row or level, and the conventional names (v_i, v_{i,j}, w_{i1,...,il},
+w^l_{i,j}, ...) are listed from it only when
+:attr:`FamilyInstance.vertex_names` is read.  Every constructed order
+reproduces the known optimal span and is validated by the full certification
+pipeline.  :data:`FAMILIES` tables the families by their command-line key.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass
 from itertools import chain
@@ -39,16 +40,22 @@ from .errors import (
     OutOfRange,
     UnsupportedParams,
 )
-from .tree import Tree, TreeMetrics, _make_tree, build_tree, metrics
+from .tree import Tree, TreeMetrics, _decode_pruefer, _make_tree, build_tree, metrics
 
 
 @dataclass(frozen=True)
 class FamilyInstance:
     tree: Tree
+    family: str  # the key of FAMILIES
     name: str
     params: dict
-    vertex_names: dict  # conventional name -> vertex id
     closed_form_rn: int | None
+
+    @property
+    def vertex_names(self) -> dict:
+        """Conventional name -> vertex id, in id order, built afresh from the
+        family's id layout on each access."""
+        return FAMILIES[self.family][2](**self.params)
 
 
 def _certify_or_raise(inst: FamilyInstance, order: list, m: TreeMetrics | None) -> tuple:
@@ -96,30 +103,18 @@ def rn_path(n: int) -> int:
 
 
 def gen_path(n: int) -> FamilyInstance:
+    """The path v_1 - ... - v_n; v_i is id i - 1."""
     if n < 1:
         raise BadParams(f"path needs n >= 1, got {n}")
-    if n == 1:
-        tree = _make_tree(1, [])
-    else:
-        tree = build_tree([(i, i + 1) for i in range(n - 1)])
-    return FamilyInstance(
-        tree=tree,
-        name=f"P_{n}",
-        params={"n": n},
-        vertex_names={f"v_{i + 1}": i for i in range(n)},
-        closed_form_rn=rn_path(n) if n >= 4 else None,
-    )
+    tree = _make_tree(n, [(i, i + 1) for i in range(n - 1)])
+    return FamilyInstance(tree, "path", f"P_{n}", {"n": n}, rn_path(n) if n >= 4 else None)
+
+
+def _path_names(n: int) -> dict:
+    return {f"v_{i + 1}": i for i in range(n)}
 
 
 # --- caterpillars C(n, k) --------------------------------------------------
-
-def _cat_leaf_positions(n: int) -> list:
-    if n % 2 == 1:
-        raw = [1, (n - 1) // 2, (n + 3) // 2, n]
-    else:
-        raw = [1, (n - 2) // 2, (n + 4) // 2, n]
-    return sorted(set(raw))
-
 
 def rn_caterpillar(n: int, k: int) -> int:
     """Closed-form radio number of C(n, k).
@@ -138,29 +133,33 @@ def rn_caterpillar(n: int, k: int) -> int:
     return (n * n + 4 * n * k + 2 * n - 4 * k - 6) // 2
 
 
+def _cat_tufts(n: int, k: int) -> list:
+    """The leaf tufts of C(n, k) in spine order as (spine id, leaf ids): the
+    t-th tuft (t from 0) is ids n + t*k .. n + t*k + k - 1, hung on v_i for i
+    in 1, a, a + 2 (n odd) or a + 3 (n even), n, where a = floor((n - 1)/2);
+    for n = 3, 4 these coincide in pairs, leaving two tufts."""
+    a = (n - 1) // 2
+    spots = sorted({1, a, a + 3 - n % 2, n})
+    return [(i - 1, range(n + t * k, n + t * k + k)) for t, i in enumerate(spots)]
+
+
 def gen_caterpillar(n: int, k: int) -> FamilyInstance:
     """Spine v_1..v_n plus k leaves on each designated spine position.
 
-    v_i is id i - 1; then come the tufts in spine order, v_{i,j} of the t-th
-    tuft (t from 0) being id n + t*k + j - 1.
+    v_i is id i - 1; the leaves v_{i,j} follow tuft by tuft (:func:`_cat_tufts`).
     """
     if n < 3 or k < 1:
         raise BadParams(f"caterpillar needs n >= 3 and k >= 1, got {(n, k)}")
-    names = {f"v_{i}": i - 1 for i in range(1, n + 1)}
     edges = [(i, i + 1) for i in range(n - 1)]
-    nxt = n
-    for i in _cat_leaf_positions(n):
-        for j in range(1, k + 1):
-            names[f"v_{{{i},{j}}}"] = nxt
-            edges.append((i - 1, nxt))
-            nxt += 1
-    return FamilyInstance(
-        tree=build_tree(edges),
-        name=f"C({n},{k})",
-        params={"n": n, "k": k},
-        vertex_names=names,
-        closed_form_rn=rn_caterpillar(n, k),
-    )
+    edges += [(s, v) for s, leaves in _cat_tufts(n, k) for v in leaves]
+    return FamilyInstance(build_tree(edges), "caterpillar", f"C({n},{k})",
+                          {"n": n, "k": k}, rn_caterpillar(n, k))
+
+
+def _cat_names(n: int, k: int) -> dict:
+    names = [f"v_{i}" for i in range(1, n + 1)]
+    names += [f"v_{{{s + 1},{j}}}" for s, _ in _cat_tufts(n, k) for j in range(1, k + 1)]
+    return {name: v for v, name in enumerate(names)}
 
 
 def _cat_order(n: int, k: int, p: int) -> list:
@@ -168,7 +167,7 @@ def _cat_order(n: int, k: int, p: int) -> list:
     case: n = 3, n = 4, odd n >= 5, even n >= 6 with k >= 2, and even n >= 6
     with k = 1 (where the standard even pattern needs a second leaf per tuft).
     A slot left ``None`` is a construction fault that certification reports."""
-    tuft = [range(n + t * k, n + t * k + k) for t in range(4)]  # v_{i,1..k} per tuft
+    tuft = [leaves for _, leaves in _cat_tufts(n, k)]
     order = [None] * p
     if n == 3:
         # v_2, the tufts of v_3 and v_1 interleaved, then v_3, v_1
@@ -247,74 +246,67 @@ def rn_binary(h: int) -> int:
     return 13 * 2 ** (h - 1) - 4 * h - 5
 
 
+def _levelwise_sizes(ms) -> list:
+    """``size[l]``, the vertex count of the subtree under a level-l vertex of
+    T^z (l = 1..h; ``size[0]`` is unused).  Each root-branch is numbered in
+    preorder, so the child i of a level-l vertex x is x + 1 + i * size[l + 1]."""
+    h = len(ms)
+    size = [1] * (h + 1)
+    for l in range(h - 1, 0, -1):
+        size[l] = 1 + (ms[l] - 1) * size[l + 1]
+    return size
+
+
+def _levelwise_edges(z: int, ms) -> list:
+    """(parent, child, child index) for every edge below the roots of T^z,
+    level by level: the b-th root-branch (b from 0) is headed by id
+    z + b * size[1] (:func:`_levelwise_sizes`)."""
+    size = _levelwise_sizes(ms)
+    per_root = ms[0] - z + 1  # branches under each root: m_0, or m_0 - 1 for z = 2
+    level = [(b // per_root, z + b * size[1], b % per_root) for b in range(z * per_root)]
+    edges = list(level)
+    for l in range(1, len(ms)):
+        level = [(v, v + 1 + i * size[l + 1], i) for _, v, _ in level for i in range(ms[l] - 1)]
+        edges += level
+    return edges
+
+
 def gen_levelwise(z: int, degrees) -> FamilyInstance:
     """Level-wise regular tree with z roots and per-level degrees m_0..m_{h-1}.
 
     Vertices are named w_{i1,i2,...,il} (and w'_{...} for the second root's
     side when z = 2) by their child-index path from the root, and numbered in
-    preorder: w, then (z = 2) w', then each root-branch in turn.
+    preorder: w is id 0 (and w' id 1), then each root-branch in turn
+    (:func:`_levelwise_edges`).
     """
     ms = list(degrees)
     h = len(ms)
     if z not in (1, 2) or h < 1 or any(m < 2 for m in ms):
         raise BadParams(f"need z in {{1,2}}, h >= 1, all degrees >= 2; got z={z}, {ms}")
-    edges = []
-    names = {}
-    nxt = 0
-
-    def new_vertex(name):
-        nonlocal nxt
-        names[name] = nxt
-        nxt += 1
-        return nxt - 1
-
-    def grow(parent_id, mark, prefix, level):
-        # attach the children of a level-(level) vertex
-        if level >= h:
-            return
-        width = ms[level] if level == 0 else ms[level] - 1
-        for c in range(width):
-            path = prefix + str(c)
-            v = new_vertex(f"w{mark}_{{{path}}}")
-            edges.append((parent_id, v))
-            grow(v, mark, path + ",", level + 1)
-
-    if z == 1:
-        root = new_vertex("w")
-        grow(root, "", "", 0)
-    else:
-        r1 = new_vertex("w")
-        r2 = new_vertex("w'")
-        edges.append((r1, r2))
-        # each of the two roots carries m_0 - 1 subtrees
-        for mark, root in (("", r1), ("'", r2)):
-            for c in range(ms[0] - 1):
-                v = new_vertex(f"w{mark}_{{{c}}}")
-                edges.append((root, v))
-                grow(v, mark, f"{c},", 1)
+    edges = [(0, 1)] if z == 2 else []
+    edges += [(x, v) for x, v, _ in _levelwise_edges(z, ms)]
     try:
         closed = rn_levelwise(z, ms)
     except OutOfRange:
         closed = None
     deg_str = ",".join(str(m) for m in ms)
-    return FamilyInstance(
-        tree=build_tree(edges),
-        name=f"T^{z}_{{{deg_str}}}",
-        params={"z": z, "degrees": tuple(ms)},
-        vertex_names=names,
-        closed_form_rn=closed,
-    )
+    return FamilyInstance(build_tree(edges), "levelwise", f"T^{z}_{{{deg_str}}}",
+                          {"z": z, "degrees": tuple(ms)}, closed)
+
+
+def _levelwise_names(z: int, degrees) -> dict:
+    edges = _levelwise_edges(z, list(degrees))
+    names = ["w", "w'"][:z] + [None] * len(edges)
+    for x, v, i in edges:  # a parent is named before its children
+        names[v] = f"{names[x]}_{{{i}}}" if x < z else f"{names[x][:-1]},{i}}}"
+    return {name: v for v, name in enumerate(names)}
 
 
 def _levelwise_order(z: int, ms) -> list:
     """The order of :func:`proof_order_levelwise` on :func:`gen_levelwise`'s
-    ids.  Each root-branch is numbered in preorder, so the child i of a
-    level-l vertex sits ``1 + i * size[l + 1]`` ids after it, ``size[l]``
-    being the vertex count of a subtree under a level-l vertex."""
+    ids (:func:`_levelwise_sizes`)."""
     h = len(ms)
-    size = [1] * (h + 1)
-    for l in range(h - 1, 0, -1):
-        size[l] = 1 + (ms[l] - 1) * size[l + 1]
+    size = _levelwise_sizes(ms)
     levels = [[z]]  # the head of the first branch, w_{0}
     for l in range(1, h):
         levels.append([x + 1 + i * size[l + 1] for i in range(ms[l] - 1) for x in levels[-1]])
@@ -374,49 +366,37 @@ def rn_lmh(z: int, m: int, h: int) -> int:
     return 2 * m * h * (h - 2) + 4 * m + 6 * h - 3
 
 
+def _lmh_id(z: int, m: int, h: int, l: int, i: int, j: int) -> int:
+    """The id of w^l_{i,j}, the depth-j vertex of w^l's i-th leg (i = 1..m,
+    j = 1..h-1): the legs follow the roots and w^1, w^2 one after another,
+    each top-down, w^1's first."""
+    return z + 2 + ((l - 1) * m + i - 1) * (h - 1) + j - 1
+
+
 def gen_lmh(z: int, m: int, h: int) -> FamilyInstance:
     """z roots; below them w^1 and w^2, each carrying m legs down to level h.
 
     Structurally this is T^z with degree list (2, m+1, 2, ..., 2).  Ids:
-    r (or r_1, r_2), w^1, w^2, then each leg top-down, w^1's legs first.
+    r (or r_1, r_2), w^1, w^2, then w^l_{i,j} at
+    z + 2 + ((l-1)m + i - 1)(h - 1) + j - 1 (:func:`_lmh_id`).
     """
     if z not in (1, 2) or m < 2 or h < 2:
         raise BadParams(f"need z in {{1,2}}, m >= 2, h >= 2; got {(z, m, h)}")
-    edges = []
-    names = {}
-    nxt = 0
-
-    def new_vertex(name):
-        nonlocal nxt
-        names[name] = nxt
-        nxt += 1
-        return nxt - 1
-
-    if z == 1:
-        r = new_vertex("r")
-        tops = [new_vertex("w^1"), new_vertex("w^2")]
-        edges += [(r, tops[0]), (r, tops[1])]
-    else:
-        r1 = new_vertex("r_1")
-        r2 = new_vertex("r_2")
-        edges.append((r1, r2))
-        tops = [new_vertex("w^1"), new_vertex("w^2")]
-        edges += [(r1, tops[0]), (r2, tops[1])]
+    # r -- w^1, r -- w^2, or r_1 -- r_2, r_1 -- w^1, r_2 -- w^2
+    edges = [(0, 1), (0, 2)] if z == 1 else [(0, 1), (0, 2), (1, 3)]
     for l in (1, 2):
-        top = tops[l - 1]
         for i in range(1, m + 1):
-            parent = top
-            for j in range(1, h):
-                v = new_vertex(f"w^{l}_{{{i},{j}}}")
-                edges.append((parent, v))
-                parent = v
-    return FamilyInstance(
-        tree=build_tree(edges),
-        name=f"L^{z}_{{{m},{h}}}",
-        params={"z": z, "m": m, "h": h},
-        vertex_names=names,
-        closed_form_rn=rn_lmh(z, m, h),
-    )
+            top = _lmh_id(z, m, h, l, i, 1)
+            edges.append((z + l - 1, top))
+            edges += zip(range(top, top + h - 2), range(top + 1, top + h - 1))
+    return FamilyInstance(build_tree(edges), "lmh", f"L^{z}_{{{m},{h}}}",
+                          {"z": z, "m": m, "h": h}, rn_lmh(z, m, h))
+
+
+def _lmh_names(z: int, m: int, h: int) -> dict:
+    names = ["r", "w^1", "w^2"] if z == 1 else ["r_1", "r_2", "w^1", "w^2"]
+    names += [f"w^{l}_{{{i},{j}}}" for l in (1, 2) for i in range(1, m + 1) for j in range(1, h)]
+    return {name: v for v, name in enumerate(names)}
 
 
 def _lmh_order(z: int, m: int, h: int, p: int) -> list:
@@ -425,7 +405,7 @@ def _lmh_order(z: int, m: int, h: int, p: int) -> list:
     order = [None] * p
     leg = h - 1
     for l in (1, 2):
-        first = z + 2 + (l - 1) * m * leg  # w^l_{1,1}; w^l_{i,j} is first + (i-1)(h-1) + j-1
+        first = _lmh_id(z, m, h, l, 1, 1)  # w^l_{i,j} is first + (i-1)(h-1) + j-1
         for j in range(1, h):
             # w^1: the leaves in row 0, then depth j in row j; w^2: depth j in row h-1-j
             at = 2 * m * (j % leg if l == 1 else leg - j) + 2 * z + l - 2
@@ -434,7 +414,7 @@ def _lmh_order(z: int, m: int, h: int, p: int) -> list:
         order[0], order[p - 2], order[p - 1] = 0, 1, 2  # r first, w^1, w^2 last
     else:
         # w^2, w^1_{1,h-1}, r_2, w^1_{2,h-1}, w^2_{1,h-1}, r_1, w^2_{2,h-1}, ..., w^1
-        f1, f2 = 4 + leg - 1, 4 + m * leg + leg - 1
+        f1, f2 = _lmh_id(z, m, h, 1, 1, leg), _lmh_id(z, m, h, 2, 1, leg)
         order[:7], order[p - 1] = [3, f1, 1, f1 + leg, f2, 0, f2 + leg], 2
     return order
 
@@ -448,7 +428,8 @@ def proof_order_lmh(inst: FamilyInstance, m: TreeMetrics | None = None) -> tuple
 # --- random two-branch instances -------------------------------------------
 
 def gen_random_two_branch(n: int, seed: int, max_attempts: int = 10000) -> FamilyInstance:
-    """First two-branch tree from a seeded stream of uniform labelled trees."""
+    """First two-branch tree from a seeded stream of uniform labelled trees;
+    each vertex is named by its id."""
     if n < 3:
         raise BadParams(f"need n >= 3, got {n}")
     rng = random.Random(seed)
@@ -459,33 +440,13 @@ def gen_random_two_branch(n: int, seed: int, max_attempts: int = 10000) -> Famil
             seq = [rng.randrange(n) for _ in range(n - 2)]
             tree = _decode_pruefer(seq)
         if metrics(tree).two_branch:
-            return FamilyInstance(
-                tree=tree,
-                name=f"random2b(n={n},seed={seed})",
-                params={"n": n, "seed": seed},
-                vertex_names={str(v): v for v in range(tree.p)},
-                closed_form_rn=None,
-            )
+            return FamilyInstance(tree, "random", f"random2b(n={n},seed={seed})",
+                                  {"n": n, "seed": seed}, None)
     raise ExhaustedAttempts(f"no two-branch tree on {n} vertices after {max_attempts} draws")
 
 
-def _decode_pruefer(seq) -> Tree:
-    n = len(seq) + 2
-    degree = [1] * n
-    for v in seq:
-        degree[v] += 1
-    edges = []
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(leaves)
-    for v in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, v))
-        degree[v] -= 1
-        if degree[v] == 1:
-            heapq.heappush(leaves, v)
-    u, v = sorted(leaves)[:2]
-    edges.append((u, v))
-    return build_tree(edges)
+def _random_names(n: int, seed: int) -> dict:
+    return {str(v): v for v in range(n)}
 
 
 # --- closed-form dispatcher ------------------------------------------------
@@ -503,3 +464,16 @@ def rn_formula(family: str, **params) -> int:
     if family == "lmh":
         return rn_lmh(params["z"], params["m"], params["h"])
     raise OutOfRange(f"unknown family {family!r}")
+
+
+# --- the families by their command-line key ----------------------------------
+#
+# key: (generator, its parameters in order, names builder taking the same
+# parameters, certifying-order constructor or None)
+FAMILIES = {
+    "path": (gen_path, ("n",), _path_names, None),
+    "caterpillar": (gen_caterpillar, ("n", "k"), _cat_names, proof_order_caterpillar),
+    "levelwise": (gen_levelwise, ("z", "degrees"), _levelwise_names, proof_order_levelwise),
+    "lmh": (gen_lmh, ("z", "m", "h"), _lmh_names, proof_order_lmh),
+    "random": (gen_random_two_branch, ("n", "seed"), _random_names, None),
+}

@@ -136,27 +136,27 @@ def is_admissible(m: TreeMetrics, order: Sequence) -> bool:
     additionally sit at order positions i, j with j > i + 2."""
     seq = _as_order(m, order)
     p = len(seq)
-    pos = {u: i for i, u in enumerate(seq)}
-    centers = sorted(m.weight_centers, key=pos.get)
+    centers = m.weight_centers
+    center_positions = sorted(map(seq.index, centers))  # a C-level scan per center
 
     neighbour_positions = set()
-    for c in centers:
-        i = pos[c]
+    for i in center_positions:
         for j in (i - 1, i + 1):
             if 0 <= j < p:
-                if seq[j] in m.weight_centers:
+                if seq[j] in centers:
                     continue
                 if seq[j] not in m.remote_set:
                     return False
                 neighbour_positions.add(j)
 
-    if len(centers) == 2:
-        i, j = sorted(pos[c] for c in centers)
+    if len(center_positions) == 2:
+        i, j = center_positions
         if j <= i + 2:
             return False
 
     # Remaining remote vertices: parity of their maximal runs, with positions
-    # consumed by center order-neighbours removed from consideration.
+    # consumed by center order-neighbours removed from consideration.  A run
+    # continues at i when i - 1 is also a remaining (so remote) position.
     remaining = [
         i for i, u in enumerate(seq)
         if u in m.remote_set and i not in neighbour_positions
@@ -165,7 +165,7 @@ def is_admissible(m: TreeMetrics, order: Sequence) -> bool:
     run = 0
     prev = None
     for i in remaining:
-        if prev is not None and i == prev + 1 and seq[i - 1] in m.remote_set:
+        if prev is not None and i == prev + 1:
             run += 1
         else:
             if run:

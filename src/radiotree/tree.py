@@ -32,6 +32,7 @@ subtree climbs parent pointers.  Certification therefore builds no table.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from typing import Iterable, Sequence
@@ -138,6 +139,26 @@ def build_tree(edge_list: Sequence) -> Tree:
     if len(reached) != p:
         raise NotATree("edge list is disconnected")
     return tree
+
+
+def _decode_pruefer(seq) -> Tree:
+    """The tree on len(seq) + 2 vertices whose Pruefer sequence is ``seq``."""
+    n = len(seq) + 2
+    degree = [1] * n
+    for v in seq:
+        degree[v] += 1
+    edges = []
+    leaves = [v for v in range(n) if degree[v] == 1]
+    heapq.heapify(leaves)
+    for v in seq:
+        leaf = heapq.heappop(leaves)
+        edges.append((leaf, v))
+        degree[v] -= 1
+        if degree[v] == 1:
+            heapq.heappush(leaves, v)
+    u, v = sorted(leaves)[:2]
+    edges.append((u, v))
+    return build_tree(edges)
 
 
 def _bfs(adjacency, sources: Sequence) -> tuple:

@@ -285,6 +285,49 @@ class TestGen:
     def test_with_order_requires_output(self, capsys):
         assert main(["gen", "caterpillar", "--n", "3", "--k", "1",
                      "--with-order"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--with-order requires -o" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["path", "--n", "5"],
+        ["random", "--n", "7"],
+        ["levelwise", "--z", "1", "--degrees", "2"],  # a constructor, but no order
+    ])
+    def test_with_order_failure_leaves_no_file(self, capsys, tmp_path, argv):
+        out_file = tmp_path / "t.txt"
+        assert main(["gen", *argv, "-o", str(out_file), "--with-order"]) == 3
+        assert "UnsupportedParams" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv,flag,expected", [
+        (["levelwise", "--z", "2", "--degrees", "2,3"], "--names",
+         "0 1\n0 2\n1 5\n2 3\n2 4\n5 6\n5 7\n# vertex names\n# w 0\n# w' 1\n"
+         "# w_{0} 2\n# w_{0,0} 3\n# w_{0,1} 4\n# w'_{0} 5\n# w'_{0,0} 6\n# w'_{0,1} 7\n"),
+        (["levelwise", "--z", "2", "--degrees", "2,3"], "--dot",
+         'graph tree {\n  0 [label="w"];\n  1 [label="w\'"];\n  2 [label="w_{0}"];\n'
+         '  3 [label="w_{0,0}"];\n  4 [label="w_{0,1}"];\n  5 [label="w\'_{0}"];\n'
+         '  6 [label="w\'_{0,0}"];\n  7 [label="w\'_{0,1}"];\n  0 -- 1;\n  0 -- 2;\n'
+         '  1 -- 5;\n  2 -- 3;\n  2 -- 4;\n  5 -- 6;\n  5 -- 7;\n}\n'),
+        (["lmh", "--z", "2", "--m", "2", "--h", "2"], "--names",
+         "0 1\n0 2\n1 3\n2 4\n2 5\n3 6\n3 7\n# vertex names\n# r_1 0\n# r_2 1\n"
+         "# w^1 2\n# w^2 3\n# w^1_{1,1} 4\n# w^1_{2,1} 5\n# w^2_{1,1} 6\n# w^2_{2,1} 7\n"),
+        (["lmh", "--z", "2", "--m", "2", "--h", "2"], "--dot",
+         'graph tree {\n  0 [label="r_1"];\n  1 [label="r_2"];\n  2 [label="w^1"];\n'
+         '  3 [label="w^2"];\n  4 [label="w^1_{1,1}"];\n  5 [label="w^1_{2,1}"];\n'
+         '  6 [label="w^2_{1,1}"];\n  7 [label="w^2_{2,1}"];\n  0 -- 1;\n  0 -- 2;\n'
+         '  1 -- 3;\n  2 -- 4;\n  2 -- 5;\n  3 -- 6;\n  3 -- 7;\n}\n'),
+        (["random", "--n", "6", "--seed", "1"], "--names",
+         "0 2\n0 4\n1 3\n1 4\n2 5\n# vertex names\n# 0 0\n# 1 1\n# 2 2\n# 3 3\n"
+         "# 4 4\n# 5 5\n"),
+        (["random", "--n", "6", "--seed", "1"], "--dot",
+         'graph tree {\n  0 [label="0"];\n  1 [label="1"];\n  2 [label="2"];\n'
+         '  3 [label="3"];\n  4 [label="4"];\n  5 [label="5"];\n  0 -- 2;\n  0 -- 4;\n'
+         '  1 -- 3;\n  1 -- 4;\n  2 -- 5;\n}\n'),
+    ])
+    def test_pinned_names_and_dot(self, capsys, argv, flag, expected):
+        assert main(["gen", *argv, flag]) == 0
+        assert capsys.readouterr().out == expected
 
     def test_dot(self, capsys):
         assert main(["gen", "path", "--n", "3", "--dot"]) == 0

@@ -5,6 +5,7 @@ import pytest
 
 from radiotree import (
     BadParams,
+    build_tree,
     InvalidProofOrder,
     OutOfRange,
     UnsupportedParams,
@@ -28,6 +29,7 @@ from radiotree import (
     rn_path,
 )
 from radiotree import families
+from radiotree.cli import main
 from radiotree.families import _certify_or_raise
 
 CAT_GRID = [(n, k) for n in range(3, 13) for k in range(1, 5)]
@@ -128,7 +130,7 @@ def _cat_order_even_k1(n: int, k: int, p: int) -> dict:
     return by_pos
 
 
-def _levelwise_names(z: int, ms) -> list:
+def _levelwise_order_names(z: int, ms) -> list:
     """The vertex names of T^z in the order of :func:`proof_order_levelwise`,
     by their child-index paths."""
     # the index-path tails ",i_2,...,i_l" of each level l, i_2 fastest
@@ -185,6 +187,86 @@ def _lmh_positions(z: int, m: int, h: int, p: int) -> dict:
                         t = 2 * i + 2 * m * (h - j - 1) + l
                     by_pos[t] = f"w^{l}_{{{i},{j}}}"
     return by_pos
+
+
+# --- eager name walks ----------------------------------------------------------
+#
+# The generators as first written: a vertex-counting walk that hands out ids
+# and fills the name -> id dict as it goes.  The generators now build edges
+# by id arithmetic and names only on demand; these pin both to the walks.
+
+def _walk_path(n: int):
+    return [(i, i + 1) for i in range(n - 1)], {f"v_{i + 1}": i for i in range(n)}
+
+
+def _walk_caterpillar(n: int, k: int):
+    raw = [1, (n - 1) // 2, (n + 3) // 2, n] if n % 2 == 1 else [1, (n - 2) // 2, (n + 4) // 2, n]
+    names = {f"v_{i}": i - 1 for i in range(1, n + 1)}
+    edges = [(i, i + 1) for i in range(n - 1)]
+    nxt = n
+    for i in sorted(set(raw)):
+        for j in range(1, k + 1):
+            names[f"v_{{{i},{j}}}"] = nxt
+            edges.append((i - 1, nxt))
+            nxt += 1
+    return edges, names
+
+
+def _walk_levelwise(z: int, ms):
+    h = len(ms)
+    edges, names = [], {}
+
+    def new_vertex(name):
+        names[name] = len(names)
+        return len(names) - 1
+
+    def grow(parent_id, mark, prefix, level):
+        if level >= h:
+            return
+        width = ms[level] if level == 0 else ms[level] - 1
+        for c in range(width):
+            path = prefix + str(c)
+            v = new_vertex(f"w{mark}_{{{path}}}")
+            edges.append((parent_id, v))
+            grow(v, mark, path + ",", level + 1)
+
+    if z == 1:
+        grow(new_vertex("w"), "", "", 0)
+    else:
+        r1, r2 = new_vertex("w"), new_vertex("w'")
+        edges.append((r1, r2))
+        for mark, root in (("", r1), ("'", r2)):
+            for c in range(ms[0] - 1):
+                v = new_vertex(f"w{mark}_{{{c}}}")
+                edges.append((root, v))
+                grow(v, mark, f"{c},", 1)
+    return edges, names
+
+
+def _walk_lmh(z: int, m: int, h: int):
+    edges, names = [], {}
+
+    def new_vertex(name):
+        names[name] = len(names)
+        return len(names) - 1
+
+    if z == 1:
+        r = new_vertex("r")
+        tops = [new_vertex("w^1"), new_vertex("w^2")]
+        edges += [(r, tops[0]), (r, tops[1])]
+    else:
+        r1, r2 = new_vertex("r_1"), new_vertex("r_2")
+        edges.append((r1, r2))
+        tops = [new_vertex("w^1"), new_vertex("w^2")]
+        edges += [(r1, tops[0]), (r2, tops[1])]
+    for l in (1, 2):
+        for i in range(1, m + 1):
+            parent = tops[l - 1]
+            for j in range(1, h):
+                v = new_vertex(f"w^{l}_{{{i},{j}}}")
+                edges.append((parent, v))
+                parent = v
+    return edges, names
 
 
 def cat_reference(inst):
@@ -536,7 +618,7 @@ class TestIdBuiltOrders:
     @pytest.mark.parametrize("z,degs", REF_LEVEL_GRID)
     def test_levelwise(self, z, degs):
         inst = gen_levelwise(z, degs)
-        names = _levelwise_names(z, degs)
+        names = _levelwise_order_names(z, degs)
         assert proof_order_levelwise(inst) == by_names(inst, dict(enumerate(names)))
 
     def test_returns_a_plain_tuple(self):
@@ -611,6 +693,86 @@ class TestRnFormula:
     def test_unknown_family(self):
         with pytest.raises(OutOfRange):
             rn_formula("spider", legs=3)
+
+
+WALK_GRID = (
+    [("path", (n,)) for n in range(1, 15)]
+    + [("caterpillar", (n, k)) for n in range(3, 16) for k in range(1, 7)]
+    + [("lmh", (z, m, h)) for z in (1, 2) for m in range(2, 7) for h in range(2, 7)]
+    + [("levelwise", (z, degs)) for z in (1, 2)
+       for degs in [(2,), (3,), (4,), (2, 3), (2, 4), (3, 3), (4, 3, 3), (2, 3, 3),
+                    (2, 12, 3), (2, 3, 12), (2, 4, 3, 3), (2, 3, 4, 5)]]
+)
+WALKS = {"path": (gen_path, _walk_path), "caterpillar": (gen_caterpillar, _walk_caterpillar),
+         "lmh": (gen_lmh, _walk_lmh), "levelwise": (gen_levelwise, _walk_levelwise)}
+
+
+class TestAgainstEagerWalks:
+    """Trees and names from the id layouts equal the eager walks'."""
+
+    @pytest.mark.parametrize("family,args", WALK_GRID)
+    def test_tree_and_names(self, family, args):
+        gen, walk = WALKS[family]
+        inst = gen(*args)
+        edges, names = walk(*args)
+        assert inst.family == family
+        assert inst.tree == (build_tree(edges) if edges else gen_path(1).tree)
+        # equal dicts in the same (id) order
+        assert list(inst.vertex_names.items()) == list(names.items())
+
+    @pytest.mark.parametrize("n,seed", [(3 + s % 12, s) for s in range(45)])
+    def test_random_names_are_the_ids(self, n, seed):
+        inst = gen_random_two_branch(n, seed)
+        assert inst.family == "random"
+        assert list(inst.vertex_names.items()) == [(str(v), v) for v in range(inst.tree.p)]
+
+    def test_names_built_afresh_on_each_access(self):
+        inst = gen_caterpillar(3, 1)
+        first = inst.vertex_names
+        first.clear()
+        assert len(inst.vertex_names) == inst.tree.p
+
+
+def _no_names(monkeypatch):
+    """Make every names builder raise, in the module and in FAMILIES."""
+    def boom(*args, **kwargs):
+        pytest.fail("vertex names built")
+
+    for key, (gen, params, names, build) in list(families.FAMILIES.items()):
+        monkeypatch.setattr(families, names.__name__, boom)
+        monkeypatch.setitem(families.FAMILIES, key, (gen, params, boom, build))
+
+
+class TestNamesOnDemand:
+    @pytest.mark.parametrize("inst,build", [
+        (lambda: gen_caterpillar(5, 3), proof_order_caterpillar),
+        (lambda: gen_caterpillar(4, 2), proof_order_caterpillar),
+        (lambda: gen_levelwise(2, (2, 3, 3)), proof_order_levelwise),
+        (lambda: gen_lmh(2, 3, 3), proof_order_lmh),
+        (lambda: gen_path(7), None),
+        (lambda: gen_random_two_branch(9, 2), None),
+    ])
+    def test_generators_and_orders_build_no_names(self, monkeypatch, inst, build):
+        _no_names(monkeypatch)
+        made = inst()
+        if build is not None:
+            build(made)
+            build(made, metrics(made.tree))
+
+    @pytest.mark.parametrize("argv", [
+        ["caterpillar", "--n", "5", "--k", "2"],
+        ["levelwise", "--z", "2", "--degrees", "2,3,3"],
+        ["lmh", "--z", "2", "--m", "3", "--h", "3"],
+    ])
+    def test_demo_and_plain_gen_build_no_names(self, monkeypatch, capsys, tmp_path, argv):
+        _no_names(monkeypatch)
+        assert main(["demo", *argv, "--json"]) == 0
+        assert main(["gen", *argv, "-o", str(tmp_path / "t.txt"), "--with-order"]) == 0
+
+    def test_the_guard_trips(self, monkeypatch):
+        _no_names(monkeypatch)
+        with pytest.raises(pytest.fail.Exception):
+            gen_path(3).vertex_names
 
 
 class TestVertexNames:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,13 +15,18 @@ from radiotree import (
     check_order,
     distance_matrix,
     gen_caterpillar,
+    gen_levelwise,
+    gen_lmh,
     gen_random_two_branch,
     is_admissible,
     is_feasible,
     maximal_remote_intervals,
     metrics,
+    proof_order_caterpillar,
+    proof_order_levelwise,
+    proof_order_lmh,
 )
-from radiotree.orders import _condition_b_core
+from radiotree.orders import _as_order, _condition_b_core, _parity_ok
 
 
 def path_metrics(n):
@@ -93,6 +100,81 @@ class TestAdmissible:
     def test_p4_centers_too_close(self):
         # centers at consecutive positions violate the separation rule
         assert not is_admissible(path_metrics(4), (1, 2, 0, 3))
+
+
+def is_admissible_reference(m, order):
+    """:func:`is_admissible` as first written: a position table of the whole
+    order to find the centers, and each run step checked for remoteness."""
+    seq = _as_order(m, order)
+    p = len(seq)
+    pos = {u: i for i, u in enumerate(seq)}
+    centers = sorted(m.weight_centers, key=pos.get)
+    neighbour_positions = set()
+    for c in centers:
+        i = pos[c]
+        for j in (i - 1, i + 1):
+            if 0 <= j < p:
+                if seq[j] in m.weight_centers:
+                    continue
+                if seq[j] not in m.remote_set:
+                    return False
+                neighbour_positions.add(j)
+    if len(centers) == 2:
+        i, j = sorted(pos[c] for c in centers)
+        if j <= i + 2:
+            return False
+    remaining = [i for i, u in enumerate(seq)
+                 if u in m.remote_set and i not in neighbour_positions]
+    lengths, run, prev = [], 0, None
+    for i in remaining:
+        if prev is not None and i == prev + 1 and seq[i - 1] in m.remote_set:
+            run += 1
+        else:
+            if run:
+                lengths.append(run)
+            run = 1
+        prev = i
+    if run:
+        lengths.append(run)
+    return _parity_ok(lengths, len(remaining))
+
+
+def _admissible_cases():
+    """Seeded orders on one- and two-center trees: shuffles of random
+    two-branch trees, and certifying family orders with zero to two swaps
+    (these are often admissible, shuffles rarely)."""
+    rng = random.Random(2024)
+    for seed in range(60):
+        inst = gen_random_two_branch(rng.randrange(4, 25), seed)
+        order = list(range(inst.tree.p))
+        rng.shuffle(order)
+        yield metrics(inst.tree), order
+    for inst, build in [(gen_caterpillar(5, 3), proof_order_caterpillar),
+                        (gen_caterpillar(6, 3), proof_order_caterpillar),
+                        (gen_lmh(1, 3, 3), proof_order_lmh),
+                        (gen_lmh(2, 3, 3), proof_order_lmh),
+                        (gen_levelwise(1, (2, 3, 3)), proof_order_levelwise),
+                        (gen_levelwise(2, (2, 3, 3)), proof_order_levelwise)]:
+        m = metrics(inst.tree)
+        base = build(inst, m)
+        for swaps in range(3):
+            for _ in range(12):
+                order = list(base)
+                for _ in range(swaps):
+                    i, j = rng.randrange(len(order)), rng.randrange(len(order))
+                    order[i], order[j] = order[j], order[i]
+                yield m, order
+
+
+class TestAdmissibleReference:
+    def test_matches_the_reference(self):
+        seen = set()
+        for m, order in _admissible_cases():
+            got = is_admissible(m, order)
+            assert got == is_admissible_reference(m, order), (sorted(m.weight_centers), order)
+            seen.add((len(m.weight_centers), got))
+        # one center and two, admissible and not
+        assert seen == {(1, True), (1, False), (2, True), (2, False)}
 
 
 class TestASequence:

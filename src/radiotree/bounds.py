@@ -12,7 +12,10 @@ constructive proof that the improved bound is attained: it checks the
 endpoint condition (a), derives the a-sequence, enforces the bookkeeping
 identity L(u_0) + L(u_{p-1}) + sum(a) == epsilon + xi, checks the pairwise
 condition (b), builds the closed-form labelling, and independently re-verifies
-it — failing loudly at the first stage that does not hold.
+it — failing loudly at the first stage that does not hold.  Four stages can
+fail: condition_a, combined_sum, condition_b and verification.  Deriving the
+a-sequence and building the labelling cannot: every a_t is 0 or |W|, and a
+labelling whose order meets condition (b) has no negative label.
 
 For comparison, the module also implements two earlier lower bounds for trees
 with a degree-2 weight center (one for even and one for odd diameter), stated
@@ -29,8 +32,6 @@ from .errors import (
     CertificationFailure,
     DHalfTooSmall,
     DiameterTooSmall,
-    InfeasibleASequence,
-    NegativeLabel,
     NotOmegaTree,
     NotTwoBranch,
 )
@@ -67,8 +68,10 @@ def certify_tightness(m: TreeMetrics, order: Sequence) -> RadioLabelling:
 
     Returns the constructed labelling (span == improved bound, independently
     verified) or raises :class:`CertificationFailure` naming the first failed
-    stage: condition_a, a_sequence, combined_sum, condition_b, construction,
-    or verification.
+    stage: condition_a, combined_sum, condition_b, or verification (the
+    independent re-check of the labels and their span).  The a-sequence
+    cannot fail (every a_t is 0 or |W|), and neither can the labelling once
+    condition (b) holds (see the comment at its construction).
 
     A failure says only that *this* order does not certify, not that the
     bound is missed: an optimal order need not certify.  On the p = 13 tree
@@ -84,10 +87,7 @@ def certify_tightness(m: TreeMetrics, order: Sequence) -> RadioLabelling:
     ok, diag = check_condition_a(m, seq)
     if not ok:
         raise CertificationFailure("condition_a", diag)
-    try:
-        aseq = a_sequence(m, seq)
-    except InfeasibleASequence as exc:
-        raise CertificationFailure("a_sequence", str(exc)) from exc
+    aseq = a_sequence(m, seq)
     end_sum = m.level[seq[0]] + m.level[seq[-1]]
     if end_sum + aseq.total != m.epsilon + m.xi:
         raise CertificationFailure(
@@ -98,10 +98,10 @@ def certify_tightness(m: TreeMetrics, order: Sequence) -> RadioLabelling:
     ok, pair = check_condition_b(m, seq, aseq)
     if not ok:
         raise CertificationFailure("condition_b", f"violated at positions {pair}")
-    try:
-        lab = label_from_order(m, seq, aseq)
-    except NegativeLabel as exc:
-        raise CertificationFailure("construction", str(exc)) from exc
+    # No label is negative: were f_t < 0 = f_0, the pair (0, t) would have
+    # f_t - f_0 + d(u_0, u_t) <= -1 + diam, and condition (b) would have
+    # failed there.  Condition (b) even makes the labels strictly increase.
+    lab = label_from_order(m, seq, aseq)
     ok, pair = verify_labelling(m.tree, lab)
     if not ok:
         raise CertificationFailure("verification", f"radio condition fails at pair {pair}")

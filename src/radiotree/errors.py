@@ -42,7 +42,9 @@ class NotTwoBranch(RadioTreeError):
 
 
 class InfeasibleASequence(RadioTreeError):
-    """The step-increment recurrence left its value range {0, |W|}."""
+    """An a-sequence does not start with a_0 = 0 (raised by
+    :class:`radiotree.orders.ASequence`; :func:`radiotree.orders.a_sequence`
+    always yields a_0 = 0 and every a_t in {0, |W|})."""
 
 
 class LengthMismatch(RadioTreeError):

@@ -40,7 +40,7 @@ from .errors import (
     OutOfRange,
     UnsupportedParams,
 )
-from .tree import Tree, TreeMetrics, _decode_pruefer, _make_tree, build_tree, metrics
+from .tree import Tree, TreeMetrics, _decode_pruefer, _make_tree, metrics
 
 
 @dataclass(frozen=True)
@@ -65,22 +65,15 @@ def _certify_or_raise(inst: FamilyInstance, order: list, m: TreeMetrics | None) 
     or metrics computed here when None).  A table that is not a permutation
     of 0..p-1 (wrong length, an empty slot, a repeated or foreign id) raises
     :class:`InvalidProofOrder` at stage ``positions``."""
-    p, order = inst.tree.p, tuple(order)  # check_order keeps this tuple: the one copy
+    order = tuple(order)  # check_order keeps this tuple: the one copy
     if m is None:
         m = metrics(inst.tree)
     elif m.tree != inst.tree:
         raise BadParams(f"{inst.name}: the metrics passed are of another tree")
     try:
         lab = certify_tightness(m, order)
-    except NotAPermutation:
-        # a slot is wrong when beyond p - 1, empty, not a vertex id, or a repeat
-        seen, wrong = set(), []
-        for t, v in enumerate(order):
-            if t >= p or type(v) is not int or not 0 <= v < p or v in seen:
-                wrong.append(t)
-            seen.add(v)
-        wrong += range(len(order), p)
-        raise InvalidProofOrder("positions", f"{inst.name}: bad order positions {wrong}") from None
+    except NotAPermutation as exc:
+        raise InvalidProofOrder("positions", f"{inst.name}: {exc}") from exc
     except CertificationFailure as exc:
         raise InvalidProofOrder(exc.stage, f"{inst.name}: {exc.detail}") from exc
     if inst.closed_form_rn is not None and lab.span != inst.closed_form_rn:
@@ -152,7 +145,7 @@ def gen_caterpillar(n: int, k: int) -> FamilyInstance:
         raise BadParams(f"caterpillar needs n >= 3 and k >= 1, got {(n, k)}")
     edges = [(i, i + 1) for i in range(n - 1)]
     edges += [(s, v) for s, leaves in _cat_tufts(n, k) for v in leaves]
-    return FamilyInstance(build_tree(edges), "caterpillar", f"C({n},{k})",
+    return FamilyInstance(_make_tree(len(edges) + 1, edges), "caterpillar", f"C({n},{k})",
                           {"n": n, "k": k}, rn_caterpillar(n, k))
 
 
@@ -290,7 +283,7 @@ def gen_levelwise(z: int, degrees) -> FamilyInstance:
     except OutOfRange:
         closed = None
     deg_str = ",".join(str(m) for m in ms)
-    return FamilyInstance(build_tree(edges), "levelwise", f"T^{z}_{{{deg_str}}}",
+    return FamilyInstance(_make_tree(len(edges) + 1, edges), "levelwise", f"T^{z}_{{{deg_str}}}",
                           {"z": z, "degrees": tuple(ms)}, closed)
 
 
@@ -389,7 +382,7 @@ def gen_lmh(z: int, m: int, h: int) -> FamilyInstance:
             top = _lmh_id(z, m, h, l, i, 1)
             edges.append((z + l - 1, top))
             edges += zip(range(top, top + h - 2), range(top + 1, top + h - 1))
-    return FamilyInstance(build_tree(edges), "lmh", f"L^{z}_{{{m},{h}}}",
+    return FamilyInstance(_make_tree(len(edges) + 1, edges), "lmh", f"L^{z}_{{{m},{h}}}",
                           {"z": z, "m": m, "h": h}, rn_lmh(z, m, h))
 
 
@@ -435,7 +428,7 @@ def gen_random_two_branch(n: int, seed: int, max_attempts: int = 10000) -> Famil
     rng = random.Random(seed)
     for _ in range(max_attempts):
         if n == 3:
-            tree = build_tree([(0, 1), (1, 2)])
+            tree = _make_tree(3, [(0, 1), (1, 2)])
         else:
             seq = [rng.randrange(n) for _ in range(n - 2)]
             tree = _decode_pruefer(seq)

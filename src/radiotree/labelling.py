@@ -37,7 +37,7 @@ from .errors import (
     NonIntegerLabel,
     NotTwoBranch,
 )
-from .orders import ASequence, _as_order
+from .orders import ASequence, _as_order, _labels
 from .tree import Tree, TreeMetrics, _bfs, delta, phi
 
 
@@ -62,11 +62,11 @@ class RadioLabelling:
 
 def label_from_order(m: TreeMetrics, order: Sequence, aseq: ASequence) -> RadioLabelling:
     """Build the labelling f(u_0)=0, f(u_{i+1}) = f(u_i) - (L(u_i)+L(u_{i+1}))
-    + a_i + (d + epsilon).
+    + a_i + (d + epsilon), the labels condition (b) is stated on.
 
     This is the certified construction; no validity check is performed here
     (compose with :func:`verify_labelling` for safety).  Raises
-    :class:`NegativeLabel` if the recurrence dips below zero, which signals a
+    :class:`NegativeLabel` at the first label below zero, which signals a
     non-certifying order.
     """
     if not m.two_branch:
@@ -78,15 +78,12 @@ def label_from_order(m: TreeMetrics, order: Sequence, aseq: ASequence) -> RadioL
         raise LengthMismatch(
             f"a-sequence length {len(aseq.a)} for order length {len(seq)}"
         )
-    de, level = m.diameter + m.epsilon, m.level
-    labels, f, lu = {seq[0]: 0}, 0, level[seq[0]]
-    for v, ai in zip(seq[1:], aseq.a):
-        lv = level[v]
-        f += ai + de - lu - lv
-        if f < 0:
-            raise NegativeLabel(f"label for vertex {v} would be {f}")
-        labels[v], lu = f, lv
-    return RadioLabelling(labels=labels)
+    level = m.level
+    f = _labels(m, [level[v] for v in seq], aseq.a)
+    if min(f) < 0:
+        v, lab = next((v, lab) for v, lab in zip(seq, f) if lab < 0)
+        raise NegativeLabel(f"label for vertex {v} would be {lab}")
+    return RadioLabelling(labels=dict(zip(seq, f)))
 
 
 def verify_labelling(tree: Tree, labelling: RadioLabelling) -> tuple:

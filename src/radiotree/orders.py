@@ -77,8 +77,24 @@ def check_order(m: TreeMetrics, order: Sequence) -> tuple:
             seen[v] = 1
         ok = 0 not in seen
     if not ok:
-        raise NotAPermutation(f"order {seq!r} is not a permutation of 0..{p - 1}")
+        raise _not_a_permutation(seq, p)
     return _CheckedOrder(seq)
+
+
+def _not_a_permutation(seq: tuple, p: int) -> NotAPermutation:
+    # A position is bad when it is beyond p - 1, holds no vertex id or
+    # repeats an earlier id, and so is each slot past the end of a short
+    # order.  Only the first few are named: the order may be huge.
+    seen, bad = bytearray(p), []
+    for t, v in enumerate(seq):
+        if t < p and isinstance(v, int) and type(v) is not bool and 0 <= v < p and not seen[v]:
+            seen[v] = 1
+        else:
+            bad.append(t)
+    bad += range(len(seq), p)
+    return NotAPermutation(
+        f"bad order positions {bad[:5]} ({len(bad)} in all); an order is a permutation of 0..{p - 1}"
+    )
 
 
 def _as_order(m: TreeMetrics, order: Sequence) -> tuple:
@@ -93,24 +109,34 @@ def _as_order(m: TreeMetrics, order: Sequence) -> tuple:
     return check_order(m, order)
 
 
+def _runs(flags: bytes) -> list:
+    """Maximal runs of 1s in ``flags`` (bytes of 0s and 1s) as (start, end)
+    index pairs, inclusive, ascending: the nonempty pieces between 0s."""
+    runs, start = [], 0
+    for piece in flags.split(b"\0"):
+        if piece:
+            runs.append((start, start + len(piece) - 1))
+        start += len(piece) + 1
+    return runs
+
+
+def _free(m: TreeMetrics, seq: tuple) -> bytearray:
+    """Per order position, 1 for a remote vertex with no weight center as an
+    order-neighbour, else 0."""
+    free = bytearray(map(m.remote_set.__contains__, seq))
+    for i in map(seq.index, m.weight_centers):  # a C-level scan per center
+        for j in (i - 1, i + 1):
+            if 0 <= j < len(free):
+                free[j] = 0
+    return free
+
+
 def maximal_remote_intervals(m: TreeMetrics, order: Sequence) -> list:
     """Maximal runs of consecutive order positions occupied by remote vertices.
 
     Returned as (start, end) index pairs, inclusive, ascending.
     """
-    seq = _as_order(m, order)
-    runs = []
-    start = None
-    for i, u in enumerate(seq):
-        if u in m.remote_set:
-            if start is None:
-                start = i
-        elif start is not None:
-            runs.append((start, i - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(seq) - 1))
-    return runs
+    return _runs(bytes(map(m.remote_set.__contains__, _as_order(m, order))))
 
 
 def _parity_ok(lengths: list, count: int) -> bool:
@@ -135,53 +161,25 @@ def is_admissible(m: TreeMetrics, order: Sequence) -> bool:
     (one odd run allowed when their count is odd).  With two centers they must
     additionally sit at order positions i, j with j > i + 2."""
     seq = _as_order(m, order)
-    p = len(seq)
     centers = m.weight_centers
-    center_positions = sorted(map(seq.index, centers))  # a C-level scan per center
-
-    neighbour_positions = set()
-    for i in center_positions:
+    slots = sorted(map(seq.index, centers))
+    for i in slots:
         for j in (i - 1, i + 1):
-            if 0 <= j < p:
-                if seq[j] in centers:
-                    continue
-                if seq[j] not in m.remote_set:
-                    return False
-                neighbour_positions.add(j)
-
-    if len(center_positions) == 2:
-        i, j = center_positions
-        if j <= i + 2:
-            return False
-
-    # Remaining remote vertices: parity of their maximal runs, with positions
-    # consumed by center order-neighbours removed from consideration.  A run
-    # continues at i when i - 1 is also a remaining (so remote) position.
-    remaining = [
-        i for i, u in enumerate(seq)
-        if u in m.remote_set and i not in neighbour_positions
-    ]
-    lengths = []
-    run = 0
-    prev = None
-    for i in remaining:
-        if prev is not None and i == prev + 1:
-            run += 1
-        else:
-            if run:
-                lengths.append(run)
-            run = 1
-        prev = i
-    if run:
-        lengths.append(run)
-    return _parity_ok(lengths, len(remaining))
+            if 0 <= j < len(seq) and seq[j] not in centers and seq[j] not in m.remote_set:
+                return False
+    if len(slots) == 2 and slots[1] <= slots[0] + 2:
+        return False
+    lengths = [e - s + 1 for s, e in _runs(_free(m, seq))]
+    return _parity_ok(lengths, sum(lengths))
 
 
 def a_sequence(m: TreeMetrics, order: Sequence) -> ASequence:
     """Compute the step increments for an order.
 
-    a_0 = 0; for t = 1..p-2, a_t = |W| - a_{t-1} when u_t is remote and neither
-    order-neighbour is a weight center, else a_t = 0.  Every a_t must stay in
+    a_0 = 0; for t = 1..p-2, a_t = |W| - a_{t-1} when u_t is *free* (remote,
+    and neither order-neighbour is a weight center), else a_t = 0.  A run of
+    free positions follows a position whose a is 0, so a_t = |W| on the
+    run's first position and every other one after it, and a_t is always in
     {0, |W|}.
 
     The rule fixes where the increments go, so an optimal order whose own
@@ -194,15 +192,12 @@ def a_sequence(m: TreeMetrics, order: Sequence) -> ASequence:
     if not m.two_branch:
         raise NotTwoBranch("a-sequence is defined for two-branch trees only")
     seq = _as_order(m, order)
-    p = len(seq)
-    remote, centers = m.remote_set, m.weight_centers
-    w = len(centers)
-    a = [0] * (p - 1)
-    for t in range(1, p - 1):
-        if seq[t] in remote and seq[t - 1] not in centers and seq[t + 1] not in centers:
-            a[t] = w - a[t - 1]
-        if a[t] not in (0, w):
-            raise InfeasibleASequence(f"a_{t} = {a[t]} outside {{0, {w}}}")
+    w = len(m.weight_centers)
+    free = _free(m, seq)
+    free[0] = free[-1] = 0  # a_0 = 0, and there is no a_{p-1}
+    a = [0] * (len(seq) - 1)
+    for s, e in _runs(free):
+        a[s:e + 1:2] = [w] * ((e - s) // 2 + 1)
     return ASequence(a=tuple(a))
 
 
@@ -248,12 +243,27 @@ def check_condition_a(m: TreeMetrics, order: Sequence) -> tuple:
     return ok, diag
 
 
-def _condition_b_core(m: TreeMetrics, seq: tuple, a: tuple) -> tuple:
-    """Shared pairwise check: d(u_i, u_j) >= prefix-sum RHS + (d+1).
+def _labels(m: TreeMetrics, lev: list, a: Sequence) -> list:
+    """The labels of the order whose vertices have levels ``lev``, position
+    by position: f(u_0) = 0, f(u_{i+1}) = f(u_i) + a_i + d + epsilon - L(u_i)
+    - L(u_{i+1}).  Condition (b) is stated on them, and
+    :func:`radiotree.labelling.label_from_order` returns them."""
+    de = m.diameter + m.epsilon
+    f, labels = 0, [0]
+    for x, y, at in zip(lev, lev[1:], a):
+        f += at + de - x - y
+        labels.append(f)
+    return labels
 
-    Distinct vertices are at least 1 apart, so a pair with RHS <= 1 cannot
-    fail: it is skipped, and the scan over j stops once every RHS ahead is
-    <= 1.  The first violating pair is still the all-pairs scan's.
+
+def _condition_b_core(m: TreeMetrics, seq: tuple, a: tuple) -> tuple:
+    """Shared pairwise check on the labels f of :func:`_labels`: positions
+    i < j fail iff f_j - f_i + d(u_i, u_j) <= diam.
+
+    Distinct vertices are at least 1 apart, so a pair with f_j >= f_i + diam
+    cannot fail: it is skipped, and the scan over j stops once the suffix
+    minimum of f is that large.  The first violating pair is still the
+    all-pairs scan's.
 
     ``seq`` must be a permutation of the vertex ids (the callers pass what
     :func:`check_order` returned), so the loop indexes the per-vertex tuples
@@ -266,29 +276,27 @@ def _condition_b_core(m: TreeMetrics, seq: tuple, a: tuple) -> tuple:
     """
     p = len(seq)
     diam = m.diameter
-    de = diam + m.epsilon
     level, distance = m.level, m.distance
     # per order position: level, part (the branch of T - W, or for a weight
     # center a part of its own) and nearest center
     lev = [level[v] for v in seq]
     part = [m.branch_id[v] if m.branch_id[v] != CENTER_BRANCH else -1 - v for v in seq]
     cen = [m.center_of[v] for v in seq]
-    # prefix[j] - prefix[i] = sum_{t=i}^{j-1} (L(u_t)+L(u_{t+1}) - a_t - (d+eps))
-    prefix = [0, *accumulate([x + y - at - de for x, y, at in zip(lev, lev[1:], a)])]
-    ahead = list(accumulate(reversed(prefix), max))[::-1]  # ahead[j] = max(prefix[j:])
+    f = _labels(m, lev, a)
+    low = list(accumulate(reversed(f), min))[::-1]  # low[j] = min(f[j:])
     for i in range(p - 1):
-        base = prefix[i] - diam - 1  # rhs(i, j) = prefix[j] - base
+        top = f[i] + diam  # (i, j) fails iff f[j] + d(u_i, u_j) <= top
         lu, pu, cu = lev[i], part[i], cen[i]
         for j in range(i + 1, p):
-            if ahead[j] - base <= 1:
+            if low[j] >= top:
                 break
-            rhs = prefix[j] - base
-            if rhs <= 1:
+            fj = f[j]
+            if fj >= top:
                 continue
             if pu != part[j]:  # phi = 0
-                if lu + lev[j] + (cu != cen[j]) < rhs:
+                if lu + lev[j] + (cu != cen[j]) + fj <= top:
                     return False, (i, j)
-            elif distance(seq[i], seq[j]) < rhs:  # one branch: phi climbs
+            elif distance(seq[i], seq[j]) + fj <= top:  # one branch: phi climbs
                 return False, (i, j)
     return True, None
 

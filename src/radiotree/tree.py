@@ -63,7 +63,9 @@ class Tree:
 
 
 def _make_tree(p: int, edges: Iterable[tuple]) -> Tree:
-    """The tree on 0..p-1 with these edges, trusted to be in range."""
+    """The tree on 0..p-1 with these edges, trusted to form one: the family
+    generators build theirs by arithmetic; parsed input goes through
+    :func:`build_tree`, which validates."""
     adj = [[] for _ in range(p)]
     for u, v in edges:
         adj[u].append(v)
@@ -156,9 +158,8 @@ def _decode_pruefer(seq) -> Tree:
         degree[v] -= 1
         if degree[v] == 1:
             heapq.heappush(leaves, v)
-    u, v = sorted(leaves)[:2]
-    edges.append((u, v))
-    return build_tree(edges)
+    edges.append(tuple(leaves))  # the last two
+    return _make_tree(n, edges)
 
 
 def _bfs(adjacency, sources: Sequence) -> tuple:

@@ -132,6 +132,19 @@ class TestCertify:
         order.write_text("2 1 x 0 3\n")
         assert main(["certify", p5_file, "--order", str(order)]) == 3
 
+    def test_dropped_id_gives_a_short_message(self, capsys, tmp_path):
+        # C(5,2500), p = 10,005: the message names the missing slot, not the order
+        tree = tmp_path / "c5.txt"
+        assert main(["gen", "caterpillar", "--n", "5", "--k", "2500", "-o", str(tree),
+                     "--with-order"]) == 0
+        order = tmp_path / "c5.order"
+        order.write_text(" ".join((tmp_path / "c5.txt.order").read_text().split()[1:]))
+        capsys.readouterr()
+        assert main(["certify", str(tree), "--order", str(order)]) == 3
+        err = capsys.readouterr().err
+        assert err == ("NotAPermutation: bad order positions [10004] (1 in all); "
+                       "an order is a permutation of 0..10004\n")
+
 
 class TestLabelAndVerify:
     def test_label_then_verify(self, capsys, tmp_path):

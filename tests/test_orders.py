@@ -53,6 +53,23 @@ class TestCheckOrder:
         with pytest.raises(NotAPermutation):
             check_order(path_metrics(5), (0, 1, 2))
 
+    @pytest.mark.parametrize("order,message", [
+        ((0, 1, 2, 2, 0), r"positions \[3, 4\] \(2 in all\)"),  # repeats
+        ((0, 1, 2), r"positions \[3, 4\] \(2 in all\)"),  # slots missing
+        ((4, 3, 2, 1, 0, 5), r"positions \[5\] \(1 in all\)"),  # one beyond p - 1
+        ((0, 1.0, True, -1, 5), r"positions \[1, 2, 3, 4\] \(4 in all\)"),  # no ids
+    ])
+    def test_message_names_the_bad_positions(self, order, message):
+        with pytest.raises(NotAPermutation, match=message):
+            check_order(path_metrics(5), order)
+
+    def test_message_names_only_the_first_few(self):
+        m = path_metrics(20000)
+        with pytest.raises(NotAPermutation) as exc:
+            check_order(m, (0,) * m.p)
+        assert str(exc.value) == ("bad order positions [1, 2, 3, 4, 5] (19999 in all); "
+                                  "an order is a permutation of 0..19999")
+
 
 class TestRemoteIntervals:
     def test_interior_run(self):

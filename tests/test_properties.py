@@ -5,12 +5,14 @@ from hypothesis import given, settings, strategies as st
 from radiotree import (
     a_sequence,
     build_tree,
+    check_condition_b,
     distance_by_levels,
     distance_matrix,
     exact_rn,
     gen_random_two_branch,
     greedy_label_from_order,
     jf_profile,
+    label_from_order,
     lower_bound_basic,
     lower_bound_improved,
     metrics,
@@ -18,6 +20,7 @@ from radiotree import (
     strict_gap_predicate,
     verify_labelling,
 )
+from test_certify_reference import branch_alternating
 from test_solver import brute_force_rn
 
 
@@ -87,6 +90,29 @@ def test_a_sequence_values_bounded(seed):
     w = len(m.weight_centers)
     assert aseq.a[0] == 0
     assert all(a in (0, w) for a in aseq.a)
+    # a_t = |W| exactly on the first, third, ... position of each run of free
+    # positions t = 1..p-2 (u_t remote, no weight center next to it)
+    want, run = [0], 0
+    for t in range(1, m.p - 1):
+        free = order[t] in m.remote_set and not {order[t - 1], order[t + 1]} & m.weight_centers
+        run = run + 1 if free else 0
+        want.append(w if run % 2 == 1 else 0)
+    assert list(aseq.a) == want
+
+
+@given(st.integers(3, 16), st.integers(0, 10**6))
+@settings(max_examples=80, deadline=None)
+def test_condition_b_makes_the_labels_increase_from_zero(p, seed):
+    # the fact behind certify_tightness having no construction stage: once
+    # condition (b) holds, f(u_0) = 0 and each label is above the one before.
+    # Branch-alternating orders meet condition (b) about a quarter of the time.
+    m = metrics(gen_random_two_branch(p, seed).tree)
+    order = branch_alternating(m, random.Random(seed))
+    aseq = a_sequence(m, order)
+    if check_condition_b(m, order, aseq)[0]:
+        labels = label_from_order(m, order, aseq).labels
+        f = [labels[v] for v in order]
+        assert f[0] == 0 and all(x < y for x, y in zip(f, f[1:]))
 
 
 @given(st.integers(0, 10**6))

@@ -123,19 +123,19 @@ class BoundReport:
     total_level: int
     remote_count: int
     xi: int
-    basic: int
-    improved: int | None
-    strict_gap: bool | None
+    basic: int | None  # None when d < 2
+    improved: int | None  # None unless two-branch
+    strict_gap: bool | None  # None unless two-branch
 
 
 def bound_report(m: TreeMetrics) -> BoundReport:
-    basic = lower_bound_basic(m)
-    if m.two_branch:
+    """The bounds that apply to ``m``; the others are None."""
+    basic = improved = gap = None
+    if m.diameter >= 2:
+        basic = lower_bound_basic(m)
+    if m.two_branch:  # implies d >= 2
         improved = lower_bound_improved(m)
         gap = strict_gap_predicate(m)
-    else:
-        improved = None
-        gap = None
     return BoundReport(
         p=m.p,
         diameter=m.diameter,

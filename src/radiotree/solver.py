@@ -14,13 +14,15 @@ soon as it reaches that floor.  LB only decides where the search looks
 first; every answer rests on complete pruned searches (see :func:`_search`).
 
 Symmetry reduction, by two rules.  The first vertex of the order only ranges
-over one representative per equivalence class of vertices, where two vertices
-are equivalent when the trees rooted at them have identical canonical forms —
-equality of rooted canonical forms yields an automorphism carrying one root
-to the other, so orders starting at equivalent vertices produce equal spans.
-Leaves with the same neighbour ("twins") are placed in increasing id order: a
-leaf is skipped while its next-smaller twin is unplaced, since swapping two
-twins is an automorphism (see :func:`_search`).
+over one representative per orbit of the tree's automorphisms: an
+automorphism preserves distances, so it maps each order to one of equal span.
+It also preserves the weight w(v), the sum of the distances from v, so it
+maps the one or two weight centers (the vertices of least weight) to
+themselves, and the orbits can be read off the tree rooted at the centers
+(see :func:`_start_representatives`).  Leaves with the same neighbour
+("twins") are placed in increasing id order: a leaf is skipped while its
+next-smaller twin is unplaced, since swapping two twins is an automorphism
+(see :func:`_search`).
 
 Pruning: a candidate is skipped when one of two lower bounds on every
 completion through it already reaches the incumbent (see :func:`_search`).
@@ -72,37 +74,35 @@ class SolveResult:
     stats: SolveStats
 
 
-def _rooted_canonical(adjacency, root: int, codes: dict) -> int:
-    """Canonical code of the tree rooted at ``root``.
+def _start_representatives(m: TreeMetrics) -> list:
+    """Smallest vertex id per automorphism orbit, in increasing order.
 
-    Bottom-up encoding: a vertex's code is the index in ``codes`` of the
-    sorted tuple of its children's codes, so two roots encoded with the same
-    ``codes`` get equal codes iff their rooted trees are isomorphic.  The walk
-    is iterative, so the depth of the tree does not matter.
+    Automorphisms fix the set of weight centers, so they are the
+    automorphisms of the tree rooted there (``m.parent``; with two centers,
+    both are parentless).  A vertex's code is the index in ``codes`` of the
+    sorted tuple of its children's codes, so equal codes mean isomorphic
+    subtrees.  Two vertices share an orbit iff their parents do and their
+    codes are equal (an automorphism carrying one parent to the other, then
+    a swap of two sibling subtrees, carries the one vertex to the other); the
+    two centers share one iff their sides are isomorphic.  O(p log p).
     """
-    parent = [-1] * len(adjacency)
-    order = [root]
-    for u in order:
-        for v in adjacency[u]:
-            if v != parent[u]:
-                parent[v] = u
-                order.append(v)
-    children = [[] for _ in adjacency]
-    code = 0
-    for u in reversed(order):  # children before parents; the root comes last
-        code = codes.setdefault(tuple(sorted(children[u])), len(codes))
-        if u != root:
-            children[parent[u]].append(code)
-    return code
-
-
-def _start_representatives(tree: Tree) -> list:
-    """Smallest vertex id per class of root-interchangeable vertices."""
+    parent = m.parent
+    by_level = sorted(range(m.p), key=m.level.__getitem__)
+    children = [[] for _ in range(m.p)]
+    code = [0] * m.p
     codes = {}
-    seen = {}
-    for v in range(tree.p):
-        seen.setdefault(_rooted_canonical(tree.adjacency, v, codes), v)
-    return sorted(seen.values())
+    for u in reversed(by_level):  # children before parents
+        code[u] = codes.setdefault(tuple(sorted(children[u])), len(codes))
+        if parent[u] >= 0:
+            children[parent[u]].append(code[u])
+    orbit = [-1] * (m.p + 1)  # orbit[-1] is the parentless centers' "parent"
+    orbits = {}
+    for u in by_level:  # parents before children
+        orbit[u] = orbits.setdefault((orbit[parent[u]], code[u]), len(orbits))
+    first = {}
+    for v in range(m.p):
+        first.setdefault(orbit[v], v)
+    return list(first.values())
 
 
 def _twin_prev(adjacency) -> list:
@@ -116,18 +116,19 @@ def _twin_prev(adjacency) -> list:
     return prev
 
 
-def _search(p, dist, diam, level, eps, starts, twin_prev, ub, ub_order, floor,
-            deadline, max_nodes):
+def _search(p, dist, diam, level, eps, starts, twin_prev, ub, floor, deadline,
+            max_nodes):
     """Depth-first branch-and-bound over vertex orders with greedy completion.
 
-    Returns (best_span, best_order, nodes, pruned, completed).  ``ub`` and
-    ``ub_order`` seed the incumbent (``ub_order`` may be None: a bare
-    threshold); the search looks for strictly better orders and keeps the
-    first one found at each improvement.  It stops as soon as the incumbent
-    is ``<= floor``, which the caller must have proved is a lower bound on the
-    span of every order.  ``deadline`` is a monotonic timestamp and
-    ``max_nodes`` a node budget (either may be None); when one of them stops
-    the search the incumbent is returned with completed=False.
+    Returns (span, order, nodes, pruned, completed): the least span found
+    below the threshold ``ub`` and its order, the first one found at each
+    improvement, or ``(ub, None, ...)`` when no order spans less than ``ub``.
+    The incumbent order is held by :func:`exact_rn`, not here.  The search
+    stops as soon as the span found is ``<= floor``, which the caller must
+    have proved is a lower bound on the span of every order.  ``deadline`` is
+    a monotonic timestamp and ``max_nodes`` a node budget (either may be
+    None); when one of them stops the search the best span found so far is
+    returned with completed=False.
 
     ``starts`` lists the vertices tried first (depth 0).  ``twin_prev[u]`` is
     the next-smaller leaf with the same neighbour as ``u`` (its "twin"), or
@@ -142,21 +143,24 @@ def _search(p, dist, diam, level, eps, starts, twin_prev, ub, ub_order, floor,
     * Candidates are tried in increasing id order, so the smaller twin's
       subtree is searched first.  The skipped subtree is its mirror image:
       its completions have exactly the same spans, so none of them can beat
-      the incumbent that the first subtree left behind.
+      the best span that the first subtree left behind.
     * Hence, by induction from the deepest level up, the sequence of
-      incumbents, the result, its order, and what a probe proves are those
+      improvements, the result, its order, and what a probe proves are those
       of the search without the rule; only ``nodes`` and the ``pruned``
       counters change.
-    * A start representative never has a smaller twin (twins have equal
-      rooted canonical forms), so the depth-0 rule and this one never
-      disagree.
+    * A start representative never has a smaller twin (twins share an
+      automorphism orbit), so the depth-0 rule and this one never disagree.
 
     Placing vertex ``u`` after the current partial order forces its label to
-    ``req[u]``, the greedy minimum over all placed vertices ``w`` of
-    ``f(w) + diam + 1 - dist(w, u)``; this is maintained incrementally with
-    one snapshot per depth.  A candidate ``u`` with label ``lab``, leaving the
+    ``req[u]``, the least label the radio condition allows: the largest
+    ``f(w) + diam + 1 - dist(w, u)`` over the placed vertices ``w``.  Each
+    placement hands the next depth a fresh ``req`` and the sum of the
+    unplaced levels, so nothing is undone on the way back; only the placed
+    flags and the count of unplaced vertices per level are shared.  A
+    candidate ``u`` with label ``lab``, leaving the
     set ``R`` of ``r = |R|`` vertices unplaced, is skipped by the first rule
-    that shows every completion through it spans at least the incumbent:
+    that shows every completion through it spans at least the best span so
+    far:
 
     * ``remaining``: labels are distinct, so each of the ``r`` later vertices
       adds at least 1: ``lab + r >= best``.
@@ -170,23 +174,21 @@ def _search(p, dist, diam, level, eps, starts, twin_prev, ub, ub_order, floor,
       ``lab + r(diam + eps) - L(u) - 2 sum L(R) + L(x_r)``, and
       ``L(x_r) >= min L(R)``.  Nothing here needs the tree to be two-branch.
 
-    Both rules remove only subtrees whose leaves are no better than the
-    incumbent at that moment, and the incumbent never rises, so the sequence
-    of incumbents, the result and its order are those of the unpruned search.
-    ``sum L`` over the unplaced vertices is kept as a running total and their
-    levels as a count per level, both updated on place and unplace.
+    Both rules remove only subtrees whose leaves are no better than the best
+    span at that moment, and that span never rises, so the sequence of
+    improvements, the result and its order are those of the unpruned search.
 
-    A completed search therefore proves one of two things.  If the incumbent
-    improved, ``best_span`` is the least span of any order: either the search
-    ran out, or it stopped at ``best_span <= floor <= rn``.  If it did not,
+    A completed search therefore proves one of two things.  If it returns an
+    order, its span is the least span of any order: either the search ran
+    out, or it stopped at a span ``<= floor <= rn``.  If it returns None,
     every order spans at least ``ub``.  :func:`exact_rn` uses the second
-    reading as a probe: ``ub = LB + 1`` with no order either finds the least
-    span (at most LB) or proves ``rn >= LB + 1``, whether or not LB is a valid
-    bound.  That proven value is then the ``floor`` of the downward search, so
-    no answer rests on the paper's improved bound.
+    reading as a probe: ``ub = LB + 1`` either finds the least span (at most
+    LB) or proves ``rn >= LB + 1``, whether or not LB is a valid bound.  That
+    proven value is then the ``floor`` of the downward search, so no answer
+    rests on the paper's improved bound.
     """
     best = ub
-    best_order = None if ub_order is None else list(ub_order)
+    best_order = None
     nodes = 0
     pruned_twin = 0
     pruned_remaining = 0
@@ -196,23 +198,18 @@ def _search(p, dist, diam, level, eps, starts, twin_prev, ub, ub_order, floor,
     next_check = min(LIMIT_CHECK_INTERVAL, node_limit)
     step = diam + eps
     if best <= floor:
-        return best, best_order, 0, {"twin": 0, "remaining": 0, "suffix_bound": 0}, True
+        return best, None, 0, {"twin": 0, "remaining": 0, "suffix_bound": 0}, True
 
     order = [0] * p
     # placed[-1] is a sentinel that stays True, so twin_prev -1 never skips
     placed = [False] * p + [True]
-    # req[u]: minimal feasible label for u given the current partial order;
-    # one saved copy per depth for O(p) backtracking.
-    req = [0] * p
-    saved = [[0] * p for _ in range(p)]
-    unplaced_level_sum = sum(level)
     unplaced_at_level = [0] * (max(level) + 1)
     for lv in level:
         unplaced_at_level[lv] += 1
 
-    def extend(depth, span):
+    def extend(depth, span, req, unplaced_level_sum):
         nonlocal best, best_order, nodes, pruned_twin, pruned_remaining, pruned_suffix
-        nonlocal halted, limited, next_check, unplaced_level_sum
+        nonlocal halted, limited, next_check
         if depth == p:
             if span < best:
                 best = span
@@ -256,25 +253,17 @@ def _search(p, dist, diam, level, eps, starts, twin_prev, ub, ub_order, floor,
             order[depth] = u
             placed[u] = True
             unplaced_at_level[lu] -= 1
-            unplaced_level_sum -= lu
-            snap = saved[depth]
-            du = dist[u]
-            for v in range(p):
-                snap[v] = req[v]
-                if not placed[v]:
-                    need = lab + diam + 1 - du[v]
-                    if need > req[v]:
-                        req[v] = need
-            extend(depth + 1, lab)
+            t = lab + diam + 1
+            # placed vertices' entries are never read again
+            extend(depth + 1, lab,
+                   [r if r > t - d else t - d for r, d in zip(req, dist[u])],
+                   unplaced_level_sum - lu)
             placed[u] = False
             unplaced_at_level[lu] += 1
-            unplaced_level_sum += lu
-            for v in range(p):
-                req[v] = snap[v]
             if halted:
                 return
 
-    extend(0, 0)
+    extend(0, 0, [0] * p, sum(level))
     pruned = {"twin": pruned_twin, "remaining": pruned_remaining,
               "suffix_bound": pruned_suffix}
     return best, best_order, nodes, pruned, not limited
@@ -323,30 +312,29 @@ def exact_rn(tree: Tree, max_order: int = DEFAULT_MAX_ORDER,
     # The downward search starts from the greedy completion of the identity order.
     seed = greedy_label_from_order(m, tuple(range(tree.p)))
     seed_order = sorted(seed.labels, key=seed.labels.get)
-    starts = _start_representatives(tree)
+    starts = _start_representatives(m)
     twin_prev = _twin_prev(tree.adjacency)
     deadline = None if timeout_s is None else time.monotonic() + timeout_s
     proven, target = _probe_bounds(m)
 
-    def search(ub, ub_order, floor, budget):
+    def search(ub, floor, budget):
         return _search(tree.p, dist, m.diameter, m.level, m.epsilon, starts,
-                       twin_prev, ub, ub_order, floor, deadline, budget)
+                       twin_prev, ub, floor, deadline, budget)
 
     t0 = time.monotonic()
     # Probe: is there a span <= target?
-    best, best_order, nodes, pruned, completed = search(target + 1, None, proven, max_nodes)
+    span, order, nodes, pruned, completed = search(target + 1, proven, max_nodes)
     lower_bound = proven
-    if completed and best_order is None:
+    if completed and order is None:
         # The probe proved rn >= target + 1: search down to that floor.
         lower_bound = target + 1
         budget = None if max_nodes is None else max_nodes - nodes
-        best, best_order, more, more_pruned, completed = search(
-            seed.span, seed_order, lower_bound, budget)
+        span, order, more, more_pruned, completed = search(seed.span, lower_bound, budget)
         nodes += more
         pruned = {rule: pruned[rule] + more_pruned[rule] for rule in pruned}
-    elif not completed and (best_order is None or seed.span < best):
-        # the probe was stopped before it beat the greedy seed
-        best, best_order = seed.span, seed_order
+    best, best_order = seed.span, seed_order
+    if order is not None and span <= best:
+        best, best_order = span, order
     if completed:
         lower_bound = best
     elapsed = time.monotonic() - t0

@@ -6,6 +6,7 @@ from radiotree import (
     ASequence,
     CertificationFailure,
     DHalfTooSmall,
+    DiameterTooSmall,
     NotAPermutation,
     NotOmegaTree,
     NotTwoBranch,
@@ -198,6 +199,14 @@ class TestBoundReport:
     def test_not_two_branch_fields_absent(self):
         rep = bound_report(metrics(build_tree([(0, 1), (0, 2), (0, 3)])))
         assert rep.improved is None and rep.strict_gap is None
+
+    def test_diameter_below_two_fields_absent(self):
+        m = metrics(build_tree([(0, 1)]))
+        rep = bound_report(m)
+        assert (rep.basic, rep.improved, rep.strict_gap) == (None, None, None)
+        assert (rep.p, rep.diameter) == (2, 1)
+        with pytest.raises(DiameterTooSmall):
+            lower_bound_basic(m)
 
 
 class TestComparisonBounds:

@@ -43,6 +43,14 @@ def p5_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def edge_file(tmp_path):
+    """The one-edge tree, of diameter 1: no bound applies."""
+    path = tmp_path / "edge.txt"
+    path.write_text("0 1\n")
+    return str(path)
+
+
 def run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
@@ -56,6 +64,11 @@ class TestAnalyze:
         assert list(rep) == REPORT_KEYS
         assert rep["bound_improved"] == 34
         assert rep["weight_centers"] == [4]
+
+    def test_one_edge_tree_reports_no_bounds(self, capsys, edge_file):
+        code, rep = run_json(capsys, ["analyze", edge_file, "--json"])
+        assert code == 0 and rep["diameter"] == 1
+        assert rep["bound_basic"] is rep["bound_improved"] is rep["strict_gap"] is None
 
     def test_text_output(self, capsys, p9_file):
         assert main(["analyze", p9_file]) == 0
@@ -87,6 +100,10 @@ class TestBounds:
     def test_p9_improved(self, capsys, p9_file):
         code, rep = run_json(capsys, ["bounds", p9_file, "--json"])
         assert code == 0 and rep["bound_improved"] == 34
+
+    def test_one_edge_tree(self, capsys, edge_file):
+        code, rep = run_json(capsys, ["bounds", edge_file, "--json"])
+        assert code == 0 and rep["bound_basic"] is None
 
     def test_compare_even(self, capsys, p9_file):
         code, rep = run_json(capsys, ["bounds", p9_file, "--compare", "--json"])
@@ -251,6 +268,12 @@ class TestExact:
         assert exact["lower_bound"] == rep["bound_improved"] + 1 <= 45 <= exact["rn"]
         assert main(argv[:-1]) == 4
         assert "lower_bound: " in capsys.readouterr().out
+
+    def test_one_edge_tree(self, capsys, edge_file):
+        code, rep = run_json(capsys, ["exact", edge_file, "--json", "--labels"])
+        assert code == 0 and rep["bound_basic"] is None
+        assert rep["exact"]["rn"] == 1 and rep["exact"]["completed"] is True
+        assert rep["labels"] == {"0": 0, "1": 1}
 
     def test_max_order_limit(self, capsys, p9_file):
         assert main(["exact", p9_file, "--max-order", "5"]) == 4

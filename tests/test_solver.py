@@ -111,12 +111,10 @@ class TestContract:
         res = exact_rn(star(limit - 1), max_order=limit)
         assert res.stats.completed and res.rn == limit
 
-    def test_rooted_canonical_is_iterative(self):
-        adjacency = path(5000).adjacency
-        codes = {}
-        ends = {solver._rooted_canonical(adjacency, v, codes) for v in (0, 4999)}
-        assert len(ends) == 1
-        assert solver._rooted_canonical(adjacency, 2500, codes) not in ends
+    def test_start_representatives_on_a_long_path(self):
+        # one walk over the center-rooted tree, no recursion: P_5000 has two
+        # centers, 2499 and 2500, and v and 4999 - v share an orbit
+        assert solver._start_representatives(metrics(path(5000))) == list(range(2500))
 
     def test_max_order_override(self):
         with pytest.raises(OrderTooLarge):
@@ -227,7 +225,7 @@ def search_inputs(tree):
     m = metrics(tree)
     dist = [list(row) for row in distance_matrix(tree)]
     args = (tree.p, dist, m.diameter, m.level, m.epsilon,
-            solver._start_representatives(tree))
+            solver._start_representatives(m))
     return m, args, solver._twin_prev(tree.adjacency)
 
 
@@ -244,13 +242,11 @@ class TestTwinRule:
         m, args, twin_prev = search_inputs(tree)
         no_twins = [-1] * tree.p
         seed = greedy_label_from_order(m, tuple(range(tree.p)))
-        seed_order = sorted(seed.labels, key=seed.labels.get)
         proven, target = solver._probe_bounds(m)
         # exact_rn's probe, and a downward search with no floor to stop at
-        for ub, ub_order, floor in ((target + 1, None, proven),
-                                    (seed.span, seed_order, 0)):
-            with_rule = solver._search(*args, twin_prev, ub, ub_order, floor, None, None)
-            without = solver._search(*args, no_twins, ub, ub_order, floor, None, None)
+        for ub, floor in ((target + 1, proven), (seed.span, 0)):
+            with_rule = solver._search(*args, twin_prev, ub, floor, None, None)
+            without = solver._search(*args, no_twins, ub, floor, None, None)
             assert with_rule[:2] == without[:2]
             assert with_rule[2] <= without[2]
             assert with_rule[4] and without[4]

@@ -1,0 +1,276 @@
+"""The exact solver against its earlier form.
+
+The search once kept its own incumbent order (``ub_order``), undid each
+placement from a p x p table of per-depth snapshots of ``req``, and read the
+start-vertex symmetry off one canonical encoding of the tree per candidate
+root, O(p^2).  That code is kept here as a test-only reference, with the
+two-phase merge ``exact_rn`` then did.  On a seeded grid of trees and node
+budgets the solver must give the same rn, witness, node count, prune
+counters, completion flag and lower bound, and the same start
+representatives.
+"""
+
+import random
+
+import pytest
+
+from radiotree import (
+    build_tree,
+    distance_matrix,
+    exact_rn,
+    gen_caterpillar,
+    gen_levelwise,
+    gen_lmh,
+    gen_path,
+    gen_random_two_branch,
+    greedy_label_from_order,
+    metrics,
+)
+from radiotree import solver
+from radiotree.solver import LIMIT_CHECK_INTERVAL
+
+# --- the earlier code, kept as the reference ----------------------------------
+
+
+def rooted_canonical_reference(adjacency, root, codes):
+    parent = [-1] * len(adjacency)
+    order = [root]
+    for u in order:
+        for v in adjacency[u]:
+            if v != parent[u]:
+                parent[v] = u
+                order.append(v)
+    children = [[] for _ in adjacency]
+    code = 0
+    for u in reversed(order):  # children before parents; the root comes last
+        code = codes.setdefault(tuple(sorted(children[u])), len(codes))
+        if u != root:
+            children[parent[u]].append(code)
+    return code
+
+
+def start_representatives_reference(tree):
+    """Smallest id per class of vertices with equal rooted canonical forms."""
+    codes = {}
+    seen = {}
+    for v in range(tree.p):
+        seen.setdefault(rooted_canonical_reference(tree.adjacency, v, codes), v)
+    return sorted(seen.values())
+
+
+def search_reference(p, dist, diam, level, eps, starts, twin_prev, ub, ub_order, floor,
+                     max_nodes):
+    best = ub
+    best_order = None if ub_order is None else list(ub_order)
+    nodes = 0
+    pruned_twin = 0
+    pruned_remaining = 0
+    pruned_suffix = 0
+    halted = limited = False
+    node_limit = float("inf") if max_nodes is None else max_nodes
+    next_check = min(LIMIT_CHECK_INTERVAL, node_limit)
+    step = diam + eps
+    if best <= floor:
+        return best, best_order, 0, {"twin": 0, "remaining": 0, "suffix_bound": 0}, True
+
+    order = [0] * p
+    placed = [False] * p + [True]
+    req = [0] * p
+    saved = [[0] * p for _ in range(p)]
+    unplaced_level_sum = sum(level)
+    unplaced_at_level = [0] * (max(level) + 1)
+    for lv in level:
+        unplaced_at_level[lv] += 1
+
+    def extend(depth, span):
+        nonlocal best, best_order, nodes, pruned_twin, pruned_remaining, pruned_suffix
+        nonlocal halted, limited, next_check, unplaced_level_sum
+        if depth == p:
+            if span < best:
+                best = span
+                best_order = order[:p]
+                halted = span <= floor
+            return
+        remaining_after = p - depth - 1
+        if remaining_after:
+            lo1 = 0
+            while not unplaced_at_level[lo1]:
+                lo1 += 1
+            lo2 = lo1
+            if unplaced_at_level[lo1] == 1:
+                lo2 += 1
+                while not unplaced_at_level[lo2]:
+                    lo2 += 1
+            suffix_base = remaining_after * step - 2 * unplaced_level_sum
+        for u in (starts if depth == 0 else range(p)):
+            if placed[u]:
+                continue
+            if not placed[twin_prev[u]]:
+                pruned_twin += 1
+                continue
+            lab = req[u]
+            if lab + remaining_after >= best:
+                pruned_remaining += 1
+                continue
+            lu = level[u]
+            if remaining_after and \
+                    lab + suffix_base + lu + (lo2 if lu == lo1 else lo1) >= best:
+                pruned_suffix += 1
+                continue
+            if nodes == next_check:
+                if nodes == node_limit:
+                    halted = limited = True
+                    return
+                next_check = min(nodes + LIMIT_CHECK_INTERVAL, node_limit)
+            nodes += 1
+            order[depth] = u
+            placed[u] = True
+            unplaced_at_level[lu] -= 1
+            unplaced_level_sum -= lu
+            snap = saved[depth]
+            du = dist[u]
+            for v in range(p):
+                snap[v] = req[v]
+                if not placed[v]:
+                    need = lab + diam + 1 - du[v]
+                    if need > req[v]:
+                        req[v] = need
+            extend(depth + 1, lab)
+            placed[u] = False
+            unplaced_at_level[lu] += 1
+            unplaced_level_sum += lu
+            for v in range(p):
+                req[v] = snap[v]
+            if halted:
+                return
+
+    extend(0, 0)
+    pruned = {"twin": pruned_twin, "remaining": pruned_remaining,
+              "suffix_bound": pruned_suffix}
+    return best, best_order, nodes, pruned, not limited
+
+
+def exact_rn_reference(tree, max_nodes):
+    """(rn, witness labels, nodes, pruned, completed, lower_bound)."""
+    m = metrics(tree)
+    dist = distance_matrix(tree)
+    seed = greedy_label_from_order(m, tuple(range(tree.p)))
+    seed_order = sorted(seed.labels, key=seed.labels.get)
+    starts = start_representatives_reference(tree)
+    twin_prev = solver._twin_prev(tree.adjacency)
+    proven, target = solver._probe_bounds(m)
+
+    def search(ub, ub_order, floor, budget):
+        return search_reference(tree.p, dist, m.diameter, m.level, m.epsilon, starts,
+                                twin_prev, ub, ub_order, floor, budget)
+
+    best, best_order, nodes, pruned, completed = search(
+        target + 1, None, proven, max_nodes)
+    lower_bound = proven
+    if completed and best_order is None:
+        lower_bound = target + 1
+        budget = None if max_nodes is None else max_nodes - nodes
+        best, best_order, more, more_pruned, completed = search(
+            seed.span, seed_order, lower_bound, budget)
+        nodes += more
+        pruned = {rule: pruned[rule] + more_pruned[rule] for rule in pruned}
+    elif not completed and (best_order is None or seed.span < best):
+        best, best_order = seed.span, seed_order
+    if completed:
+        lower_bound = best
+    labels = greedy_label_from_order(m, tuple(best_order)).labels
+    return best, labels, nodes, pruned, completed, lower_bound
+
+
+# --- the grid -----------------------------------------------------------------
+
+
+def random_tree(p, rng):
+    """Vertex i hangs from a random j < i."""
+    return build_tree([(i, rng.randrange(i)) for i in range(1, p)])
+
+
+def star(k):
+    return build_tree([(0, i) for i in range(1, k + 1)])
+
+
+def solver_grid():
+    trees = []
+    for p in range(2, 12):
+        rng = random.Random(f"solver-grid/{p}")
+        trees += [random_tree(p, rng) for _ in range(25)]
+    trees += [gen_random_two_branch(n, seed).tree
+              for n in range(4, 12) for seed in range(6)]
+    trees += [star(k) for k in range(1, 11)]
+    trees += [inst.tree for inst in (
+        gen_path(9), gen_path(10), gen_caterpillar(5, 1), gen_caterpillar(6, 1),
+        gen_caterpillar(4, 2), gen_levelwise(2, (2, 4)), gen_lmh(2, 2, 2))]
+    return trees
+
+
+def outcome(tree, max_nodes):
+    res = exact_rn(tree, max_nodes=max_nodes, timeout_s=None)
+    return (res.rn, res.witness.labels, res.stats.nodes, dict(res.stats.pruned),
+            res.stats.completed, res.stats.lower_bound)
+
+
+class TestSearchAgainstReference:
+    @pytest.mark.parametrize("max_nodes", [None, 50, 7, 1])
+    def test_seeded_grid(self, max_nodes):
+        for tree in solver_grid():
+            assert outcome(tree, max_nodes) == exact_rn_reference(tree, max_nodes)
+
+    @pytest.mark.parametrize("max_nodes", [None, 10_000, 100])
+    def test_p12_tree_above_its_improved_bound(self, max_nodes):
+        # rn 45 = improved bound + 3, 90,537 nodes unbounded: both phases run
+        tree = gen_random_two_branch(12, 1).tree
+        assert outcome(tree, max_nodes) == exact_rn_reference(tree, max_nodes)
+
+    def test_grid_reaches_every_phase(self):
+        # at a budget of 50 nodes, some searches settle and some stop, each
+        # in the probe and in the downward search
+        phases = set()
+        for tree in solver_grid():
+            rn, _, _, _, completed, lower_bound = exact_rn_reference(tree, 50)
+            proven, target = solver._probe_bounds(metrics(tree))
+            in_probe = rn <= target if completed else lower_bound == proven
+            phases.add((completed, in_probe))
+        assert phases == {(True, True), (True, False), (False, True), (False, False)}
+
+
+class TestStartRepresentatives:
+    def check(self, tree):
+        reps = solver._start_representatives(metrics(tree))
+        assert reps == start_representatives_reference(tree)
+        return reps
+
+    def test_random_trees(self):
+        rng = random.Random(5)
+        for p in range(2, 61):
+            for _ in range(5):
+                self.check(random_tree(p, rng))
+
+    @pytest.mark.parametrize("inst", [
+        gen_caterpillar(5, 2), gen_caterpillar(6, 3), gen_caterpillar(7, 1),
+        gen_levelwise(2, (2, 3)), gen_levelwise(2, (2, 3, 2)), gen_levelwise(1, (3, 2)),
+        gen_lmh(2, 3, 3), gen_lmh(1, 2, 4), gen_path(8), gen_path(11), gen_path(30),
+    ], ids=lambda inst: inst.name)
+    def test_family_trees(self, inst):
+        self.check(inst.tree)
+
+    def test_one_and_two_centers_both_covered(self):
+        sizes = {len(metrics(inst.tree).weight_centers)
+                 for inst in (gen_caterpillar(5, 2), gen_levelwise(2, (2, 3)))}
+        assert sizes == {1, 2}
+
+    @pytest.mark.parametrize("edges, reps", [
+        # a path 0-2-3 below center 0, leaves 4 and 5 on center 1: the
+        # halves differ, so both centers are returned
+        ([(0, 1), (0, 2), (2, 3), (1, 4), (1, 5)], [0, 1, 2, 3, 4]),
+        # P_6 numbered from the middle: the halves are mirror images
+        ([(0, 1), (0, 2), (2, 3), (1, 4), (4, 5)], [0, 2, 3]),
+    ])
+    def test_bicentral_trees(self, edges, reps):
+        tree = build_tree(edges)
+        assert metrics(tree).weight_centers == {0, 1}
+        assert self.check(tree) == reps

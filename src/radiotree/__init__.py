@@ -2,7 +2,6 @@
 an exact solver for small instances."""
 
 from .bounds import (
-    BoundReport,
     bound_report,
     certify_tightness,
     liu_bound_even,
@@ -48,7 +47,6 @@ from .families import (
     proof_order_lmh,
     rn_binary,
     rn_caterpillar,
-    rn_formula,
     rn_levelwise,
     rn_lmh,
     rn_path,
@@ -78,7 +76,6 @@ from .orders import (
 from .solver import (
     SolveResult,
     SolveStats,
-    exact_matches_formula,
     exact_rn,
     kernel_name,
 )
@@ -86,13 +83,10 @@ from .tree import (
     Tree,
     TreeMetrics,
     build_tree,
-    delta,
-    distance_by_levels,
     distance_matrix,
     format_tree_text,
     metrics,
     parse_tree_text,
-    phi,
 )
 
 __version__ = "0.1.0"

@@ -25,7 +25,6 @@ over the level sets of the two components of T - x.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import (
@@ -37,7 +36,7 @@ from .errors import (
 )
 from .labelling import RadioLabelling, label_from_order, verify_labelling
 from .orders import a_sequence, check_condition_a, check_condition_b, check_order
-from .tree import Tree, TreeMetrics, _bfs
+from .tree import CENTER_BRANCH, TreeMetrics
 
 
 def lower_bound_basic(m: TreeMetrics) -> int:
@@ -113,55 +112,49 @@ def certify_tightness(m: TreeMetrics, order: Sequence) -> RadioLabelling:
     return lab
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """All bound values and tightness flags for one tree."""
-
-    p: int
-    diameter: int
-    epsilon: int
-    total_level: int
-    remote_count: int
-    xi: int
-    basic: int | None  # None when d < 2
-    improved: int | None  # None unless two-branch
-    strict_gap: bool | None  # None unless two-branch
-
-
-def bound_report(m: TreeMetrics) -> BoundReport:
-    """The bounds that apply to ``m``; the others are None."""
+def bound_report(m: TreeMetrics) -> dict:
+    """The metrics and bounds of ``m``, as the CLI reports them: a bound that
+    does not apply (all three below diameter 2, the improved bound and the
+    strict gap on a tree that is not two-branch) is None."""
     basic = improved = gap = None
     if m.diameter >= 2:
         basic = lower_bound_basic(m)
     if m.two_branch:  # implies d >= 2
         improved = lower_bound_improved(m)
         gap = strict_gap_predicate(m)
-    return BoundReport(
-        p=m.p,
-        diameter=m.diameter,
-        epsilon=m.epsilon,
-        total_level=m.total_level,
-        remote_count=len(m.remote_set),
-        xi=m.xi,
-        basic=basic,
-        improved=improved,
-        strict_gap=gap,
-    )
+    return {
+        "p": m.p,
+        "diameter": m.diameter,
+        "weight_centers": sorted(m.weight_centers),
+        "epsilon": m.epsilon,
+        "total_level": m.total_level,
+        "remote_count": len(m.remote_set),
+        "xi": m.xi,
+        "two_branch": m.two_branch,
+        "bound_basic": basic,
+        "bound_improved": improved,
+        "strict_gap": gap,
+    }
 
 
 # --- comparison bounds for trees with a degree-2 weight center -------------
 
-def _split_at(tree: Tree, x: int) -> list:
-    """Level sets of the two components of T - x: list of two dicts
-    depth -> count, one per neighbour of x in ascending order (depth is the
-    distance from x)."""
-    dist, parent, order = _bfs(tree.adjacency, [x])
-    sides = {s: Counter() for s in tree.adjacency[x]}
-    side = {}  # vertex -> the neighbour of x it hangs from
-    for v in order[1:]:
-        side[v] = v if parent[v] == x else side[parent[v]]
-        sides[side[v]][dist[v]] += 1
-    return [dict(c) for c in sides.values()]
+def _sides_at(m: TreeMetrics, x: int) -> list:
+    """Level sets of the two components of T - x, for a degree-2 weight
+    center x: a Counter depth -> count per neighbour of x in ascending order,
+    depth being the distance from x.  They are read off the levels.  With
+    one center, the sides are x's two branches, at depth L(v).  With two,
+    x's own side is its one branch, at depth L(v), and the other side is
+    every vertex nearer the other center, at depth L(v) + 1."""
+    center_of, branch = m.center_of, m.branch_id
+    sides = {branch[s] if center_of[s] == x else CENTER_BRANCH: Counter()
+             for s in m.tree.adjacency[x]}
+    for v, (c, b, l) in enumerate(zip(center_of, branch, m.level)):
+        if c != x:
+            sides[CENTER_BRANCH][l + 1] += 1
+        elif v != x:
+            sides[b][l] += 1
+    return list(sides.values())
 
 
 def _check_omega_vertex(m: TreeMetrics, x: int) -> None:
@@ -171,8 +164,8 @@ def _check_omega_vertex(m: TreeMetrics, x: int) -> None:
 
 
 def liu_bound_even(m: TreeMetrics, x: int) -> int:
-    """Earlier lower bound for even diameter 2*dh and a degree-2 weight
-    center x.
+    """Earlier lower bound for even diameter 2*dh (dh >= 2) and a degree-2
+    weight center x.
 
     With L_i, R_i the level sets of the two components of T - x: when both
     components reach depth dh, the bound is (p-1)(2dh+1) - 2w(x) +
@@ -184,7 +177,10 @@ def liu_bound_even(m: TreeMetrics, x: int) -> int:
     if m.diameter % 2 != 0:
         raise NotOmegaTree(f"even-diameter bound on diameter {m.diameter}")
     dh = m.diameter // 2
-    side_a, side_b = _split_at(m.tree, x)
+    if dh < 2:
+        # the one such tree with d = 2 is P_3, whose rn 3 is below the formula's 4
+        raise DHalfTooSmall(f"even-diameter bound needs half-diameter >= 2, got {dh}")
+    side_a, side_b = _sides_at(m, x)
     w = m.vertex_weight[x]
     base = (m.p - 1) * (2 * dh + 1) - 2 * w
     ca, cb = side_a.get(dh, 0), side_b.get(dh, 0)
@@ -193,7 +189,7 @@ def liu_bound_even(m: TreeMetrics, x: int) -> int:
             return base + max(ca, cb)
         return base + 1 + cb
     right = side_b if cb else side_a
-    h = max(right) if right else 0
+    h = max(right)
     total = sum((2 * i + 1) * right.get(dh + i, 0) for i in range(0, h - dh + 1))
     return base + max(-((2 - total) // 2), 1)
 
@@ -213,7 +209,7 @@ def liu_bound_odd(m: TreeMetrics, x: int) -> int:
     dh = m.diameter // 2
     if dh < 2:
         raise DHalfTooSmall(f"odd-diameter bound needs half-diameter >= 2, got {dh}")
-    side_a, side_b = _split_at(m.tree, x)
+    side_a, side_b = _sides_at(m, x)
     deep_a = max(side_a) > dh
     deep_b = max(side_b) > dh
     if deep_a == deep_b:

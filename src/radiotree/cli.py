@@ -67,23 +67,6 @@ def _read_order(path: str) -> tuple:
     return tuple(ids)
 
 
-def _base_report(m) -> dict:
-    rep = bound_report(m)
-    return {
-        "p": rep.p,
-        "diameter": rep.diameter,
-        "weight_centers": sorted(m.weight_centers),
-        "epsilon": rep.epsilon,
-        "total_level": rep.total_level,
-        "remote_count": rep.remote_count,
-        "xi": rep.xi,
-        "two_branch": m.two_branch,
-        "bound_basic": rep.basic,
-        "bound_improved": rep.improved,
-        "strict_gap": rep.strict_gap,
-    }
-
-
 def _emit(report: dict, as_json: bool) -> None:
     if as_json:
         print(json.dumps(report, indent=2))
@@ -116,7 +99,7 @@ def _dot(tree: Tree, names: dict | None = None,
 
 def cmd_analyze(args) -> int:
     tree = _read_tree(args.tree)
-    report = _base_report(metrics(tree))
+    report = bound_report(metrics(tree))
     _emit(report, args.json)
     return EXIT_OK
 
@@ -124,7 +107,7 @@ def cmd_analyze(args) -> int:
 def cmd_bounds(args) -> int:
     tree = _read_tree(args.tree)
     m = metrics(tree)
-    report = _base_report(m)
+    report = bound_report(m)
     if args.compare:
         if args.center is not None:
             x = args.center
@@ -148,7 +131,7 @@ def cmd_certify(args) -> int:
     tree = _read_tree(args.tree)
     m = metrics(tree)
     order = _read_order(args.order)
-    report = _base_report(m)
+    report = bound_report(m)
     try:
         lab = certify_tightness(m, order)
         report["certification"] = {"certified": True, "stage": None, "span": lab.span}
@@ -198,7 +181,7 @@ def cmd_verify(args) -> int:
 def cmd_exact(args) -> int:
     tree = _read_tree(args.tree)
     m = metrics(tree)
-    report = _base_report(m)
+    report = bound_report(m)
     try:
         res = exact_rn(tree, max_order=args.max_order, timeout_s=args.timeout_s,
                        max_nodes=args.max_nodes)
@@ -246,6 +229,10 @@ def cmd_gen(args) -> int:
         print("--with-order requires -o", file=sys.stderr)
         return EXIT_USAGE
     inst = _gen_instance(args)
+    if inst.tree.p < 2:
+        print(f"{inst.name} has no edge, and the edge-list format writes a tree "
+              "as its edges: it needs at least one", file=sys.stderr)
+        return EXIT_INPUT
     # the order first: a failure leaves no tree file behind
     order = _proof_order(inst) if args.with_order else None
     if args.dot:
@@ -269,7 +256,7 @@ def cmd_gen(args) -> int:
 def cmd_demo(args) -> int:
     inst = _gen_instance(args)
     m = metrics(inst.tree)
-    report = {"family": inst.name, **_base_report(m)}
+    report = {"family": inst.name, **bound_report(m)}
     try:
         # proof_order_* returns only an order that certify_tightness has
         # certified, at the span of the improved bound; it reuses m

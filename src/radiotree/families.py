@@ -442,23 +442,6 @@ def _random_names(n: int, seed: int) -> dict:
     return {str(v): v for v in range(n)}
 
 
-# --- closed-form dispatcher ------------------------------------------------
-
-def rn_formula(family: str, **params) -> int:
-    """Evaluate a family's closed-form radio number."""
-    if family == "path":
-        return rn_path(params["n"])
-    if family == "caterpillar":
-        return rn_caterpillar(params["n"], params["k"])
-    if family == "levelwise":
-        return rn_levelwise(params["z"], params["degrees"])
-    if family == "binary":
-        return rn_binary(params["h"])
-    if family == "lmh":
-        return rn_lmh(params["z"], params["m"], params["h"])
-    raise OutOfRange(f"unknown family {family!r}")
-
-
 # --- the families by their command-line key ----------------------------------
 #
 # key: (generator, its parameters in order, names builder taking the same

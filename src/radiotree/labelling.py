@@ -38,7 +38,7 @@ from .errors import (
     NotTwoBranch,
 )
 from .orders import ASequence, _as_order, _labels
-from .tree import Tree, TreeMetrics, _bfs, delta, phi
+from .tree import Tree, TreeMetrics, _bfs, _delta, _phi
 
 
 @dataclass(frozen=True)
@@ -288,7 +288,7 @@ def jf_profile(m: TreeMetrics, labelling: RadioLabelling) -> JfProfile:
         u, v = seq[i], seq[i + 1]
         jf = (labels[v] - labels[u]) + m.distance(u, v) - (diam + 1)
         steps.append(jf)
-        sigma += jf + 2 * phi(m, u, v) - delta(m, u, v)
+        sigma += jf + 2 * _phi(m, u, v) - _delta(m, u, v)
     p = m.p
     first, last = seq[0], seq[-1]
     identity = (p - 1) * (diam + 1) - 2 * m.total_level \

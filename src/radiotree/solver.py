@@ -352,10 +352,3 @@ def exact_rn(tree: Tree, max_order: int = DEFAULT_MAX_ORDER,
                          pruned=pruned, lower_bound=lower_bound),
     )
 
-
-def exact_matches_formula(family_instance, formula_value: int,
-                          max_order: int = DEFAULT_MAX_ORDER,
-                          timeout_s: float | None = DEFAULT_TIMEOUT_S) -> bool:
-    """True iff the exact radio number of the instance equals the closed form."""
-    tree = getattr(family_instance, "tree", family_instance)
-    return exact_rn(tree, max_order=max_order, timeout_s=timeout_s).rn == formula_value

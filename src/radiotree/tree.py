@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from itertools import chain, islice
 from typing import Iterable, Sequence
 
-from .errors import BadEdge, BadVertex, DiameterTooSmall, NotATree, SparseIds
+from .errors import BadEdge, BadVertex, NotATree, SparseIds
 
 CENTER_BRANCH = -1  # sentinel branch id carried by weight centers
 
@@ -309,19 +309,11 @@ def metrics(tree: Tree) -> TreeMetrics:
     )
 
 
-def phi(m: TreeMetrics, u: int, v: int) -> int:
-    """Highest level on the common part of the two center-to-vertex paths:
-    climb from the deeper vertex until the paths meet."""
-    m.tree.check_vertex(u)
-    m.tree.check_vertex(v)
-    return _phi(m, u, v)
-
-
 def _phi(m: TreeMetrics, u: int, v: int) -> int:
-    """:func:`phi` on vertices already checked.
-
-    Paths into different branches of T - W share at most their center, at
-    level 0, so only a pair inside one branch climbs.
+    """Highest level on the common part of the two center-to-vertex paths,
+    for vertices already checked: climb from the deeper vertex until the
+    paths meet.  Paths into different branches of T - W share at most their
+    center, at level 0, so only a pair inside one branch climbs.
     """
     if m.branch_id[u] != m.branch_id[v] or m.center_of[u] != m.center_of[v]:
         return 0  # different branches, or the two centers
@@ -335,23 +327,10 @@ def _phi(m: TreeMetrics, u: int, v: int) -> int:
     return level[u]
 
 
-def delta(m: TreeMetrics, u: int, v: int) -> int:
-    """1 iff there are two weight centers and the u-v path crosses both."""
-    m.tree.check_vertex(u)
-    m.tree.check_vertex(v)
-    return _delta(m, u, v)
-
-
 def _delta(m: TreeMetrics, u: int, v: int) -> int:
-    """:func:`delta` on vertices already checked."""
+    """1 iff there are two weight centers and the u-v path crosses both
+    (vertices already checked)."""
     return 1 if m.center_of[u] != m.center_of[v] else 0
-
-
-def distance_by_levels(m: TreeMetrics, u: int, v: int) -> int:
-    """:meth:`TreeMetrics.distance`, under the paper's hypothesis d >= 2."""
-    if m.diameter < 2:
-        raise DiameterTooSmall(f"level distance identity needs diameter >= 2, got {m.diameter}")
-    return m.distance(u, v)
 
 
 # --- tree text format ------------------------------------------------------

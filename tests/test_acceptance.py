@@ -7,7 +7,6 @@ import random
 from radiotree import (
     build_tree,
     certify_tightness,
-    distance_by_levels,
     distance_matrix,
     exact_rn,
     gen_caterpillar,
@@ -23,7 +22,7 @@ from radiotree import (
     proof_order_caterpillar,
     proof_order_levelwise,
     proof_order_lmh,
-    rn_formula,
+    rn_path,
     strict_gap_predicate,
 )
 
@@ -35,7 +34,7 @@ def path(n):
 def test_criterion_1_path_radio_numbers():
     expected = {4: 5, 5: 10, 6: 13, 7: 20, 8: 25, 9: 34, 10: 41}
     for n in range(4, 11):
-        formula = rn_formula("path", n=n)
+        formula = rn_path(n)
         assert formula == expected[n]
         assert exact_rn(path(n)).rn == formula, f"P_{n}"
     print("CRITERION 1 PASS: exact_rn(P_n) == closed form for n = 4..10")
@@ -124,7 +123,7 @@ def test_criterion_7_property_suite():
         dist = distance_matrix(tree)
         for u in range(n):
             for v in range(u + 1, n):
-                assert distance_by_levels(m, u, v) == dist[u][v]
+                assert m.distance(u, v) == dist[u][v]
 
     # (ii)+(iii) 200 seeded two-branch trees with d >= 4, p <= 9
     seen = 0

@@ -1,4 +1,6 @@
+import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -17,6 +19,7 @@ from radiotree import (
     check_condition_a,
     check_condition_b,
     check_order,
+    exact_rn,
     gen_caterpillar,
     gen_levelwise,
     gen_lmh,
@@ -31,6 +34,7 @@ from radiotree import (
     strict_gap_predicate,
 )
 from radiotree import bounds, orders
+from radiotree.tree import _bfs, _decode_pruefer
 
 
 def path_metrics(n):
@@ -193,18 +197,18 @@ class TestOneOrderCheck:
 class TestBoundReport:
     def test_p9(self):
         rep = bound_report(path_metrics(9))
-        assert (rep.basic, rep.improved, rep.strict_gap) == (33, 34, True)
-        assert (rep.p, rep.diameter, rep.epsilon) == (9, 8, 1)
+        assert (rep["bound_basic"], rep["bound_improved"], rep["strict_gap"]) == (33, 34, True)
+        assert (rep["p"], rep["diameter"], rep["epsilon"]) == (9, 8, 1)
 
     def test_not_two_branch_fields_absent(self):
         rep = bound_report(metrics(build_tree([(0, 1), (0, 2), (0, 3)])))
-        assert rep.improved is None and rep.strict_gap is None
+        assert rep["bound_improved"] is None and rep["strict_gap"] is None
 
     def test_diameter_below_two_fields_absent(self):
         m = metrics(build_tree([(0, 1)]))
         rep = bound_report(m)
-        assert (rep.basic, rep.improved, rep.strict_gap) == (None, None, None)
-        assert (rep.p, rep.diameter) == (2, 1)
+        assert (rep["bound_basic"], rep["bound_improved"], rep["strict_gap"]) == (None, None, None)
+        assert (rep["p"], rep["diameter"]) == (2, 1)
         with pytest.raises(DiameterTooSmall):
             lower_bound_basic(m)
 
@@ -246,3 +250,72 @@ class TestComparisonBounds:
         tree = build_tree([(i, i + 1) for i in range(3)])
         with pytest.raises(DHalfTooSmall):
             liu_bound_odd(metrics(tree), 1)
+
+    def test_even_needs_half_diameter_two(self):
+        # P_3 has rn 3; the even formula would give 4
+        tree = build_tree([(0, 1), (1, 2)])
+        with pytest.raises(DHalfTooSmall):
+            liu_bound_even(metrics(tree), 1)
+
+
+def random_tree(p, seed):
+    """A uniform labelled tree on p vertices, from a seeded Pruefer sequence."""
+    rng = random.Random(seed)
+    return _decode_pruefer([rng.randrange(p) for _ in range(p - 2)])
+
+
+def comparison_bound(m, x):
+    """The comparison bound at x that `bounds --compare` reports, or None
+    where it refuses the tree."""
+    liu = liu_bound_even if m.diameter % 2 == 0 else liu_bound_odd
+    try:
+        return liu(m, x)
+    except DHalfTooSmall:
+        return None
+
+
+def omega_centers(m):
+    return [x for x in sorted(m.weight_centers) if len(m.tree.adjacency[x]) == 2]
+
+
+def split_at_reference(tree, x):
+    """Level sets of the two components of T - x by a BFS from x: the split
+    the comparison bounds computed before they read it off TreeMetrics."""
+    dist, parent, order = _bfs(tree.adjacency, [x])
+    sides = {s: Counter() for s in tree.adjacency[x]}
+    side = {}  # vertex -> the neighbour of x it hangs from
+    for v in order[1:]:
+        side[v] = v if parent[v] == x else side[parent[v]]
+        sides[side[v]][dist[v]] += 1
+    return [dict(c) for c in sides.values()]
+
+
+class TestComparisonBoundsAreLowerBounds:
+    def test_at_most_exact_rn_on_seeded_grid(self):
+        checked = 0
+        for p in range(3, 11):
+            for seed in range(60):
+                m = metrics(random_tree(p, 1000 * p + seed))
+                values = [comparison_bound(m, x) for x in omega_centers(m)]
+                values = [v for v in values if v is not None]
+                if values:
+                    rn = exact_rn(m.tree).rn
+                    assert all(v <= rn for v in values), (p, seed, values, rn)
+                    checked += 1
+        assert checked >= 140
+
+
+class TestSidesFromLevels:
+    def test_match_bfs_split_and_bounds(self, monkeypatch):
+        pairs = []
+        for p in range(4, 40):
+            for seed in range(12):
+                m = metrics(random_tree(p, seed))
+                pairs += [(m, x) for x in omega_centers(m)]
+        assert {len(m.weight_centers) for m, _ in pairs} == {1, 2}
+        new = [comparison_bound(m, x) for m, x in pairs]
+        for m, x in pairs:
+            assert [dict(c) for c in bounds._sides_at(m, x)] == split_at_reference(m.tree, x)
+        monkeypatch.setattr(bounds, "_sides_at", lambda m, x: split_at_reference(m.tree, x))
+        assert [comparison_bound(m, x) for m, x in pairs] == new
+        assert sum(v is not None for v in new) >= 100

@@ -119,6 +119,14 @@ class TestBounds:
         assert code == 0
         assert rep["comparison"] == {"x": 2, "value": 13, "line": "odd"}
 
+    def test_compare_refuses_p3(self, capsys, tmp_path):
+        # the even formula gives 4 on P_3, above its rn 3
+        path = tmp_path / "p3.txt"
+        path.write_text("0 1\n1 2\n")
+        assert main(["bounds", str(path), "--compare", "--json"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "DHalfTooSmall" in err
+
 
 class TestCertify:
     def test_good_order(self, capsys, tmp_path):
@@ -382,6 +390,18 @@ class TestGen:
 
     def test_bad_params(self, capsys):
         assert main(["gen", "caterpillar", "--n", "2", "--k", "1"]) == 3
+
+    def test_tree_without_edge_is_refused(self, capsys, tmp_path):
+        out_file = tmp_path / "p1.txt"
+        assert main(["gen", "path", "--n", "1", "-o", str(out_file)]) == 3
+        assert "edge-list format" in capsys.readouterr().err
+        assert not out_file.exists()
+
+    def test_one_edge_round_trip(self, capsys, tmp_path):
+        out_file = tmp_path / "p2.txt"
+        assert main(["gen", "path", "--n", "2", "-o", str(out_file)]) == 0
+        code, rep = run_json(capsys, ["analyze", str(out_file), "--json"])
+        assert code == 0 and (rep["p"], rep["diameter"]) == (2, 1)
 
     @pytest.mark.parametrize("argv", [
         ["path"],

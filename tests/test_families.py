@@ -23,7 +23,6 @@ from radiotree import (
     proof_order_lmh,
     rn_binary,
     rn_caterpillar,
-    rn_formula,
     rn_levelwise,
     rn_lmh,
     rn_path,
@@ -677,22 +676,21 @@ class TestRandomTwoBranch:
 
 
 class TestRnFormula:
+    """Closed forms as FAMILIES' generators attach them to their instances."""
+
     def test_path(self):
-        assert rn_formula("path", n=7) == 20
+        assert families.FAMILIES["path"][0](7).closed_form_rn == 20
 
     def test_binary(self):
-        assert rn_formula("binary", h=3) == 35
+        # T^1_{2,3,3}, the complete binary tree of height 3
+        assert rn_binary(3) == 35 == gen_levelwise(1, (2, 3, 3)).closed_form_rn
 
     def test_lmh(self):
         # one lower than the occasionally-quoted 46; see rn_lmh docstring
-        assert rn_formula("lmh", z=2, m=3, h=3) == 45
+        assert families.FAMILIES["lmh"][0](2, 3, 3).closed_form_rn == 45
 
     def test_caterpillar(self):
-        assert rn_formula("caterpillar", n=3, k=1) == 10
-
-    def test_unknown_family(self):
-        with pytest.raises(OutOfRange):
-            rn_formula("spider", legs=3)
+        assert families.FAMILIES["caterpillar"][0](3, 1).closed_form_rn == 10
 
 
 WALK_GRID = (

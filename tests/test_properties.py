@@ -6,7 +6,6 @@ from radiotree import (
     a_sequence,
     build_tree,
     check_condition_b,
-    distance_by_levels,
     distance_matrix,
     exact_rn,
     gen_random_two_branch,
@@ -47,7 +46,7 @@ def test_distance_identity_matches_bfs(params):
     dist = distance_matrix(tree)
     for u in range(n):
         for v in range(n):
-            assert distance_by_levels(m, u, v) == dist[u][v]
+            assert m.distance(u, v) == dist[u][v]
 
 
 @given(st.tuples(st.integers(3, 8), st.integers(0, 10**6), st.randoms()))

@@ -9,7 +9,6 @@ from radiotree import (
     OrderTooLarge,
     build_tree,
     distance_matrix,
-    exact_matches_formula,
     exact_rn,
     gen_caterpillar,
     gen_levelwise,
@@ -278,8 +277,8 @@ class TestPruneCounters:
 
 class TestAdapters:
     def test_exact_matches_formula(self):
-        assert exact_matches_formula(gen_path(7), rn_path(7))
-        assert not exact_matches_formula(gen_path(7), rn_path(7) + 1)
+        inst = gen_path(7)
+        assert exact_rn(inst.tree).rn == inst.closed_form_rn == rn_path(7)
 
 
 class TestMonotonicity:

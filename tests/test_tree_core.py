@@ -6,20 +6,16 @@ from hypothesis import assume, example, given, settings, strategies as st
 from radiotree import (
     BadEdge,
     BadVertex,
-    DiameterTooSmall,
     NotATree,
     SparseIds,
     Tree,
     build_tree,
-    delta,
-    distance_by_levels,
     distance_matrix,
     format_tree_text,
     metrics,
     parse_tree_text,
-    phi,
 )
-from radiotree.tree import _make_tree
+from radiotree.tree import _delta, _make_tree, _phi
 from test_labelling import relabelled_trees
 
 
@@ -230,26 +226,25 @@ class TestDistance:
 
 class TestPhiDelta:
     def test_phi_p5_near(self):
-        assert phi(metrics(path(5)), 0, 1) == 1
+        assert _phi(metrics(path(5)), 0, 1) == 1
 
     def test_phi_p5_opposite(self):
-        assert phi(metrics(path(5)), 0, 4) == 0
+        assert _phi(metrics(path(5)), 0, 4) == 0
 
     def test_phi_p4_opposite(self):
-        assert phi(metrics(path(4)), 0, 3) == 0
+        assert _phi(metrics(path(4)), 0, 3) == 0
 
     def test_delta_p4_crossing(self):
-        assert delta(metrics(path(4)), 0, 3) == 1
+        assert _delta(metrics(path(4)), 0, 3) == 1
 
     def test_delta_single_center(self):
         m = metrics(path(5))
-        assert all(delta(m, u, v) == 0 for u in range(5) for v in range(5))
+        assert all(_delta(m, u, v) == 0 for u in range(5) for v in range(5))
 
     def test_delta_p4_same_side(self):
-        assert delta(metrics(path(4)), 0, 1) == 0
+        assert _delta(metrics(path(4)), 0, 1) == 0
 
-    @pytest.mark.parametrize("fn", [phi, delta, lambda m, u, v: m.distance(u, v)],
-                             ids=["phi", "delta", "distance"])
+    @pytest.mark.parametrize("fn", [lambda m, u, v: m.distance(u, v)], ids=["distance"])
     @pytest.mark.parametrize("bad", [-1, 4, True, 1.0, "0"])
     def test_bad_vertex_raises(self, fn, bad):
         m = metrics(path(4))
@@ -273,20 +268,18 @@ class TestPhiDelta:
 
 
 class TestDistanceByLevels:
+    """TreeMetrics.distance, the level identity L(u) + L(v) - 2 phi + delta."""
+
     def test_p5(self):
         m = metrics(path(5))
-        assert distance_by_levels(m, 0, 1) == 1
+        assert m.distance(0, 1) == 1
 
     def test_p4_crossing(self):
         m = metrics(path(4))
-        assert distance_by_levels(m, 0, 3) == 3
+        assert m.distance(0, 3) == 3
 
     def test_identity(self):
-        assert distance_by_levels(metrics(path(5)), 2, 2) == 0
-
-    def test_needs_diameter_two(self):
-        with pytest.raises(DiameterTooSmall):
-            distance_by_levels(metrics(path(2)), 0, 1)
+        assert metrics(path(5)).distance(2, 2) == 0
 
     def test_matches_bfs_on_small_trees(self):
         for edges in [
@@ -299,7 +292,7 @@ class TestDistanceByLevels:
             d = distance_matrix(t)
             for u in range(t.p):
                 for v in range(t.p):
-                    assert distance_by_levels(m, u, v) == d[u][v]
+                    assert m.distance(u, v) == d[u][v]
 
 
 def random_tree(p, seed):

@@ -11,9 +11,10 @@ largest label.  Three routes to a labelling live here:
   completion of that order never has a larger span, so searching orders with
   greedy completion is exact);
 * :func:`verify_labelling` — the independent checker everything else is
-  audited against; it computes its own distances (no :class:`TreeMetrics`)
-  and checks only the pairs that can fail, those within a label gap below
-  the diameter.
+  audited against; it computes its own distances (no :class:`TreeMetrics`).
+  One pass over the vertices in label order decides whether any pair
+  violates; only when one does, a windowed scan over the pairs within a
+  label gap below the diameter names the first violating pair.
 
 :func:`jf_profile` reports the per-step slack ``J_f`` and the aggregate
 ``sigma`` that appear in the span decomposition
@@ -87,27 +88,21 @@ def label_from_order(m: TreeMetrics, order: Sequence, aseq: ASequence) -> RadioL
 
 
 def verify_labelling(tree: Tree, labelling: RadioLabelling) -> tuple:
-    """Check the radio condition on every pair that can fail.
-
-    Distinct vertices are at distance >= 1, so a pair whose labels differ by
-    ``diam`` or more meets ``|f(u) - f(v)| >= diam + 1 - d(u, v)``.  The
-    vertices are sorted by label and each is compared only with its
-    successors while the label gap is below ``diam``: with distinct labels
-    that is at most ``diam - 1`` successors per vertex, O(p * diam) pairs.
-    Equal labels always violate (``d <= diam``), so before any distance is
-    computed each block of equal labels yields a violation, its two smallest
-    vertices.  Only a pair with a vertex at or below the smaller vertex ``a``
-    of the first such violation can come before it, and only those pairs
-    are compared.  The vertices below ``a`` carry distinct labels, so
-    repeated labels stay at O(p * diam) pairs too (all-zero labels compare
-    p - 1).
+    """Check the radio condition ``|f(u) - f(v)| >= diam + 1 - d(u, v)`` on
+    every pair.
 
     Distances come from the verifier's own BFS, not from
     :class:`TreeMetrics` or a distance table: its tree is rerooted at the
     middle vertex of a longest path (found from the same BFS's heights), so
-    depths are at most ``ceil(diam/2)``; a pair in different subtrees of the root is
-    ``depth(u) + depth(v)`` apart, and a pair in one subtree climbs parents
-    to the vertex where the two root paths meet.
+    depths are at most ``ceil(diam/2)``, and a pair in different subtrees
+    of the root is ``depth(u) + depth(v)`` apart.
+
+    Two passes share that oracle.  :func:`_has_violation` decides in one
+    pass over the vertices in label order whether any pair violates, with
+    one test per vertex for all the pairs across subtrees.  A valid labelling,
+    the common case, ends there.  Only when it finds a violation does
+    :func:`_first_violation`, the windowed naming scan, run to report the
+    pair a scan of all pairs would report first.
 
     Returns (ok, pair): ``pair`` is None, or the lexicographically first
     violating (u, v) with u < v, the pair a scan of all pairs would report.
@@ -128,6 +123,8 @@ def verify_labelling(tree: Tree, labelling: RadioLabelling) -> tuple:
     if len(labels) != p:
         missing = [v for v in range(p) if v not in labels]
         raise MissingLabel(f"vertices without labels: {missing}")
+    if not _has_violation(tree.adjacency, labels):
+        return True, None
     first, _ = _first_violation(tree.adjacency, labels)
     return first is None, first
 
@@ -173,10 +170,85 @@ def _middle_rooted(adjacency) -> tuple:
     return diam, depth, up, top
 
 
+def _has_violation(adjacency, lab) -> bool:
+    """The decision pass of :func:`verify_labelling`: does some pair of
+    vertices violate the radio condition under the labels ``lab`` (a dict
+    keyed by the vertex ids)?
+
+    Positions i < j of the label order, with keys ``k_i <= k_j``, fail iff
+    ``k_j - k_i + d(u_i, u_j) <= diam``.  Equal keys always fail, and both
+    tests below catch them.
+
+    * Different subtrees of the middle root: ``d = depth_i + depth_j``, so
+      the pair fails iff ``k_i - depth_i >= k_j + depth_j - diam``.  Every
+      pair has ``d <= depth_i + depth_j``, so a pair in one subtree that
+      meets this test fails too.  And while no pair has failed, ``k - depth``
+      never decreases along the label order: a pair i < w that holds has
+      ``k_w - k_i >= diam + 1 - depth_i - depth_w``, and
+      ``depth_w <= ceil(diam/2)``.  So the test against the previous
+      position answers for every earlier one.
+    * One subtree: each position links to the previous one in its subtree,
+      and the pass walks those links back while the label gap ``g`` is below
+      ``diam`` (a larger gap cannot fail, since ``d >= 1``).  The pair fails
+      iff the two root paths meet at depth at least
+      ``h = ceil((depth_i + depth_j - (diam - g)) / 2)``.  Both vertices lie
+      below the same child of the root, so they meet at depth 1 or deeper:
+      ``h <= 1`` fails at once, ``h`` above either depth cannot fail, and
+      otherwise each side climbs only down to depth ``h``, where the two
+      ancestors are one vertex iff the pair fails.
+    """
+    p = len(adjacency)
+    diam, depth, parent, top = _middle_rooted(adjacency)
+    by_label = sorted(lab, key=lab.__getitem__)  # ties in any order
+    keys = list(map(lab.__getitem__, by_label))
+    last = [-1] * p  # per subtree, by its top: its latest position so far
+    link = [-1] * p  # per position: the previous one in its subtree
+    prev = -diam - 1  # k - depth of the previous position; none yet
+    for j, v in enumerate(by_label):
+        kj, dv, t = keys[j], depth[v], top[v]
+        lo = kj - diam  # positions keyed above lo are within the window
+        if prev >= lo + dv:
+            return True
+        i = link[j] = last[t]
+        last[t] = j
+        while i >= 0 and keys[i] > lo:
+            u = by_label[i]
+            du = depth[u]
+            h = (du + dv + lo - keys[i] + 1) // 2
+            if h <= 1:
+                return True
+            if h <= du and h <= dv:
+                a, b = u, v
+                while depth[a] > h:
+                    a = parent[a]
+                while depth[b] > h:
+                    b = parent[b]
+                if a == b:
+                    return True
+            i = link[i]
+        prev = kj - dv
+    return False
+
+
 def _first_violation(adjacency, lab) -> tuple:
-    """The windowed scan behind :func:`verify_labelling` on the labels
-    ``lab`` (indexed by vertex): ``(first violating pair or None, pairs
-    compared)``.  The count is there for the tests that bound the scan.
+    """The naming scan behind :func:`verify_labelling`, run once
+    :func:`_has_violation` has found a violation, on the labels ``lab``
+    (indexed by vertex): ``(first violating pair or None, pairs compared)``.
+    The count is there for the tests that bound the scan.
+
+    Distinct vertices are at distance >= 1, so a pair whose labels differ by
+    ``diam`` or more cannot fail.  The vertices are sorted by label and each
+    is compared only with its successors while the label gap is below
+    ``diam``: with distinct labels that is at most ``diam - 1`` successors
+    per vertex, O(p * diam) pairs.  Equal labels always violate
+    (``d <= diam``), so before any distance is computed each block of equal
+    labels yields a violation, its two smallest vertices.  Only a pair with
+    a vertex at or below the smaller vertex ``a`` of the first such
+    violation can come before it, and only those pairs are compared.  The
+    vertices below ``a`` carry distinct labels, so repeated labels stay at
+    O(p * diam) pairs too (all-zero labels compare p - 1).  A pair in one
+    subtree of the middle root climbs parents to the vertex where the two
+    root paths meet.
 
     The scan goes by rounds rather than vertex by vertex: round k filters the
     surviving label positions in one list comprehension each, which on the

@@ -30,7 +30,7 @@ from .errors import (
     NotAPermutation,
     NotTwoBranch,
 )
-from .tree import CENTER_BRANCH, TreeMetrics
+from .tree import TreeMetrics
 
 
 @dataclass(frozen=True)
@@ -262,7 +262,9 @@ def _condition_b_core(m: TreeMetrics, seq: tuple, a: tuple) -> tuple:
 
     Distinct vertices are at least 1 apart, so a pair with f_j >= f_i + diam
     cannot fail: it is skipped, and the scan over j stops once the suffix
-    minimum of f is that large.  The first violating pair is still the
+    minimum of f is that large.  A position whose first successor already
+    lies past that point is skipped whole, and a sentinel after the last
+    suffix minimum ends every scan.  The first violating pair is still the
     all-pairs scan's.
 
     ``seq`` must be a permutation of the vertex ids (the callers pass what
@@ -276,28 +278,32 @@ def _condition_b_core(m: TreeMetrics, seq: tuple, a: tuple) -> tuple:
     """
     p = len(seq)
     diam = m.diameter
-    level, distance = m.level, m.distance
+    distance = m.distance
     # per order position: level, part (the branch of T - W, or for a weight
     # center a part of its own) and nearest center
-    lev = [level[v] for v in seq]
-    part = [m.branch_id[v] if m.branch_id[v] != CENTER_BRANCH else -1 - v for v in seq]
-    cen = [m.center_of[v] for v in seq]
+    lev = list(map(m.level.__getitem__, seq))
+    part = list(map(m.branch_id.__getitem__, seq))
+    for c in m.weight_centers:
+        part[seq.index(c)] = -1 - c
+    cen = list(map(m.center_of.__getitem__, seq))
     f = _labels(m, lev, a)
     low = list(accumulate(reversed(f), min))[::-1]  # low[j] = min(f[j:])
+    low.append(max(f) + diam)  # the sentinel: at least every f[i] + diam
     for i in range(p - 1):
         top = f[i] + diam  # (i, j) fails iff f[j] + d(u_i, u_j) <= top
-        lu, pu, cu = lev[i], part[i], cen[i]
-        for j in range(i + 1, p):
-            if low[j] >= top:
-                break
+        j = i + 1
+        if low[j] >= top:
+            continue
+        lim, pu, cu = top - lev[i], part[i], cen[i]
+        while low[j] < top:
             fj = f[j]
-            if fj >= top:
-                continue
-            if pu != part[j]:  # phi = 0
-                if lu + lev[j] + (cu != cen[j]) + fj <= top:
+            if fj < top:
+                if pu != part[j]:  # phi = 0
+                    if lev[j] + (cu != cen[j]) + fj <= lim:
+                        return False, (i, j)
+                elif distance(seq[i], seq[j]) + fj <= top:  # one branch: phi climbs
                     return False, (i, j)
-            elif distance(seq[i], seq[j]) + fj <= top:  # one branch: phi climbs
-                return False, (i, j)
+            j += 1
     return True, None
 
 

@@ -26,8 +26,11 @@ table of :func:`distance_matrix` is built only by the exact solver.
 The independent verifier (:func:`radiotree.labelling.verify_labelling`) uses
 none of this.  It reroots its own BFS tree at the middle vertex of a longest
 path, so every vertex is at depth at most ``ceil(d/2)``: a pair in different
-subtrees of that root is ``depth(u) + depth(v)`` apart, and a pair in one
-subtree climbs parent pointers.  Certification therefore builds no table.
+subtrees of that root is ``depth(u) + depth(v)`` apart.  A pair in one
+subtree with label gap ``g`` violates iff its two root paths meet at depth
+at least ``h = ceil((depth(u) + depth(v) - (d - g)) / 2)``, so each side
+climbs parent pointers only down to depth ``h``, not to the meeting vertex.
+Certification therefore builds no table.
 """
 
 from __future__ import annotations
@@ -212,10 +215,21 @@ class TreeMetrics:
         return self.tree.p
 
     def distance(self, u: int, v: int) -> int:
-        """d(u, v) by the level identity L(u) + L(v) - 2*phi(u, v) + delta(u, v)."""
+        """d(u, v) by the level identity L(u) + L(v) - 2*phi(u, v) + delta(u, v).
+
+        A pair whose nearest centers differ crosses both (delta = 1, phi = 0);
+        a pair in different branches of T - W, or with a weight center in it,
+        meets only at its center (phi = delta = 0).  Only a pair inside one
+        branch calls :func:`_phi`, which climbs parent pointers.
+        """
         self.tree.check_vertex(u)
         self.tree.check_vertex(v)
-        return self.level[u] + self.level[v] - 2 * _phi(self, u, v) + _delta(self, u, v)
+        level = self.level
+        if self.center_of[u] != self.center_of[v]:
+            return level[u] + level[v] + 1
+        if self.branch_id[u] != self.branch_id[v]:
+            return level[u] + level[v]
+        return level[u] + level[v] - 2 * _phi(self, u, v)
 
 
 def metrics(tree: Tree) -> TreeMetrics:
@@ -246,14 +260,13 @@ def metrics(tree: Tree) -> TreeMetrics:
         weights[v] = weights[parent[v]] + p - 2 * size[v]
     weights = tuple(weights)
 
+    # The first center is the smallest id of least weight and a second one
+    # is its neighbour; the count guards "at most two, and adjacent".
     wmin = min(weights)
-    centers = [v for v in range(p) if weights[v] == wmin]
-    if len(centers) > 2:
-        raise AssertionError("more than two weight centers in a tree")
-    if len(centers) == 2:
-        a, b = centers
-        if b not in adj[a]:
-            raise AssertionError("two weight centers must be adjacent")
+    first = weights.index(wmin)
+    centers = [first, *(v for v in adj[first] if weights[v] == wmin)]
+    if len(centers) > 2 or weights.count(wmin) != len(centers):
+        raise AssertionError("the weight centers of a tree are one vertex or two adjacent ones")
     cset = frozenset(centers)
     eps = 2 - len(centers)
 
@@ -275,12 +288,13 @@ def metrics(tree: Tree) -> TreeMetrics:
             top[v] = v if level[u] == 0 else top[u]
     total = sum(level)
 
-    # Branches: components of T - W, numbered by smallest contained vertex.
-    branch = [CENTER_BRANCH] * p
-    index = {}
-    for v in range(p):
-        if top[v] >= 0:
-            branch[v] = index.setdefault(top[v], len(index))
+    # Branches: components of T - W, numbered by smallest contained vertex,
+    # which is the order in which their tops first appear in ``top``.
+    tops = dict.fromkeys(top)
+    tops.pop(-1, None)  # the centers' top
+    index = dict(zip(tops, range(len(tops))))
+    index[-1] = CENTER_BRANCH
+    branch = tuple(map(index.__getitem__, top))
 
     if len(centers) == 1:
         threshold = -(-diam // 2)  # ceil(d/2)
@@ -299,10 +313,10 @@ def metrics(tree: Tree) -> TreeMetrics:
         epsilon=eps,
         level=tuple(level),
         total_level=total,
-        branch_id=tuple(branch),
+        branch_id=branch,
         remote_set=remote,
         xi=xi,
-        two_branch=(len(index) == 2),
+        two_branch=(len(tops) == 2),
         vertex_weight=weights,
         parent=tuple(parent),
         center_of=tuple(center_of),

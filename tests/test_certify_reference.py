@@ -173,7 +173,7 @@ def branch_alternating(m, rng):
 def grid():
     """(metrics, order) on the seeded grid: random two-branch trees with
     p = 3..16 under shuffled and branch-alternating orders, and the family
-    orders with zero to two swaps."""
+    orders with zero to two swaps, up to p = 994."""
     rng = random.Random(14)
     for p in range(3, 17):
         for seed in range(4):
@@ -188,7 +188,11 @@ def grid():
                         (gen_lmh(1, 3, 3), proof_order_lmh),
                         (gen_lmh(2, 2, 4), proof_order_lmh),
                         (gen_levelwise(1, (2, 3, 3)), proof_order_levelwise),
-                        (gen_levelwise(2, (2, 3, 3)), proof_order_levelwise)]:
+                        (gen_levelwise(2, (2, 3, 3)), proof_order_levelwise),
+                        # p = 417, 994 and 614: windows of several positions
+                        (gen_caterpillar(17, 100), proof_order_caterpillar),
+                        (gen_lmh(2, 45, 12), proof_order_lmh),
+                        (gen_levelwise(2, (2, 6, 7, 4, 3)), proof_order_levelwise)]:
         m = metrics(inst.tree)
         base = build(inst, m)
         for swaps in range(3):

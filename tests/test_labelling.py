@@ -1,5 +1,6 @@
 import random
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,6 +19,8 @@ from radiotree import (
     distance_matrix,
     format_labels_text,
     gen_caterpillar,
+    gen_levelwise,
+    gen_lmh,
     gen_path,
     greedy_label_from_order,
     jf_profile,
@@ -26,10 +29,12 @@ from radiotree import (
     order_of,
     parse_labels_text,
     proof_order_caterpillar,
+    proof_order_levelwise,
+    proof_order_lmh,
     verify_labelling,
 )
 from radiotree import labelling
-from radiotree.labelling import _first_violation, _middle_rooted
+from radiotree.labelling import _first_violation, _has_violation, _middle_rooted
 
 
 def path(n):
@@ -297,6 +302,120 @@ def test_all_zero_labels_compare_a_linear_number_of_pairs(monkeypatch):
     lab = RadioLabelling(dict.fromkeys(range(tree.p), 0))
     assert verify_labelling(tree, lab) == (False, (0, 1))
     assert compared == [tree.p - 1]
+
+
+# --- the decision pass against the naming scan ------------------------------
+#
+# verify_labelling trusts _has_violation to say whether a violation exists and
+# runs _first_violation only when it says so.  The tests above compare only
+# the final answer, which the naming scan produces for every invalid
+# labelling, so a decision pass that reported violations that are not there
+# would pass them.  These compare the two passes directly, both ways.
+
+
+def names_a_violation(tree, labels):
+    return _first_violation(tree.adjacency, labels)[0] is not None
+
+
+@given(labelled_trees())
+@settings(max_examples=500, deadline=None)
+def test_decision_pass_agrees_with_the_naming_scan(case):
+    tree, lab = case
+    assert _has_violation(tree.adjacency, lab.labels) == names_a_violation(tree, lab.labels)
+
+
+@pytest.mark.parametrize("inst, build", [
+    (gen_caterpillar(5, 120), proof_order_caterpillar),  # p = 605
+    (gen_caterpillar(9, 497), proof_order_caterpillar),  # p = 1,997
+    (gen_lmh(1, 60, 9), proof_order_lmh),  # p = 963
+    (gen_lmh(2, 45, 12), proof_order_lmh),  # p = 994
+    (gen_levelwise(2, (2, 6, 7, 4, 3)), proof_order_levelwise),  # p = 614
+    (gen_levelwise(1, (2, 5, 5, 5, 4)), proof_order_levelwise),  # p = 555
+], ids=lambda x: getattr(x, "name", None))
+def test_decision_pass_agrees_on_nudged_family_labellings(inst, build):
+    m = metrics(inst.tree)
+    certified = certify_tightness(m, build(inst, m)).labels
+    assert not _has_violation(inst.tree.adjacency, certified)
+    rng = random.Random(inst.tree.p)
+    violations = 0
+    for _ in range(60):
+        labels = dict(certified)
+        v = rng.randrange(inst.tree.p)
+        labels[v] = max(0, labels[v] + rng.choice([-3, -2, -1, 1, 2, 3]))
+        want = names_a_violation(inst.tree, labels)
+        assert _has_violation(inst.tree.adjacency, labels) == want, v
+        violations += want
+    assert violations > 0
+
+
+def lone_pair(p, diam, u, v, gap):
+    """Labels under which only (u, v) can violate: u at 0, v at ``gap``, and
+    every other vertex at least ``diam`` above the label before it."""
+    labels = {u: 0, v: gap}
+    rest = (w for w in range(p) if w != u and w != v)
+    labels.update((w, 2 * diam * k) for k, w in enumerate(rest, 1))
+    return labels
+
+
+def spider_with_cousins():
+    """Under the middle root r: an arm of length 4, and an arm r-c-x where x
+    has two children, each with two leaf children (depths 3 and 4), so
+    pairs meet at depths 1 to 4 and the climb stops short of the meeting
+    vertex.  Vertex ids are shuffled so that r is not vertex 0."""
+    edges = [("r", "a1"), ("a1", "a2"), ("a2", "a3"), ("a3", "a4"),
+             ("r", "c"), ("c", "x"), ("x", "y1"), ("x", "y2"),
+             ("y1", "z1"), ("y1", "z2"), ("y2", "z3"), ("y2", "z4")]
+    names = sorted({n for e in edges for n in e})
+    ids = dict(zip(names, random.Random(8).sample(range(len(names)), len(names))))
+    return build_tree([(ids[a], ids[b]) for a, b in edges])
+
+
+def test_threshold_climb_decides_every_lone_pair():
+    # every ordered pair at every gap 0..diam: the decision is the radio
+    # condition on that pair, and each edge case of the climb is reached
+    seen = Counter()
+    for tree in spider_with_cousins(), path(8), path(9), broom_at_far_end(7, 3):
+        diam, depth, _, top = _middle_rooted(tree.adjacency)
+        dist = distance_matrix(tree)
+        for u in range(tree.p):
+            for v in range(tree.p):
+                if u == v:
+                    continue
+                for gap in range(diam + 1):
+                    labels = lone_pair(tree.p, diam, u, v, gap)
+                    want = gap + dist[u][v] <= diam
+                    assert _has_violation(tree.adjacency, labels) == want, (u, v, gap)
+                    if top[u] != top[v]:
+                        seen["through the root"] += 1
+                        continue
+                    h = -(-(depth[u] + depth[v] - (diam - gap)) // 2)
+                    seen["h <= 0"] += h <= 0
+                    seen["ancestor"] += dist[u][v] == abs(depth[u] - depth[v])
+                    seen["equal depths"] += depth[u] == depth[v]
+                    seen["climb"] += 1 < h <= min(depth[u], depth[v])
+    assert all(seen[k] for k in ("through the root", "h <= 0", "ancestor",
+                                 "equal depths", "climb")), seen
+
+
+@pytest.mark.parametrize("labels, want", [
+    ({0: 0}, False),  # one vertex: no pair
+    ({0: 0, 1: 0}, True),  # equal labels always violate
+    ({0: 3, 1: 3}, True),
+    ({0: 0, 1: 1}, False),  # diameter 1: a gap of 1 suffices
+])
+def test_decision_pass_on_one_and_two_vertices(labels, want):
+    tree = gen_path(len(labels)).tree
+    assert _has_violation(tree.adjacency, labels) is want
+
+
+def test_valid_labelling_skips_the_naming_scan(monkeypatch):
+    def no_scan(adjacency, lab):
+        raise AssertionError("the naming scan ran on a valid labelling")
+
+    monkeypatch.setattr(labelling, "_first_violation", no_scan)
+    inst = gen_caterpillar(5, 200)
+    lab = certify_tightness(metrics(inst.tree), proof_order_caterpillar(inst))
+    assert verify_labelling(inst.tree, lab) == (True, None)
 
 
 class TestGreedy:

@@ -15,7 +15,11 @@ condition (b), builds the closed-form labelling, and independently re-verifies
 it — failing loudly at the first stage that does not hold.  Four stages can
 fail: condition_a, combined_sum, condition_b and verification.  Deriving the
 a-sequence and building the labelling cannot: every a_t is 0 or |W|, and a
-labelling whose order meets condition (b) has no negative label.
+labelling whose order meets condition (b) has no negative label.  Each job is
+done once: one order check (none for an order that
+:func:`radiotree.orders.check_order` returned), one set of remote runs for
+condition (a) and the a-sequence, one list of labels for condition (b) and
+the labelling returned.
 
 For comparison, the module also implements two earlier lower bounds for trees
 with a degree-2 weight center (one for even and one for odd diameter), stated
@@ -34,8 +38,17 @@ from .errors import (
     NotOmegaTree,
     NotTwoBranch,
 )
-from .labelling import RadioLabelling, label_from_order, verify_labelling
-from .orders import a_sequence, check_condition_a, check_condition_b, check_order
+from .labelling import RadioLabelling, verify_labelling
+from .orders import (
+    _a_sequence,
+    _as_order,
+    _condition_a,
+    _condition_a_applies,
+    _condition_b_on_labels,
+    _free_runs,
+    _levels_and_labels,
+    _remote_runs,
+)
 from .tree import CENTER_BRANCH, TreeMetrics
 
 
@@ -70,7 +83,15 @@ def certify_tightness(m: TreeMetrics, order: Sequence) -> RadioLabelling:
     stage: condition_a, combined_sum, condition_b, or verification (the
     independent re-check of the labels and their span).  The a-sequence
     cannot fail (every a_t is 0 or |W|), and neither can the labelling once
-    condition (b) holds (see the comment at its construction).
+    condition (b) holds (see the comment in :func:`_certified_labels`).
+
+    The stages share their work: the remote runs of the order serve
+    condition (a) and the a-sequence, and the labels that condition (b)
+    checks are the labels returned, with no second pass of
+    :func:`radiotree.labelling.label_from_order`.  An order that
+    :func:`radiotree.orders.check_order` returned is a permutation of
+    0..len-1 for good, so one of length p is trusted; any other order is
+    checked in full and raises :class:`NotAPermutation` if it is not one.
 
     A failure says only that *this* order does not certify, not that the
     bound is missed: an optimal order need not certify.  On the p = 13 tree
@@ -81,26 +102,8 @@ def certify_tightness(m: TreeMetrics, order: Sequence) -> RadioLabelling:
     puts it on the remote vertex.  So ``radiotree certify`` on the order of
     an optimal labelling can exit 1.
     """
-    # the one order check: each stage takes the checked tuple as it is
-    seq = check_order(m, order)
-    ok, diag = check_condition_a(m, seq)
-    if not ok:
-        raise CertificationFailure("condition_a", diag)
-    aseq = a_sequence(m, seq)
-    end_sum = m.level[seq[0]] + m.level[seq[-1]]
-    if end_sum + aseq.total != m.epsilon + m.xi:
-        raise CertificationFailure(
-            "combined_sum",
-            f"endpoint level sum {end_sum} + sum(a) {aseq.total} "
-            f"!= epsilon {m.epsilon} + xi {m.xi}",
-        )
-    ok, pair = check_condition_b(m, seq, aseq)
-    if not ok:
-        raise CertificationFailure("condition_b", f"violated at positions {pair}")
-    # No label is negative: were f_t < 0 = f_0, the pair (0, t) would have
-    # f_t - f_0 + d(u_0, u_t) <= -1 + diam, and condition (b) would have
-    # failed there.  Condition (b) even makes the labels strictly increase.
-    lab = label_from_order(m, seq, aseq)
+    seq = _as_order(m, order)  # the one order check, none for a checked order
+    lab = RadioLabelling(labels=dict(zip(seq, _certified_labels(m, seq))))
     ok, pair = verify_labelling(m.tree, lab)
     if not ok:
         raise CertificationFailure("verification", f"radio condition fails at pair {pair}")
@@ -110,6 +113,35 @@ def certify_tightness(m: TreeMetrics, order: Sequence) -> RadioLabelling:
             "verification", f"span {lab.span} != improved bound {target}"
         )
     return lab
+
+
+def _certified_labels(m: TreeMetrics, seq: tuple) -> list:
+    """The labels of ``seq``, position by position, once condition (a), the
+    combined sum and condition (b) hold; else :class:`CertificationFailure`
+    at the first that does not.  The runs, levels and a-sequence built here
+    are freed before the caller verifies."""
+    _condition_a_applies(m)
+    runs = _remote_runs(m, seq)
+    free = _free_runs(m, seq, runs)
+    ok, diag = _condition_a(m, seq, runs, free)
+    if not ok:
+        raise CertificationFailure("condition_a", diag)
+    aseq = _a_sequence(m, seq, free)
+    end_sum = m.level[seq[0]] + m.level[seq[-1]]
+    if end_sum + aseq.total != m.epsilon + m.xi:
+        raise CertificationFailure(
+            "combined_sum",
+            f"endpoint level sum {end_sum} + sum(a) {aseq.total} "
+            f"!= epsilon {m.epsilon} + xi {m.xi}",
+        )
+    lev, f = _levels_and_labels(m, seq, aseq.a)
+    ok, pair = _condition_b_on_labels(m, seq, lev, f)
+    if not ok:
+        raise CertificationFailure("condition_b", f"violated at positions {pair}")
+    # No label is negative: were f_t < 0 = f_0, the pair (0, t) would have
+    # f_t - f_0 + d(u_0, u_t) <= -1 + diam, and condition (b) would have
+    # failed there.  Condition (b) even makes the labels strictly increase.
+    return f
 
 
 def bound_report(m: TreeMetrics) -> dict:

@@ -4,8 +4,9 @@ A radio labelling assigns distinct non-negative integers to the vertices with
 ``|f(u) - f(v)| >= diam + 1 - d(u, v)`` for every pair; its span is the
 largest label.  Three routes to a labelling live here:
 
-* :func:`label_from_order` — the closed-form recurrence used by the
-  certification pipeline, driven by an order and its a-sequence;
+* :func:`label_from_order` — the closed-form recurrence of the
+  certification pipeline, driven by an order and its a-sequence (the
+  pipeline itself keeps the labels that condition (b) checked);
 * :func:`greedy_label_from_order` — the pointwise-minimal valid completion of
   a fixed order (every radio labelling induces its label order, and the greedy
   completion of that order never has a larger span, so searching orders with
@@ -38,8 +39,8 @@ from .errors import (
     NonIntegerLabel,
     NotTwoBranch,
 )
-from .orders import ASequence, _as_order, _labels
-from .tree import Tree, TreeMetrics, _bfs, _delta, _phi
+from .orders import ASequence, _as_order, _levels_and_labels
+from .tree import Tree, TreeMetrics, _bfs
 
 
 @dataclass(frozen=True)
@@ -79,8 +80,7 @@ def label_from_order(m: TreeMetrics, order: Sequence, aseq: ASequence) -> RadioL
         raise LengthMismatch(
             f"a-sequence length {len(aseq.a)} for order length {len(seq)}"
         )
-    level = m.level
-    f = _labels(m, [level[v] for v in seq], aseq.a)
+    _, f = _levels_and_labels(m, seq, aseq.a)
     if min(f) < 0:
         v, lab = next((v, lab) for v, lab in zip(seq, f) if lab < 0)
         raise NegativeLabel(f"label for vertex {v} would be {lab}")
@@ -352,15 +352,16 @@ def jf_profile(m: TreeMetrics, labelling: RadioLabelling) -> JfProfile:
     seq = order_of(labelling)
     if len(seq) != m.p or any(v not in labelling.labels for v in range(m.p)):
         raise MissingLabel("labelling does not cover the vertex set")
-    labels = labelling.labels
+    labels, level = labelling.labels, m.level
     diam = m.diameter
     steps = []
     sigma = 0
-    for i in range(len(seq) - 1):
-        u, v = seq[i], seq[i + 1]
-        jf = (labels[v] - labels[u]) + m.distance(u, v) - (diam + 1)
+    for u, v in zip(seq, seq[1:]):
+        d = m.distance(u, v)
+        jf = (labels[v] - labels[u]) + d - (diam + 1)
         steps.append(jf)
-        sigma += jf + 2 * _phi(m, u, v) - _delta(m, u, v)
+        # 2*phi - delta = L(u) + L(v) - d(u, v), by the level identity
+        sigma += jf + level[u] + level[v] - d
     p = m.p
     first, last = seq[0], seq[-1]
     identity = (p - 1) * (diam + 1) - 2 * m.total_level \

@@ -19,6 +19,7 @@ the combinatorial side of that question:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
@@ -101,8 +102,9 @@ def _as_order(m: TreeMetrics, order: Sequence) -> tuple:
     """``order`` itself when :func:`check_order` already returned it for a
     tree with as many vertices, else ``check_order(m, order)``.
 
-    :func:`radiotree.bounds.certify_tightness` checks its order once and hands
-    the result to every stage; a stage called directly still checks.
+    Every public function here and :func:`radiotree.bounds.certify_tightness`
+    take their order through this, so an order is checked at most once in a
+    certification, and not at all when it comes from :func:`check_order`.
     """
     if type(order) is _CheckedOrder and len(order) == m.p:
         return order
@@ -120,14 +122,23 @@ def _runs(flags: bytes) -> list:
     return runs
 
 
-def _free(m: TreeMetrics, seq: tuple) -> bytearray:
-    """Per order position, 1 for a remote vertex with no weight center as an
-    order-neighbour, else 0."""
-    free = bytearray(map(m.remote_set.__contains__, seq))
+def _remote_runs(m: TreeMetrics, seq: tuple) -> list:
+    """The maximal runs of order positions held by remote vertices."""
+    return _runs(bytes(map(m.remote_set.__contains__, seq)))
+
+
+def _free_runs(m: TreeMetrics, seq: tuple, runs: list) -> list:
+    """The maximal runs of *free* positions (a remote vertex with no weight
+    center as an order-neighbour), cut from the remote ``runs`` of ``seq``:
+    each order-neighbour of a center leaves the run that holds it, which
+    splits in two when that position is inside it."""
+    free = list(runs)
     for i in map(seq.index, m.weight_centers):  # a C-level scan per center
         for j in (i - 1, i + 1):
-            if 0 <= j < len(free):
-                free[j] = 0
+            k = bisect_right(free, (j, len(seq))) - 1  # the last run starting at or before j
+            if k >= 0 and free[k][1] >= j:
+                s, e = free[k]
+                free[k:k + 1] = [r for r in ((s, j - 1), (j + 1, e)) if r[0] <= r[1]]
     return free
 
 
@@ -136,7 +147,7 @@ def maximal_remote_intervals(m: TreeMetrics, order: Sequence) -> list:
 
     Returned as (start, end) index pairs, inclusive, ascending.
     """
-    return _runs(bytes(map(m.remote_set.__contains__, _as_order(m, order))))
+    return _remote_runs(m, _as_order(m, order))
 
 
 def _parity_ok(lengths: list, count: int) -> bool:
@@ -147,20 +158,19 @@ def _parity_ok(lengths: list, count: int) -> bool:
     return odd == 0
 
 
+def _feasible(m: TreeMetrics, runs: list) -> bool:
+    """:func:`is_feasible` on the remote runs of an order."""
+    return _parity_ok([e - s + 1 for s, e in runs], len(m.remote_set))
+
+
 def is_feasible(m: TreeMetrics, order: Sequence) -> bool:
     """All maximal remote runs have even length, except one odd run permitted
     when the number of remote vertices is odd."""
-    runs = maximal_remote_intervals(m, order)
-    lengths = [b - a + 1 for a, b in runs]
-    return _parity_ok(lengths, len(m.remote_set))
+    return _feasible(m, maximal_remote_intervals(m, order))
 
 
-def is_admissible(m: TreeMetrics, order: Sequence) -> bool:
-    """Stronger condition: every order-neighbour of a weight center is remote,
-    and the remote vertices not order-adjacent to a center fall in even runs
-    (one odd run allowed when their count is odd).  With two centers they must
-    additionally sit at order positions i, j with j > i + 2."""
-    seq = _as_order(m, order)
+def _admissible(m: TreeMetrics, seq: tuple, free: list) -> bool:
+    """:func:`is_admissible` on an order and its free runs."""
     centers = m.weight_centers
     slots = sorted(map(seq.index, centers))
     for i in slots:
@@ -169,8 +179,29 @@ def is_admissible(m: TreeMetrics, order: Sequence) -> bool:
                 return False
     if len(slots) == 2 and slots[1] <= slots[0] + 2:
         return False
-    lengths = [e - s + 1 for s, e in _runs(_free(m, seq))]
+    lengths = [e - s + 1 for s, e in free]
     return _parity_ok(lengths, sum(lengths))
+
+
+def is_admissible(m: TreeMetrics, order: Sequence) -> bool:
+    """Stronger condition: every order-neighbour of a weight center is remote,
+    and the remote vertices not order-adjacent to a center fall in even runs
+    (one odd run allowed when their count is odd).  With two centers they must
+    additionally sit at order positions i, j with j > i + 2."""
+    seq = _as_order(m, order)
+    return _admissible(m, seq, _free_runs(m, seq, _remote_runs(m, seq)))
+
+
+def _a_sequence(m: TreeMetrics, seq: tuple, free: list) -> ASequence:
+    """:func:`a_sequence` on an order and its free runs.  Positions 0 and
+    p - 1 do not count as free: a_0 = 0, and there is no a_{p-1}."""
+    p, w = len(seq), len(m.weight_centers)
+    a = [0] * (p - 1)
+    for s, e in free:
+        s, e = max(s, 1), min(e, p - 2)
+        if s <= e:
+            a[s:e + 1:2] = [w] * ((e - s) // 2 + 1)
+    return ASequence(a=tuple(a))
 
 
 def a_sequence(m: TreeMetrics, order: Sequence) -> ASequence:
@@ -192,13 +223,44 @@ def a_sequence(m: TreeMetrics, order: Sequence) -> ASequence:
     if not m.two_branch:
         raise NotTwoBranch("a-sequence is defined for two-branch trees only")
     seq = _as_order(m, order)
+    return _a_sequence(m, seq, _free_runs(m, seq, _remote_runs(m, seq)))
+
+
+def _condition_a_applies(m: TreeMetrics) -> None:
+    if not m.two_branch:
+        raise NotTwoBranch("condition (a) is defined for two-branch trees only")
+    if m.diameter < 2:
+        raise DiameterTooSmall("condition (a) needs diameter >= 2")
+
+
+def _condition_a(m: TreeMetrics, seq: tuple, runs: list, free: list) -> tuple:
+    """:func:`check_condition_a` on an order, its remote runs and its free
+    runs, on a tree it applies to."""
+    end_sum = m.level[seq[0]] + m.level[seq[-1]]
+    s = len(m.remote_set)
     w = len(m.weight_centers)
-    free = _free(m, seq)
-    free[0] = free[-1] = 0  # a_0 = 0, and there is no a_{p-1}
-    a = [0] * (len(seq) - 1)
-    for s, e in _runs(free):
-        a[s:e + 1:2] = [w] * ((e - s) // 2 + 1)
-    return ASequence(a=tuple(a))
+
+    if w == 1:
+        if s % 2 == 1:
+            ok = end_sum == 1 and _admissible(m, seq, free)
+            want = "endpoint level sum 1 with an admissible order"
+        else:
+            ok = (end_sum == 1 and (_feasible(m, runs) or _admissible(m, seq, free))) \
+                or (end_sum == 2 and _admissible(m, seq, free))
+            want = "sum 1 with a feasible order, or sum 2 with an admissible order"
+    else:
+        if s <= 2:
+            allowed = {0}
+        elif s % 2 == 1:
+            allowed = {1}
+        else:
+            allowed = {0, 2}
+        ok = end_sum in allowed and _admissible(m, seq, free)
+        want = f"endpoint level sum in {sorted(allowed)} with an admissible order"
+    diag = "ok" if ok else (
+        f"endpoint level sum {end_sum}, |S|={s}, |W|={w}; wanted {want}"
+    )
+    return ok, diag
 
 
 def check_condition_a(m: TreeMetrics, order: Sequence) -> tuple:
@@ -211,43 +273,16 @@ def check_condition_a(m: TreeMetrics, order: Sequence) -> tuple:
     an admissible order with endpoint sum 0 (|S| <= 2), 1 (odd |S| >= 3), or
     0 or 2 (even |S| >= 4).
     """
-    if not m.two_branch:
-        raise NotTwoBranch("condition (a) is defined for two-branch trees only")
-    if m.diameter < 2:
-        raise DiameterTooSmall("condition (a) needs diameter >= 2")
+    _condition_a_applies(m)
     seq = _as_order(m, order)
-    end_sum = m.level[seq[0]] + m.level[seq[-1]]
-    s = len(m.remote_set)
-    w = len(m.weight_centers)
-
-    if w == 1:
-        if s % 2 == 1:
-            ok = end_sum == 1 and is_admissible(m, seq)
-            want = "endpoint level sum 1 with an admissible order"
-        else:
-            ok = (end_sum == 1 and (is_feasible(m, seq) or is_admissible(m, seq))) \
-                or (end_sum == 2 and is_admissible(m, seq))
-            want = "sum 1 with a feasible order, or sum 2 with an admissible order"
-    else:
-        if s <= 2:
-            allowed = {0}
-        elif s % 2 == 1:
-            allowed = {1}
-        else:
-            allowed = {0, 2}
-        ok = end_sum in allowed and is_admissible(m, seq)
-        want = f"endpoint level sum in {sorted(allowed)} with an admissible order"
-    diag = "ok" if ok else (
-        f"endpoint level sum {end_sum}, |S|={s}, |W|={w}; wanted {want}"
-    )
-    return ok, diag
+    runs = _remote_runs(m, seq)
+    return _condition_a(m, seq, runs, _free_runs(m, seq, runs))
 
 
 def _labels(m: TreeMetrics, lev: list, a: Sequence) -> list:
     """The labels of the order whose vertices have levels ``lev``, position
     by position: f(u_0) = 0, f(u_{i+1}) = f(u_i) + a_i + d + epsilon - L(u_i)
-    - L(u_{i+1}).  Condition (b) is stated on them, and
-    :func:`radiotree.labelling.label_from_order` returns them."""
+    - L(u_{i+1})."""
     de = m.diameter + m.epsilon
     f, labels = 0, [0]
     for x, y, at in zip(lev, lev[1:], a):
@@ -256,37 +291,103 @@ def _labels(m: TreeMetrics, lev: list, a: Sequence) -> list:
     return labels
 
 
-def _condition_b_core(m: TreeMetrics, seq: tuple, a: tuple) -> tuple:
-    """Shared pairwise check on the labels f of :func:`_labels`: positions
-    i < j fail iff f_j - f_i + d(u_i, u_j) <= diam.
+def _levels_and_labels(m: TreeMetrics, seq: tuple, a: Sequence) -> tuple:
+    """``(lev, f)``: per order position, the level and the label of
+    :func:`_labels`.  Condition (b) is stated on these labels, and
+    :func:`radiotree.labelling.label_from_order` and
+    :func:`radiotree.bounds.certify_tightness` return them."""
+    lev = list(map(m.level.__getitem__, seq))
+    return lev, _labels(m, lev, a)
 
-    Distinct vertices are at least 1 apart, so a pair with f_j >= f_i + diam
-    cannot fail: it is skipped, and the scan over j stops once the suffix
-    minimum of f is that large.  A position whose first successor already
-    lies past that point is skipped whole, and a sentinel after the last
-    suffix minimum ends every scan.  The first violating pair is still the
-    all-pairs scan's.
+
+def _condition_b_core(m: TreeMetrics, seq: tuple, a: tuple) -> tuple:
+    """Shared pairwise check on the labels f of :func:`_labels` under the
+    increments ``a``: positions i < j fail iff f_j - f_i + d(u_i, u_j) <=
+    diam.  Returns (ok, the lexicographically first violating pair or None).
+
+    Two passes: the decision pass :func:`_condition_b_holds` answers whether
+    any pair fails, with one comparison per step of each window; only when
+    one does, the naming scan :func:`_condition_b_first` finds the pair an
+    all-pairs scan would report first.
 
     ``seq`` must be a permutation of the vertex ids (the callers pass what
-    :func:`check_order` returned), so the loop indexes the per-vertex tuples
-    without checks.  A pair in different branches of T - W, or with a weight
-    center in it, is ``L(u) + L(v) + delta`` apart (phi is 0), read off the
-    per-position lists; only a pair inside one branch calls
+    :func:`check_order` returned), so the scans index the per-vertex tuples
+    without checks.
+    """
+    return _condition_b_on_labels(m, seq, *_levels_and_labels(m, seq, a))
+
+
+def _condition_b_on_labels(m: TreeMetrics, seq: tuple, lev: list, f: list) -> tuple:
+    """Condition (b) on an order's levels ``lev`` and labels ``f``: the
+    decision pass, then, only when it finds a violation, the naming scan.
+
+    A pair in different branches of T - W, or with a weight center in it, is
+    ``L(u) + L(v) + delta`` apart (phi is 0), read off the per-position lists
+    of part (the branch of T - W, or for a weight center a part of its own)
+    and nearest center; only a pair inside one branch calls
     :meth:`TreeMetrics.distance`, whose phi climbs parent pointers.  A
     certifying order alternates between the two branches, so most pairs take
     the first route.
     """
-    p = len(seq)
-    diam = m.diameter
-    distance = m.distance
-    # per order position: level, part (the branch of T - W, or for a weight
-    # center a part of its own) and nearest center
-    lev = list(map(m.level.__getitem__, seq))
     part = list(map(m.branch_id.__getitem__, seq))
     for c in m.weight_centers:
         part[seq.index(c)] = -1 - c
     cen = list(map(m.center_of.__getitem__, seq))
-    f = _labels(m, lev, a)
+    f.append(f[-1] + m.diameter)  # the sentinel of the decision pass
+    holds = _condition_b_holds(m, seq, lev, part, cen, f)
+    f.pop()
+    if holds:
+        return True, None
+    return _condition_b_first(m, seq, lev, part, cen, f)
+
+
+def _condition_b_holds(m: TreeMetrics, seq: tuple, lev: list, part: list,
+                       cen: list, f: list) -> bool:
+    """The decision pass of condition (b): does no pair fail?  ``f`` carries
+    a sentinel ``f[p-1] + diam`` after its p labels.
+
+    Position i scans its successors while ``f_j < f_i + diam``, one
+    comparison per step.  A pair with ``f_j >= f_i + diam`` cannot fail
+    (distinct vertices are at least 1 apart), so when the labels strictly
+    increase the scan sees every pair that can fail.  When they do not, the
+    scan may stop early, but the answer stands: a step ``f_{t+1} <= f_t``
+    fails (``d <= diam``), and position t's scan tests it first, unless an
+    earlier scan has already failed.  No scan reads past the sentinel: it is
+    below ``f_i + diam`` only when ``f_{p-1} < f_i``, and then the pair
+    ``(i, p-1)`` fails before it.
+    """
+    diam, distance = m.diameter, m.distance
+    for i in range(len(seq) - 1):
+        top = f[i] + diam  # (i, j) fails iff f[j] + d(u_i, u_j) <= top
+        j = i + 1
+        fj = f[j]
+        if fj >= top:
+            continue
+        lim, pu, cu = top - lev[i], part[i], cen[i]
+        while fj < top:
+            if pu != part[j]:  # phi = 0
+                if lev[j] + (cu != cen[j]) + fj <= lim:
+                    return False
+            elif distance(seq[i], seq[j]) + fj <= top:  # one branch: phi climbs
+                return False
+            j += 1
+            fj = f[j]
+    return True
+
+
+def _condition_b_first(m: TreeMetrics, seq: tuple, lev: list, part: list,
+                       cen: list, f: list) -> tuple:
+    """The naming scan of condition (b), run once the decision pass has
+    found a violation: (ok, the first violating pair of an all-pairs scan).
+
+    A pair with ``f_j >= f_i + diam`` cannot fail: it is skipped, and the
+    scan over j stops once the suffix minimum of f is that large.  A
+    position whose first successor already lies past that point is skipped
+    whole, and a sentinel after the last suffix minimum ends every scan.
+    """
+    p = len(seq)
+    diam = m.diameter
+    distance = m.distance
     low = list(accumulate(reversed(f), min))[::-1]  # low[j] = min(f[j:])
     low.append(max(f) + diam)  # the sentinel: at least every f[i] + diam
     for i in range(p - 1):

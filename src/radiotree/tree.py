@@ -220,7 +220,7 @@ class TreeMetrics:
         A pair whose nearest centers differ crosses both (delta = 1, phi = 0);
         a pair in different branches of T - W, or with a weight center in it,
         meets only at its center (phi = delta = 0).  Only a pair inside one
-        branch calls :func:`_phi`, which climbs parent pointers.
+        branch climbs parent pointers, through :func:`_meet_level`.
         """
         self.tree.check_vertex(u)
         self.tree.check_vertex(v)
@@ -229,7 +229,7 @@ class TreeMetrics:
             return level[u] + level[v] + 1
         if self.branch_id[u] != self.branch_id[v]:
             return level[u] + level[v]
-        return level[u] + level[v] - 2 * _phi(self, u, v)
+        return level[u] + level[v] - 2 * _meet_level(level, self.parent, u, v)
 
 
 def metrics(tree: Tree) -> TreeMetrics:
@@ -323,15 +323,10 @@ def metrics(tree: Tree) -> TreeMetrics:
     )
 
 
-def _phi(m: TreeMetrics, u: int, v: int) -> int:
-    """Highest level on the common part of the two center-to-vertex paths,
-    for vertices already checked: climb from the deeper vertex until the
-    paths meet.  Paths into different branches of T - W share at most their
-    center, at level 0, so only a pair inside one branch climbs.
-    """
-    if m.branch_id[u] != m.branch_id[v] or m.center_of[u] != m.center_of[v]:
-        return 0  # different branches, or the two centers
-    level, parent = m.level, m.parent
+def _meet_level(level: tuple, parent: tuple, u: int, v: int) -> int:
+    """The level where the center-to-vertex paths of u and v meet, for two
+    vertices in one branch of T - W: climb from the deeper one, then from
+    both, until they are one vertex."""
     while level[u] > level[v]:
         u = parent[u]
     while level[v] > level[u]:
@@ -339,6 +334,17 @@ def _phi(m: TreeMetrics, u: int, v: int) -> int:
     while u != v:
         u, v = parent[u], parent[v]
     return level[u]
+
+
+def _phi(m: TreeMetrics, u: int, v: int) -> int:
+    """Highest level on the common part of the two center-to-vertex paths,
+    for vertices already checked.  Paths into different branches of T - W
+    share at most their center, at level 0, so only a pair inside one branch
+    climbs.
+    """
+    if m.branch_id[u] != m.branch_id[v] or m.center_of[u] != m.center_of[v]:
+        return 0  # different branches, or the two centers
+    return _meet_level(m.level, m.parent, u, v)
 
 
 def _delta(m: TreeMetrics, u: int, v: int) -> int:

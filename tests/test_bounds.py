@@ -1,4 +1,5 @@
 import random
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -31,6 +32,8 @@ from radiotree import (
     lower_bound_improved,
     metrics,
     proof_order_caterpillar,
+    proof_order_levelwise,
+    proof_order_lmh,
     strict_gap_predicate,
 )
 from radiotree import bounds, orders
@@ -138,23 +141,59 @@ class TestOneOrderCheck:
     """certify_tightness validates its order once and hands the checked order
     to every stage; a stage called on its own still validates."""
 
+    @staticmethod
+    def count_calls(monkeypatch, name):
+        """Count the calls of ``orders.<name>`` through every radiotree module
+        that binds it."""
+        calls = []
+        original = getattr(orders, name)
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("radiotree") \
+                    and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counting)
+        return calls
+
     def test_one_check_per_certificate(self, monkeypatch):
         inst = gen_caterpillar(5, 50)
         m = metrics(inst.tree)
         order = list(proof_order_caterpillar(inst))
-        calls = []
-        original = orders.check_order
-
-        def counting(m, order):
-            calls.append(len(order))
-            return original(m, order)
-
-        # every module that binds the name
-        monkeypatch.setattr(orders, "check_order", counting)
-        monkeypatch.setattr(bounds, "check_order", counting)
+        calls = self.count_calls(monkeypatch, "check_order")
         lab = certify_tightness(m, order)
         assert lab.span == inst.closed_form_rn
-        assert calls == [m.p]
+        assert [len(order) for _, order in calls] == [m.p]
+
+    def test_a_checked_order_is_not_checked_again(self, monkeypatch):
+        inst = gen_caterpillar(5, 50)
+        m = metrics(inst.tree)
+        seq = check_order(m, proof_order_caterpillar(inst))
+        calls = self.count_calls(monkeypatch, "check_order")
+        assert certify_tightness(m, seq).span == inst.closed_form_rn
+        assert calls == []
+
+    @pytest.mark.parametrize("inst,build", [
+        (gen_caterpillar(5, 50), proof_order_caterpillar),
+        (gen_lmh(2, 6, 4), proof_order_lmh),
+        (gen_levelwise(1, (2, 3, 3)), proof_order_levelwise),
+    ])
+    def test_labels_and_runs_built_once_per_certificate(self, inst, build, monkeypatch):
+        m = metrics(inst.tree)
+        order = build(inst, m)
+        labels = self.count_calls(monkeypatch, "_labels")
+        runs = self.count_calls(monkeypatch, "_runs")
+        assert certify_tightness(m, order).span == inst.closed_form_rn
+        assert len(labels) == 1
+        assert len(runs) <= 1
+
+    @pytest.mark.parametrize("other", [4, 6])
+    def test_certify_checks_a_checked_order_of_another_size(self, other):
+        seq = check_order(path_metrics(5), (2, 1, 4, 0, 3))
+        with pytest.raises(NotAPermutation):
+            certify_tightness(path_metrics(other), seq)
 
     @pytest.mark.parametrize("bad", [
         (2, 1, 4, 0, 0),        # a repeat

@@ -25,7 +25,9 @@ from radiotree import (
     gen_caterpillar,
     gen_levelwise,
     gen_lmh,
+    gen_path,
     gen_random_two_branch,
+    is_admissible,
     lower_bound_improved,
     maximal_remote_intervals,
     metrics,
@@ -34,7 +36,7 @@ from radiotree import (
     proof_order_lmh,
     verify_labelling,
 )
-from radiotree.orders import _condition_b_core
+from radiotree.orders import _condition_b_core, _free_runs
 from radiotree.tree import CENTER_BRANCH
 
 # --- the earlier code, kept as the reference ----------------------------------
@@ -53,6 +55,36 @@ def maximal_remote_intervals_reference(m, seq):
     if start is not None:
         runs.append((start, len(seq) - 1))
     return runs
+
+
+def free_runs_reference(m, seq):
+    """Maximal runs of positions holding a remote vertex with no weight
+    center as an order-neighbour, position by position."""
+    p, centers = len(seq), m.weight_centers
+    free = [v in m.remote_set and not any(0 <= k < p and seq[k] in centers for k in (t - 1, t + 1))
+            for t, v in enumerate(seq)]
+    runs, start = [], None
+    for t, x in enumerate([*free, False]):
+        if x and start is None:
+            start = t
+        elif not x and start is not None:
+            runs.append((start, t - 1))
+            start = None
+    return runs
+
+
+def is_admissible_reference(m, seq):
+    centers, remote = m.weight_centers, m.remote_set
+    slots = sorted(seq.index(c) for c in centers)
+    for i in slots:
+        for j in (i - 1, i + 1):
+            if 0 <= j < len(seq) and seq[j] not in centers and seq[j] not in remote:
+                return False
+    if len(slots) == 2 and slots[1] <= slots[0] + 2:
+        return False
+    lengths = [e - s + 1 for s, e in free_runs_reference(m, seq)]
+    odd = sum(n % 2 for n in lengths)
+    return odd == sum(lengths) % 2
 
 
 def a_sequence_reference(m, seq):
@@ -173,7 +205,8 @@ def branch_alternating(m, rng):
 def grid():
     """(metrics, order) on the seeded grid: random two-branch trees with
     p = 3..16 under shuffled and branch-alternating orders, and the family
-    orders with zero to two swaps, up to p = 994."""
+    orders with zero to two swaps, up to p = 994, and on the three largest
+    with one swap of near positions at the start, middle and end."""
     rng = random.Random(14)
     for p in range(3, 17):
         for seed in range(4):
@@ -202,6 +235,15 @@ def grid():
                     i, j = rng.randrange(len(order)), rng.randrange(len(order))
                     order[i], order[j] = order[j], order[i]
                 yield m, order
+        if m.p > 400:
+            # one swap of near positions at the start, the middle and the end,
+            # where the windows of condition (b) are cut short or run to the end
+            p = m.p
+            for i in (0, 1, p // 2 - 1, p // 2, p - 5, p - 4):
+                for j in (i + 1, i + 2, i + 3):
+                    order = list(base)
+                    order[i], order[j] = order[j], order[i]
+                    yield m, order
 
 
 GRID = list(grid())
@@ -219,11 +261,53 @@ def test_same_stage_detail_and_labels():
 
 def test_same_runs_a_sequence_and_condition_b():
     # on every order, also where the reference pipeline stops at condition (a);
-    # the reference a-sequence raises if a value leaves {0, |W|}
+    # the reference a-sequence raises if a value leaves {0, |W|}; the free
+    # runs are cut from the remote runs, and checked position by position
     for m, order in GRID:
         seq = tuple(order)
-        assert maximal_remote_intervals(m, seq) == maximal_remote_intervals_reference(m, seq)
+        runs = maximal_remote_intervals(m, seq)
+        assert runs == maximal_remote_intervals_reference(m, seq)
+        assert _free_runs(m, seq, runs) == free_runs_reference(m, seq)
+        assert is_admissible(m, seq) == is_admissible_reference(m, seq)
         a = a_sequence(m, seq)
         assert a == a_sequence_reference(m, seq)
         assert _condition_b_core(m, seq, a.a) == condition_b_core_reference(m, seq, a.a)
 
+
+def test_condition_b_on_random_orders_matches_the_reference():
+    # random and branch-alternating orders on random two-branch trees, under
+    # their own a-sequence and under random increments in {0, |W|}: labels
+    # that fail to increase, that increase and fail in a window, and that hold
+    rng = random.Random(18)
+    seen = Counter()
+    for p in range(4, 25):
+        for seed in range(6):
+            m = metrics(gen_random_two_branch(p, seed).tree)
+            w = len(m.weight_centers)
+            for t in range(10):
+                order = rng.sample(range(p), p) if t % 2 else branch_alternating(m, rng)
+                seq = tuple(order)
+                for a in (a_sequence(m, seq).a,
+                          (0, *(rng.choice((0, w)) for _ in range(p - 2)))):
+                    got = _condition_b_core(m, seq, a)
+                    assert got == condition_b_core_reference(m, seq, a), (seq, a)
+                    f = [0, *accumulate(at + m.diameter + m.epsilon - m.level[u] - m.level[v]
+                                        for at, u, v in zip(a, seq, seq[1:]))]
+                    increasing = all(x < y for x, y in zip(f, f[1:]))
+                    seen[got[0], increasing] += 1
+    # the labels fail to increase only where two consecutive vertices have
+    # levels summing to at least d + epsilon + a_t, so few orders have that
+    assert seen[True, True] >= 100 and seen[False, True] >= 100 and seen[False, False] >= 10, seen
+    assert seen[True, False] == 0
+
+
+def test_free_runs_when_the_centers_are_remote():
+    # P_2: two weight centers at diameter 1, so both are remote; each is the
+    # other's order-neighbour, and no position is free
+    m = metrics(gen_path(2).tree)
+    assert m.remote_set == m.weight_centers == {0, 1}
+    for seq in ((0, 1), (1, 0)):
+        runs = maximal_remote_intervals(m, seq)
+        assert runs == [(0, 1)]
+        assert _free_runs(m, seq, runs) == free_runs_reference(m, seq) == []
+        assert is_admissible(m, seq) == is_admissible_reference(m, seq)

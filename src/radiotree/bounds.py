@@ -16,10 +16,10 @@ it — failing loudly at the first stage that does not hold.  Four stages can
 fail: condition_a, combined_sum, condition_b and verification.  Deriving the
 a-sequence and building the labelling cannot: every a_t is 0 or |W|, and a
 labelling whose order meets condition (b) has no negative label.  Each job is
-done once: one order check (none for an order that
-:func:`radiotree.orders.check_order` returned), one set of remote runs for
-condition (a) and the a-sequence, one list of labels for condition (b) and
-the labelling returned.
+done once: one order check, one set of remote runs for condition (a) and the
+a-sequence, one list of labels for condition (b) and the labelling returned,
+and one scan of condition (b) unless it fails on labels that do not
+strictly increase.
 
 For comparison, the module also implements two earlier lower bounds for trees
 with a degree-2 weight center (one for even and one for odd diameter), stated
@@ -41,13 +41,13 @@ from .errors import (
 from .labelling import RadioLabelling, verify_labelling
 from .orders import (
     _a_sequence,
-    _as_order,
     _condition_a,
     _condition_a_applies,
     _condition_b_on_labels,
     _free_runs,
     _levels_and_labels,
     _remote_runs,
+    check_order,
 )
 from .tree import CENTER_BRANCH, TreeMetrics
 
@@ -88,10 +88,9 @@ def certify_tightness(m: TreeMetrics, order: Sequence) -> RadioLabelling:
     The stages share their work: the remote runs of the order serve
     condition (a) and the a-sequence, and the labels that condition (b)
     checks are the labels returned, with no second pass of
-    :func:`radiotree.labelling.label_from_order`.  An order that
-    :func:`radiotree.orders.check_order` returned is a permutation of
-    0..len-1 for good, so one of length p is trusted; any other order is
-    checked in full and raises :class:`NotAPermutation` if it is not one.
+    :func:`radiotree.labelling.label_from_order`.  The order is checked
+    once, by :func:`radiotree.orders.check_order`, which raises
+    :class:`NotAPermutation` if it is not a permutation of 0..p-1.
 
     A failure says only that *this* order does not certify, not that the
     bound is missed: an optimal order need not certify.  On the p = 13 tree
@@ -102,7 +101,7 @@ def certify_tightness(m: TreeMetrics, order: Sequence) -> RadioLabelling:
     puts it on the remote vertex.  So ``radiotree certify`` on the order of
     an optimal labelling can exit 1.
     """
-    seq = _as_order(m, order)  # the one order check, none for a checked order
+    seq = check_order(m, order)
     lab = RadioLabelling(labels=dict(zip(seq, _certified_labels(m, seq))))
     ok, pair = verify_labelling(m.tree, lab)
     if not ok:

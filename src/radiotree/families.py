@@ -420,13 +420,17 @@ def proof_order_lmh(inst: FamilyInstance, m: TreeMetrics | None = None) -> tuple
 
 # --- random two-branch instances -------------------------------------------
 
-def gen_random_two_branch(n: int, seed: int, max_attempts: int = 10000) -> FamilyInstance:
-    """First two-branch tree from a seeded stream of uniform labelled trees;
-    each vertex is named by its id."""
+RANDOM_DRAWS = 10000  # uniform trees drawn before gen_random_two_branch gives up
+
+
+def gen_random_two_branch(n: int, seed: int) -> FamilyInstance:
+    """First two-branch tree among the first :data:`RANDOM_DRAWS` of a seeded
+    stream of uniform labelled trees, else :class:`ExhaustedAttempts`; each
+    vertex is named by its id."""
     if n < 3:
         raise BadParams(f"need n >= 3, got {n}")
     rng = random.Random(seed)
-    for _ in range(max_attempts):
+    for _ in range(RANDOM_DRAWS):
         if n == 3:
             tree = _make_tree(3, [(0, 1), (1, 2)])
         else:
@@ -435,7 +439,7 @@ def gen_random_two_branch(n: int, seed: int, max_attempts: int = 10000) -> Famil
         if metrics(tree).two_branch:
             return FamilyInstance(tree, "random", f"random2b(n={n},seed={seed})",
                                   {"n": n, "seed": seed}, None)
-    raise ExhaustedAttempts(f"no two-branch tree on {n} vertices after {max_attempts} draws")
+    raise ExhaustedAttempts(f"no two-branch tree on {n} vertices after {RANDOM_DRAWS} draws")
 
 
 def _random_names(n: int, seed: int) -> dict:

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
+from operator import lt
 from typing import Sequence
 
 from .errors import (
@@ -49,14 +50,6 @@ class ASequence:
         return sum(self.a)
 
 
-class _CheckedOrder(tuple):
-    """A tuple that :func:`check_order` has validated: a permutation of the
-    vertex ids 0..p-1, where p is its length.  Tuples are immutable, so it
-    stays one."""
-
-    __slots__ = ()
-
-
 def check_order(m: TreeMetrics, order: Sequence) -> tuple:
     """Validate that ``order`` is a permutation of the vertex ids 0..p-1;
     return it as a tuple.
@@ -79,7 +72,7 @@ def check_order(m: TreeMetrics, order: Sequence) -> tuple:
         ok = 0 not in seen
     if not ok:
         raise _not_a_permutation(seq, p)
-    return _CheckedOrder(seq)
+    return seq
 
 
 def _not_a_permutation(seq: tuple, p: int) -> NotAPermutation:
@@ -96,19 +89,6 @@ def _not_a_permutation(seq: tuple, p: int) -> NotAPermutation:
     return NotAPermutation(
         f"bad order positions {bad[:5]} ({len(bad)} in all); an order is a permutation of 0..{p - 1}"
     )
-
-
-def _as_order(m: TreeMetrics, order: Sequence) -> tuple:
-    """``order`` itself when :func:`check_order` already returned it for a
-    tree with as many vertices, else ``check_order(m, order)``.
-
-    Every public function here and :func:`radiotree.bounds.certify_tightness`
-    take their order through this, so an order is checked at most once in a
-    certification, and not at all when it comes from :func:`check_order`.
-    """
-    if type(order) is _CheckedOrder and len(order) == m.p:
-        return order
-    return check_order(m, order)
 
 
 def _runs(flags: bytes) -> list:
@@ -147,7 +127,7 @@ def maximal_remote_intervals(m: TreeMetrics, order: Sequence) -> list:
 
     Returned as (start, end) index pairs, inclusive, ascending.
     """
-    return _remote_runs(m, _as_order(m, order))
+    return _remote_runs(m, check_order(m, order))
 
 
 def _parity_ok(lengths: list, count: int) -> bool:
@@ -188,7 +168,7 @@ def is_admissible(m: TreeMetrics, order: Sequence) -> bool:
     and the remote vertices not order-adjacent to a center fall in even runs
     (one odd run allowed when their count is odd).  With two centers they must
     additionally sit at order positions i, j with j > i + 2."""
-    seq = _as_order(m, order)
+    seq = check_order(m, order)
     return _admissible(m, seq, _free_runs(m, seq, _remote_runs(m, seq)))
 
 
@@ -222,7 +202,7 @@ def a_sequence(m: TreeMetrics, order: Sequence) -> ASequence:
     """
     if not m.two_branch:
         raise NotTwoBranch("a-sequence is defined for two-branch trees only")
-    seq = _as_order(m, order)
+    seq = check_order(m, order)
     return _a_sequence(m, seq, _free_runs(m, seq, _remote_runs(m, seq)))
 
 
@@ -274,7 +254,7 @@ def check_condition_a(m: TreeMetrics, order: Sequence) -> tuple:
     0 or 2 (even |S| >= 4).
     """
     _condition_a_applies(m)
-    seq = _as_order(m, order)
+    seq = check_order(m, order)
     runs = _remote_runs(m, seq)
     return _condition_a(m, seq, runs, _free_runs(m, seq, runs))
 
@@ -305,107 +285,86 @@ def _condition_b_core(m: TreeMetrics, seq: tuple, a: tuple) -> tuple:
     increments ``a``: positions i < j fail iff f_j - f_i + d(u_i, u_j) <=
     diam.  Returns (ok, the lexicographically first violating pair or None).
 
-    Two passes: the decision pass :func:`_condition_b_holds` answers whether
-    any pair fails, with one comparison per step of each window; only when
-    one does, the naming scan :func:`_condition_b_first` finds the pair an
-    all-pairs scan would report first.
-
     ``seq`` must be a permutation of the vertex ids (the callers pass what
-    :func:`check_order` returned), so the scans index the per-vertex tuples
+    :func:`check_order` returned), so the scan indexes the per-vertex tuples
     without checks.
     """
     return _condition_b_on_labels(m, seq, *_levels_and_labels(m, seq, a))
 
 
 def _condition_b_on_labels(m: TreeMetrics, seq: tuple, lev: list, f: list) -> tuple:
-    """Condition (b) on an order's levels ``lev`` and labels ``f``: the
-    decision pass, then, only when it finds a violation, the naming scan.
+    """Condition (b) on an order's levels ``lev`` and labels ``f``: one
+    :func:`_condition_b_scan` that stops on the labels themselves, and a
+    second one that stops on their suffix minima only when the first finds
+    a pair and the labels do not strictly increase.
 
-    A pair in different branches of T - W, or with a weight center in it, is
-    ``L(u) + L(v) + delta`` apart (phi is 0), read off the per-position lists
-    of part (the branch of T - W, or for a weight center a part of its own)
-    and nearest center; only a pair inside one branch calls
+    While the labels strictly increase, the first scan sees every pair that
+    can fail, in lexicographic order, so the pair it meets is the first.
+    When they do not, it still meets some pair (a step ``f_{t+1} <= f_t``
+    fails, since ``d <= diam``, and position t's scan tests it first unless
+    an earlier scan has already failed), but it may have stopped early at
+    an earlier position.  On the p = 19 tree with edges 0-1 1-2 2-3 3-4 4-5,
+    5-6..9, 0-10, 10-11..18, the order 0 10 6 7 8 9 11 2 3 4 5 12 13 14 15
+    16 17 18 1 has labels that fall after position 1: the first scan meets
+    (1, 3), but (0, 6) fails too, and only the suffix minima let position
+    0's scan reach it.
+
+    A pair in different branches of T - W, or with a weight center in it,
+    is ``L(u) + L(v) + delta`` apart (phi is 0), read off the per-position
+    lists of part (the branch of T - W, or for a weight center a part of
+    its own) and nearest center; only a pair inside one branch calls
     :meth:`TreeMetrics.distance`, whose phi climbs parent pointers.  A
-    certifying order alternates between the two branches, so most pairs take
-    the first route.
+    certifying order alternates between the two branches, so most pairs
+    take the first route.
     """
     part = list(map(m.branch_id.__getitem__, seq))
     for c in m.weight_centers:
         part[seq.index(c)] = -1 - c
     cen = list(map(m.center_of.__getitem__, seq))
-    f.append(f[-1] + m.diameter)  # the sentinel of the decision pass
-    holds = _condition_b_holds(m, seq, lev, part, cen, f)
+    scan = (m, seq, lev, part, cen, f)
+    # The sentinel ends every scan on the labels: it is below f_i + diam
+    # only when f_{p-1} < f_i, and then the pair (i, p-1) fails before it.
+    f.append(f[-1] + m.diameter)
+    pair = _condition_b_scan(*scan, f)
     f.pop()
-    if holds:
-        return True, None
-    return _condition_b_first(m, seq, lev, part, cen, f)
+    if pair is not None and not all(map(lt, f, islice(f, 1, None))):
+        low = list(accumulate(reversed(f), min))[::-1]  # low[j] = min(f[j:])
+        low.append(max(f) + m.diameter)  # at least every f_i + diam
+        pair = _condition_b_scan(*scan, low)
+    return pair is None, pair
 
 
-def _condition_b_holds(m: TreeMetrics, seq: tuple, lev: list, part: list,
-                       cen: list, f: list) -> bool:
-    """The decision pass of condition (b): does no pair fail?  ``f`` carries
-    a sentinel ``f[p-1] + diam`` after its p labels.
+def _condition_b_scan(m: TreeMetrics, seq: tuple, lev: list, part: list,
+                      cen: list, f: list, stop: list) -> tuple | None:
+    """The first pair (i, j) of condition (b) that fails among those the
+    scan reaches, or None.  Position i scans its successors j while
+    ``stop[j] < f_i + diam``; ``stop`` has one entry more than the order, a
+    sentinel that no scan runs past.
 
-    Position i scans its successors while ``f_j < f_i + diam``, one
-    comparison per step.  A pair with ``f_j >= f_i + diam`` cannot fail
-    (distinct vertices are at least 1 apart), so when the labels strictly
-    increase the scan sees every pair that can fail.  When they do not, the
-    scan may stop early, but the answer stands: a step ``f_{t+1} <= f_t``
-    fails (``d <= diam``), and position t's scan tests it first, unless an
-    earlier scan has already failed.  No scan reads past the sentinel: it is
-    below ``f_i + diam`` only when ``f_{p-1} < f_i``, and then the pair
-    ``(i, p-1)`` fails before it.
+    A pair with ``f_j >= f_i + diam`` cannot fail, since distinct vertices
+    are at least 1 apart, so the scan over j can stop once no later label
+    is below that: ``stop`` is the labels, which suffices while they
+    increase, or their suffix minima.  A pair across parts fails the test
+    of its own accord when ``f_j`` is that large; a pair inside one branch
+    is tested only when ``f_j`` is below it, so no distance is computed for
+    a pair that cannot fail.
     """
     diam, distance = m.diameter, m.distance
     for i in range(len(seq) - 1):
         top = f[i] + diam  # (i, j) fails iff f[j] + d(u_i, u_j) <= top
         j = i + 1
-        fj = f[j]
-        if fj >= top:
+        if stop[j] >= top:
             continue
         lim, pu, cu = top - lev[i], part[i], cen[i]
-        while fj < top:
+        while stop[j] < top:
+            fj = f[j]
             if pu != part[j]:  # phi = 0
                 if lev[j] + (cu != cen[j]) + fj <= lim:
-                    return False
-            elif distance(seq[i], seq[j]) + fj <= top:  # one branch: phi climbs
-                return False
+                    return i, j
+            elif fj < top and distance(seq[i], seq[j]) + fj <= top:  # one branch: phi climbs
+                return i, j
             j += 1
-            fj = f[j]
-    return True
-
-
-def _condition_b_first(m: TreeMetrics, seq: tuple, lev: list, part: list,
-                       cen: list, f: list) -> tuple:
-    """The naming scan of condition (b), run once the decision pass has
-    found a violation: (ok, the first violating pair of an all-pairs scan).
-
-    A pair with ``f_j >= f_i + diam`` cannot fail: it is skipped, and the
-    scan over j stops once the suffix minimum of f is that large.  A
-    position whose first successor already lies past that point is skipped
-    whole, and a sentinel after the last suffix minimum ends every scan.
-    """
-    p = len(seq)
-    diam = m.diameter
-    distance = m.distance
-    low = list(accumulate(reversed(f), min))[::-1]  # low[j] = min(f[j:])
-    low.append(max(f) + diam)  # the sentinel: at least every f[i] + diam
-    for i in range(p - 1):
-        top = f[i] + diam  # (i, j) fails iff f[j] + d(u_i, u_j) <= top
-        j = i + 1
-        if low[j] >= top:
-            continue
-        lim, pu, cu = top - lev[i], part[i], cen[i]
-        while low[j] < top:
-            fj = f[j]
-            if fj < top:
-                if pu != part[j]:  # phi = 0
-                    if lev[j] + (cu != cen[j]) + fj <= lim:
-                        return False, (i, j)
-                elif distance(seq[i], seq[j]) + fj <= top:  # one branch: phi climbs
-                    return False, (i, j)
-            j += 1
-    return True, None
+    return None
 
 
 def check_condition_b(m: TreeMetrics, order: Sequence, aseq: ASequence) -> tuple:
@@ -413,7 +372,7 @@ def check_condition_b(m: TreeMetrics, order: Sequence, aseq: ASequence) -> tuple
 
     Returns (ok, first violating (i, j) or None), first in lexicographic order.
     """
-    seq = _as_order(m, order)
+    seq = check_order(m, order)
     if len(aseq.a) != len(seq) - 1:
         raise LengthMismatch(
             f"a-sequence length {len(aseq.a)} for order length {len(seq)}"
@@ -431,7 +390,7 @@ def check_ddb_conditions(m: TreeMetrics, order: Sequence) -> tuple:
     """
     if m.diameter < 2:
         raise DiameterTooSmall("basic-bound conditions need diameter >= 2")
-    seq = _as_order(m, order)
+    seq = check_order(m, order)
     first, last = seq[0], seq[-1]
     if len(m.weight_centers) == 1:
         (w,) = m.weight_centers

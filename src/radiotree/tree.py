@@ -336,23 +336,6 @@ def _meet_level(level: tuple, parent: tuple, u: int, v: int) -> int:
     return level[u]
 
 
-def _phi(m: TreeMetrics, u: int, v: int) -> int:
-    """Highest level on the common part of the two center-to-vertex paths,
-    for vertices already checked.  Paths into different branches of T - W
-    share at most their center, at level 0, so only a pair inside one branch
-    climbs.
-    """
-    if m.branch_id[u] != m.branch_id[v] or m.center_of[u] != m.center_of[v]:
-        return 0  # different branches, or the two centers
-    return _meet_level(m.level, m.parent, u, v)
-
-
-def _delta(m: TreeMetrics, u: int, v: int) -> int:
-    """1 iff there are two weight centers and the u-v path crosses both
-    (vertices already checked)."""
-    return 1 if m.center_of[u] != m.center_of[v] else 0
-
-
 # --- tree text format ------------------------------------------------------
 
 def parse_tree_text(text: str) -> Tree:

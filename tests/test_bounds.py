@@ -167,14 +167,6 @@ class TestOneOrderCheck:
         assert lab.span == inst.closed_form_rn
         assert [len(order) for _, order in calls] == [m.p]
 
-    def test_a_checked_order_is_not_checked_again(self, monkeypatch):
-        inst = gen_caterpillar(5, 50)
-        m = metrics(inst.tree)
-        seq = check_order(m, proof_order_caterpillar(inst))
-        calls = self.count_calls(monkeypatch, "check_order")
-        assert certify_tightness(m, seq).span == inst.closed_form_rn
-        assert calls == []
-
     @pytest.mark.parametrize("inst,build", [
         (gen_caterpillar(5, 50), proof_order_caterpillar),
         (gen_lmh(2, 6, 4), proof_order_lmh),

@@ -313,6 +313,12 @@ class TestGen:
         assert main(["gen", "path", "--n", "4"]) == 0
         assert capsys.readouterr().out == "0 1\n1 2\n2 3\n"
 
+    def test_random_draws_exhausted_is_a_resource_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(families, "RANDOM_DRAWS", 0)
+        assert main(["gen", "random", "--n", "6"]) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "after 0 draws" in err
+
     def test_names(self, capsys):
         assert main(["gen", "caterpillar", "--n", "3", "--k", "1", "--names"]) == 0
         out = capsys.readouterr().out

@@ -5,6 +5,7 @@ import pytest
 
 from radiotree import (
     BadParams,
+    ExhaustedAttempts,
     build_tree,
     InvalidProofOrder,
     OutOfRange,
@@ -673,6 +674,11 @@ class TestRandomTwoBranch:
     def test_always_two_branch(self):
         for seed in range(10):
             assert metrics(gen_random_two_branch(9, seed).tree).two_branch
+
+    def test_gives_up_after_the_draws(self, monkeypatch):
+        monkeypatch.setattr(families, "RANDOM_DRAWS", 0)
+        with pytest.raises(ExhaustedAttempts, match="no two-branch tree on 6 vertices after 0 draws"):
+            gen_random_two_branch(6, 1)
 
 
 class TestRnFormula:

@@ -293,8 +293,8 @@ def test_all_zero_labels_compare_a_linear_number_of_pairs(monkeypatch):
     tree = gen_caterpillar(5, 5000).tree  # p = 20,005
     compared = []
 
-    def counting(adjacency, lab):
-        first, n = _first_violation(adjacency, lab)
+    def counting(oracle, lab):
+        first, n = _first_violation(oracle, lab)
         compared.append(n)
         return first, n
 
@@ -302,6 +302,20 @@ def test_all_zero_labels_compare_a_linear_number_of_pairs(monkeypatch):
     lab = RadioLabelling(dict.fromkeys(range(tree.p), 0))
     assert verify_labelling(tree, lab) == (False, (0, 1))
     assert compared == [tree.p - 1]
+
+
+def test_a_failing_labelling_builds_one_oracle(monkeypatch):
+    # both passes run on a failing labelling, and share one BFS and reroot
+    built = []
+
+    def counting(adjacency):
+        built.append(adjacency)
+        return _middle_rooted(adjacency)
+
+    monkeypatch.setattr(labelling, "_middle_rooted", counting)
+    tree = path(5)
+    assert verify_labelling(tree, RadioLabelling({0: 0, 1: 1, 2: 9, 3: 14, 4: 19})) == (False, (0, 1))
+    assert built == [tree.adjacency]
 
 
 # --- the decision pass against the naming scan ------------------------------
@@ -314,14 +328,14 @@ def test_all_zero_labels_compare_a_linear_number_of_pairs(monkeypatch):
 
 
 def names_a_violation(tree, labels):
-    return _first_violation(tree.adjacency, labels)[0] is not None
+    return _first_violation(_middle_rooted(tree.adjacency), labels)[0] is not None
 
 
 @given(labelled_trees())
 @settings(max_examples=500, deadline=None)
 def test_decision_pass_agrees_with_the_naming_scan(case):
     tree, lab = case
-    assert _has_violation(tree.adjacency, lab.labels) == names_a_violation(tree, lab.labels)
+    assert _has_violation(_middle_rooted(tree.adjacency), lab.labels) == names_a_violation(tree, lab.labels)
 
 
 @pytest.mark.parametrize("inst, build", [
@@ -335,7 +349,8 @@ def test_decision_pass_agrees_with_the_naming_scan(case):
 def test_decision_pass_agrees_on_nudged_family_labellings(inst, build):
     m = metrics(inst.tree)
     certified = certify_tightness(m, build(inst, m)).labels
-    assert not _has_violation(inst.tree.adjacency, certified)
+    oracle = _middle_rooted(inst.tree.adjacency)
+    assert not _has_violation(oracle, certified)
     rng = random.Random(inst.tree.p)
     violations = 0
     for _ in range(60):
@@ -343,7 +358,7 @@ def test_decision_pass_agrees_on_nudged_family_labellings(inst, build):
         v = rng.randrange(inst.tree.p)
         labels[v] = max(0, labels[v] + rng.choice([-3, -2, -1, 1, 2, 3]))
         want = names_a_violation(inst.tree, labels)
-        assert _has_violation(inst.tree.adjacency, labels) == want, v
+        assert _has_violation(oracle, labels) == want, v
         violations += want
     assert violations > 0
 
@@ -375,7 +390,8 @@ def test_threshold_climb_decides_every_lone_pair():
     # condition on that pair, and each edge case of the climb is reached
     seen = Counter()
     for tree in spider_with_cousins(), path(8), path(9), broom_at_far_end(7, 3):
-        diam, depth, _, top = _middle_rooted(tree.adjacency)
+        oracle = _middle_rooted(tree.adjacency)
+        diam, depth, _, top = oracle
         dist = distance_matrix(tree)
         for u in range(tree.p):
             for v in range(tree.p):
@@ -384,7 +400,7 @@ def test_threshold_climb_decides_every_lone_pair():
                 for gap in range(diam + 1):
                     labels = lone_pair(tree.p, diam, u, v, gap)
                     want = gap + dist[u][v] <= diam
-                    assert _has_violation(tree.adjacency, labels) == want, (u, v, gap)
+                    assert _has_violation(oracle, labels) == want, (u, v, gap)
                     if top[u] != top[v]:
                         seen["through the root"] += 1
                         continue
@@ -405,11 +421,11 @@ def test_threshold_climb_decides_every_lone_pair():
 ])
 def test_decision_pass_on_one_and_two_vertices(labels, want):
     tree = gen_path(len(labels)).tree
-    assert _has_violation(tree.adjacency, labels) is want
+    assert _has_violation(_middle_rooted(tree.adjacency), labels) is want
 
 
 def test_valid_labelling_skips_the_naming_scan(monkeypatch):
-    def no_scan(adjacency, lab):
+    def no_scan(oracle, lab):
         raise AssertionError("the naming scan ran on a valid labelling")
 
     monkeypatch.setattr(labelling, "_first_violation", no_scan)

@@ -5,10 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from radiotree import (
     ASequence,
+    CertificationFailure,
     NotAPermutation,
     NotTwoBranch,
     a_sequence,
     build_tree,
+    certify_tightness,
     check_condition_a,
     check_condition_b,
     check_ddb_conditions,
@@ -20,13 +22,15 @@ from radiotree import (
     gen_random_two_branch,
     is_admissible,
     is_feasible,
+    label_from_order,
     maximal_remote_intervals,
     metrics,
     proof_order_caterpillar,
     proof_order_levelwise,
     proof_order_lmh,
 )
-from radiotree.orders import _as_order, _condition_b_core, _parity_ok
+from radiotree import orders
+from radiotree.orders import _condition_b_core, _parity_ok
 
 
 def path_metrics(n):
@@ -122,7 +126,7 @@ class TestAdmissible:
 def is_admissible_reference(m, order):
     """:func:`is_admissible` as first written: a position table of the whole
     order to find the centers, and each run step checked for remoteness."""
-    seq = _as_order(m, order)
+    seq = check_order(m, order)
     p = len(seq)
     pos = {u: i for i, u in enumerate(seq)}
     centers = sorted(m.weight_centers, key=pos.get)
@@ -271,6 +275,47 @@ class TestConditionB:
         a = (0, 1, 1, 0, 1, 1, 1, 0, 1, 1, 0, 0)
         assert all_pairs_condition_b(m, seq, a) == (False, (0, 4))
         assert check_condition_b(m, seq, ASequence(a=a)) == (False, (0, 4))
+
+    @staticmethod
+    def count_scans(monkeypatch):
+        """The pairs that each ``orders._condition_b_scan`` call returns."""
+        met, scan = [], orders._condition_b_scan
+
+        def counting(*args):
+            met.append(scan(*args))
+            return met[-1]
+
+        monkeypatch.setattr(orders, "_condition_b_scan", counting)
+        return met
+
+    def test_one_scan_when_the_labels_increase(self, monkeypatch):
+        inst = gen_caterpillar(5, 50)
+        m = metrics(inst.tree)
+        order = list(proof_order_caterpillar(inst))
+        order[100], order[102] = order[102], order[100]
+        f = label_from_order(m, order, a_sequence(m, order)).labels
+        assert all(f[u] < f[v] for u, v in zip(order, order[1:]))
+        met = self.count_scans(monkeypatch)
+        with pytest.raises(CertificationFailure, match=r"\(98, 100\)"):
+            certify_tightness(m, order)
+        assert met == [(98, 100)]
+
+    def test_labels_that_fall_are_scanned_again(self, monkeypatch):
+        # The labels fall after position 1, whose window ends before the
+        # pair (0, 6): the scan on the labels meets (1, 3) first, and only
+        # the scan on their suffix minima reaches (0, 6).
+        m = metrics(build_tree([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 10)]
+                               + [(5, v) for v in range(6, 10)]
+                               + [(10, v) for v in range(11, 19)]))
+        order = (0, 10, 6, 7, 8, 9, 11, 2, 3, 4, 5, 12, 13, 14, 15, 16, 17, 18, 1)
+        aseq = a_sequence(m, order)
+        assert all_pairs_condition_b(m, order, aseq.a) == (False, (0, 6))
+        met = self.count_scans(monkeypatch)
+        assert check_condition_b(m, order, aseq) == (False, (0, 6))
+        assert met == [(1, 3), (0, 6)]
+        with pytest.raises(CertificationFailure) as exc:
+            certify_tightness(m, order)
+        assert (exc.value.stage, exc.value.detail) == ("condition_b", "violated at positions (0, 6)")
 
 
 def all_pairs_condition_b(m, seq, a):

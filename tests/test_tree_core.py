@@ -15,7 +15,7 @@ from radiotree import (
     metrics,
     parse_tree_text,
 )
-from radiotree.tree import _delta, _make_tree, _phi
+from radiotree.tree import _make_tree, _meet_level
 from test_labelling import relabelled_trees
 
 
@@ -225,24 +225,42 @@ class TestDistance:
 
 
 class TestPhiDelta:
+    """The terms of d(u, v) = L(u) + L(v) - 2*phi(u, v) + delta(u, v): phi is
+    the level where the two center-to-vertex paths meet, which _meet_level
+    climbs to for a pair with one nearest center, and delta is what the
+    identity leaves of TreeMetrics.distance."""
+
+    @staticmethod
+    def delta(m, u, v):
+        # a pair with one nearest center meets on its paths to it
+        return m.distance(u, v) - m.level[u] - m.level[v] \
+            + 2 * _meet_level(m.level, m.parent, u, v)
+
     def test_phi_p5_near(self):
-        assert _phi(metrics(path(5)), 0, 1) == 1
+        m = metrics(path(5))
+        assert _meet_level(m.level, m.parent, 0, 1) == 1
 
     def test_phi_p5_opposite(self):
-        assert _phi(metrics(path(5)), 0, 4) == 0
+        m = metrics(path(5))
+        assert _meet_level(m.level, m.parent, 0, 4) == 0
 
     def test_phi_p4_opposite(self):
-        assert _phi(metrics(path(4)), 0, 3) == 0
+        # nearest centers differ: the paths share no vertex, so phi is 0 and
+        # the distance is L(u) + L(v) + delta
+        m = metrics(path(4))
+        assert m.center_of[0] != m.center_of[3]
+        assert m.distance(0, 3) == m.level[0] + m.level[3] - 2 * 0 + 1
 
     def test_delta_p4_crossing(self):
-        assert _delta(metrics(path(4)), 0, 3) == 1
+        m = metrics(path(4))
+        assert m.distance(0, 3) - m.level[0] - m.level[3] == 1  # phi is 0
 
     def test_delta_single_center(self):
         m = metrics(path(5))
-        assert all(_delta(m, u, v) == 0 for u in range(5) for v in range(5))
+        assert all(self.delta(m, u, v) == 0 for u in range(5) for v in range(5))
 
     def test_delta_p4_same_side(self):
-        assert _delta(metrics(path(4)), 0, 1) == 0
+        assert self.delta(metrics(path(4)), 0, 1) == 0
 
     @pytest.mark.parametrize("fn", [lambda m, u, v: m.distance(u, v)], ids=["distance"])
     @pytest.mark.parametrize("bad", [-1, 4, True, 1.0, "0"])

@@ -198,11 +198,12 @@ def liu_bound_even(m: TreeMetrics, x: int) -> int:
     """Earlier lower bound for even diameter 2*dh (dh >= 2) and a degree-2
     weight center x.
 
-    With L_i, R_i the level sets of the two components of T - x: when both
-    components reach depth dh, the bound is (p-1)(2dh+1) - 2w(x) +
-    max{|L_dh|, |R_dh|} (or + 1 + |R_dh| when the two counts are equal);
-    when only one side reaches depth dh, that side is R and the bound is
-    (p-1)(2dh+1) - 2w(x) + max{ceil((sum_i (2i+1)|R_{dh+i}| - 2)/2), 1}.
+    With L_i, R_i the level sets of the two components of T - x, and w(x) =
+    sum_i i(|L_i| + |R_i|) read off them: when both components reach depth
+    dh, the bound is (p-1)(2dh+1) - 2w(x) + max{|L_dh|, |R_dh|} (or + 1 +
+    |R_dh| when the two counts are equal); when only one side reaches depth
+    dh, that side is R and the bound is (p-1)(2dh+1) - 2w(x) +
+    max{ceil((sum_i (2i+1)|R_{dh+i}| - 2)/2), 1}.
     """
     _check_omega_vertex(m, x)
     if m.diameter % 2 != 0:
@@ -212,7 +213,7 @@ def liu_bound_even(m: TreeMetrics, x: int) -> int:
         # the one such tree with d = 2 is P_3, whose rn 3 is below the formula's 4
         raise DHalfTooSmall(f"even-diameter bound needs half-diameter >= 2, got {dh}")
     side_a, side_b = _sides_at(m, x)
-    w = m.vertex_weight[x]
+    w = sum(i * c for side in (side_a, side_b) for i, c in side.items())
     base = (m.p - 1) * (2 * dh + 1) - 2 * w
     ca, cb = side_a.get(dh, 0), side_b.get(dh, 0)
     if ca and cb:
@@ -232,7 +233,7 @@ def liu_bound_odd(m: TreeMetrics, x: int) -> int:
     R is the unique component of T - x reaching depth beyond dh.  When the
     eccentricity of x is dh+1 the bound is (p-1)(2dh+2) - 2w(x) +
     max{2|R_{dh+1}| - 5, 1}; when it is larger, + sum_{i>=1} (i+1)|R_{dh+i}|
-    - 2 instead.
+    - 2 instead.  w(x) is read off the level sets, as in :func:`liu_bound_even`.
     """
     _check_omega_vertex(m, x)
     if m.diameter % 2 != 1:
@@ -247,7 +248,7 @@ def liu_bound_odd(m: TreeMetrics, x: int) -> int:
         raise NotOmegaTree("expected exactly one component deeper than half the diameter")
     right = side_a if deep_a else side_b
     h = max(right)  # eccentricity of x: R is the deeper side
-    w = m.vertex_weight[x]
+    w = sum(i * c for side in (side_a, side_b) for i, c in side.items())
     base = (m.p - 1) * (2 * dh + 2) - 2 * w
     if h == dh + 1:
         return base + max(2 * right.get(dh + 1, 0) - 5, 1)

@@ -387,6 +387,9 @@ def main(argv=None) -> int:
     except (OrderTooLarge, ExhaustedAttempts) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_RESOURCE
+    except MemoryError:
+        print("out of memory", file=sys.stderr)
+        return EXIT_RESOURCE
     except RadioTreeError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT

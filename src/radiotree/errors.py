@@ -93,7 +93,9 @@ class DHalfTooSmall(RadioTreeError):
 # --- solver ----------------------------------------------------------------
 
 class OrderTooLarge(RadioTreeError):
-    """Tree exceeds the exact solver's vertex-count limit."""
+    """A tree above a vertex-count limit: the exact solver's ``max_order``,
+    or :data:`radiotree.families.MAX_VERTICES` for a family instance, which
+    its generator refuses before building anything."""
 
 
 # --- families --------------------------------------------------------------

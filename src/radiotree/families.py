@@ -37,6 +37,7 @@ from .errors import (
     ExhaustedAttempts,
     InvalidProofOrder,
     NotAPermutation,
+    OrderTooLarge,
     OutOfRange,
     UnsupportedParams,
 )
@@ -83,6 +84,14 @@ def _certify_or_raise(inst: FamilyInstance, order: list, m: TreeMetrics | None) 
     return order
 
 
+MAX_VERTICES = 10 ** 7  # each generator computes p first and refuses more
+
+
+def _check_size(p: int) -> None:
+    if p > MAX_VERTICES:
+        raise OrderTooLarge(f"{p} vertices exceeds the generators' limit {MAX_VERTICES}")
+
+
 # --- paths -----------------------------------------------------------------
 
 def rn_path(n: int) -> int:
@@ -99,6 +108,7 @@ def gen_path(n: int) -> FamilyInstance:
     """The path v_1 - ... - v_n; v_i is id i - 1."""
     if n < 1:
         raise BadParams(f"path needs n >= 1, got {n}")
+    _check_size(n)
     tree = _make_tree(n, [(i, i + 1) for i in range(n - 1)])
     return FamilyInstance(tree, "path", f"P_{n}", {"n": n}, rn_path(n) if n >= 4 else None)
 
@@ -143,8 +153,10 @@ def gen_caterpillar(n: int, k: int) -> FamilyInstance:
     """
     if n < 3 or k < 1:
         raise BadParams(f"caterpillar needs n >= 3 and k >= 1, got {(n, k)}")
+    tufts = _cat_tufts(n, k)
+    _check_size(n + len(tufts) * k)
     edges = [(i, i + 1) for i in range(n - 1)]
-    edges += [(s, v) for s, leaves in _cat_tufts(n, k) for v in leaves]
+    edges += [(s, v) for s, leaves in tufts for v in leaves]
     return FamilyInstance(_make_tree(len(edges) + 1, edges), "caterpillar", f"C({n},{k})",
                           {"n": n, "k": k}, rn_caterpillar(n, k))
 
@@ -276,6 +288,7 @@ def gen_levelwise(z: int, degrees) -> FamilyInstance:
     h = len(ms)
     if z not in (1, 2) or h < 1 or any(m < 2 for m in ms):
         raise BadParams(f"need z in {{1,2}}, h >= 1, all degrees >= 2; got z={z}, {ms}")
+    _check_size(z + z * (ms[0] - z + 1) * _levelwise_sizes(ms)[1])  # z roots, their branches
     edges = [(0, 1)] if z == 2 else []
     edges += [(x, v) for x, v, _ in _levelwise_edges(z, ms)]
     try:
@@ -375,6 +388,7 @@ def gen_lmh(z: int, m: int, h: int) -> FamilyInstance:
     """
     if z not in (1, 2) or m < 2 or h < 2:
         raise BadParams(f"need z in {{1,2}}, m >= 2, h >= 2; got {(z, m, h)}")
+    _check_size(z + 2 + 2 * m * (h - 1))
     # r -- w^1, r -- w^2, or r_1 -- r_2, r_1 -- w^1, r_2 -- w^2
     edges = [(0, 1), (0, 2)] if z == 1 else [(0, 1), (0, 2), (1, 3)]
     for l in (1, 2):
@@ -429,6 +443,7 @@ def gen_random_two_branch(n: int, seed: int) -> FamilyInstance:
     vertex is named by its id."""
     if n < 3:
         raise BadParams(f"need n >= 3, got {n}")
+    _check_size(n)
     rng = random.Random(seed)
     for _ in range(RANDOM_DRAWS):
         if n == 3:

@@ -5,7 +5,8 @@ consume are derived here once per tree and carried in :class:`TreeMetrics`:
 
 * the diameter ``d``,
 * the weight centers ``W`` (the one or two adjacent vertices minimizing the
-  total distance ``w(v) = sum_u d(u, v)``) and ``epsilon = 2 - |W|``,
+  total distance ``w(v) = sum_u d(u, v)``) and ``epsilon = 2 - |W|``, found
+  with no weight computed as the centroids (see :func:`metrics`),
 * per-vertex levels ``L(u)`` (distance to the nearest weight center) and the
   total level ``L(T)``,
 * the branches of ``T - W`` and whether the tree is two-branch,
@@ -206,7 +207,6 @@ class TreeMetrics:
     remote_set: frozenset
     xi: int
     two_branch: bool
-    vertex_weight: tuple  # w(v) per vertex
     parent: tuple = field(repr=False)  # BFS predecessor toward the centers
     center_of: tuple = field(repr=False)  # nearest weight center per vertex
 
@@ -233,17 +233,25 @@ class TreeMetrics:
 
 
 def metrics(tree: Tree) -> TreeMetrics:
-    """Compute all per-tree structural metrics (pure function of the tree), in O(p)."""
+    """Compute all per-tree structural metrics (pure function of the tree), in O(p).
+
+    The weight centers are the centroids, read off the subtree sizes of one
+    BFS from vertex 0.  A step to a neighbour whose side of the edge holds s
+    vertices changes w by p - 2s.  The walk from 0 into the child holding
+    more than p/2 (at most one does) ends at a vertex c whose every side
+    holds at most p/2, the side above fewer.  Along a path out of c the sides
+    shrink, so w rises at every step but a first one onto a side of exactly
+    p/2.  The centers are thus c and the child of c holding p/2, if any (c's
+    sides hold p - 1 vertices in all, so one at most): one vertex or two
+    adjacent ones.
+    """
     p = tree.p
     adj = tree.adjacency
 
-    # Weights by rerooting one BFS from vertex 0: moving the root from a
-    # parent to its child c brings the size(c) vertices below c one step
-    # closer and takes the other p - size(c) one step farther.  The same
-    # bottom-up pass keeps each vertex's height: a longest path turns at the
-    # vertex whose two longest downward paths through different children
-    # are longest together.
-    dist0, parent, order0 = _bfs(adj, [0])
+    # Subtree sizes in the BFS tree from 0.  The same bottom-up pass keeps
+    # each vertex's height: a longest path turns at the vertex whose two
+    # longest downward paths through different children are longest together.
+    _, parent, order0 = _bfs(adj, [0])
     size = [1] * p
     height = [0] * p
     diam = 0
@@ -254,34 +262,26 @@ def metrics(tree: Tree) -> TreeMetrics:
             diam = height[u] + hv
         if hv > height[u]:
             height[u] = hv
-    weights = [0] * p
-    weights[0] = sum(dist0)
-    for v in order0[1:]:
-        weights[v] = weights[parent[v]] + p - 2 * size[v]
-    weights = tuple(weights)
 
-    # The first center is the smallest id of least weight and a second one
-    # is its neighbour; the count guards "at most two, and adjacent".
-    wmin = min(weights)
-    first = weights.index(wmin)
-    centers = [first, *(v for v in adj[first] if weights[v] == wmin)]
-    if len(centers) > 2 or weights.count(wmin) != len(centers):
-        raise AssertionError("the weight centers of a tree are one vertex or two adjacent ones")
+    # The centroid walk: into the child holding more than p/2 while there
+    # is one; a child holding exactly p/2 is the second center.
+    c, walk = 0, [0]
+    while heavy := [v for v in adj[c] if parent[v] == c and 2 * size[v] > p]:
+        c = heavy[0]
+        walk.append(c)
+    centers = [c, *(v for v in adj[c] if parent[v] == c and 2 * size[v] == p)]
     cset = frozenset(centers)
     eps = 2 - len(centers)
 
     # Levels, predecessors, owning centers and branch tops (the level-1
-    # vertex above): the BFS tree rerooted at the centers, the path to 0
-    # turned round.  The path, then the BFS order, puts parents first.
-    path = [centers[0]]
-    while path[-1] != 0:
-        path.append(parent[path[-1]])
-    for u, v in zip(path, path[1:]):
+    # vertex above): the BFS tree rerooted at the centers, the walk from 0
+    # turned round.  The walk backwards, then the BFS order, puts parents first.
+    for u, v in zip(walk[1:], walk):
         parent[v] = u
     level, center_of, top = [-1] * p, [-1] * p, [-1] * p
     for c in centers:
         parent[c], level[c], center_of[c] = -1, 0, c
-    for v in chain(path, order0):
+    for v in chain(reversed(walk), order0):
         if level[v] < 0:
             u = parent[v]
             level[v], center_of[v] = level[u] + 1, center_of[u]
@@ -317,7 +317,6 @@ def metrics(tree: Tree) -> TreeMetrics:
         remote_set=remote,
         xi=xi,
         two_branch=(len(tops) == 2),
-        vertex_weight=weights,
         parent=tuple(parent),
         center_of=tuple(center_of),
     )

@@ -37,7 +37,7 @@ from radiotree import (
     strict_gap_predicate,
 )
 from radiotree import bounds, orders
-from radiotree.tree import _bfs, _decode_pruefer
+from radiotree.tree import _bfs, _decode_pruefer, distance_matrix
 
 
 def path_metrics(n):
@@ -346,7 +346,11 @@ class TestSidesFromLevels:
         assert {len(m.weight_centers) for m, _ in pairs} == {1, 2}
         new = [comparison_bound(m, x) for m, x in pairs]
         for m, x in pairs:
-            assert [dict(c) for c in bounds._sides_at(m, x)] == split_at_reference(m.tree, x)
+            sides = bounds._sides_at(m, x)
+            assert [dict(c) for c in sides] == split_at_reference(m.tree, x)
+            # the weight w(x) the bounds read off the sides
+            assert sum(i * c for side in sides for i, c in side.items()) \
+                == sum(distance_matrix(m.tree)[x])
         monkeypatch.setattr(bounds, "_sides_at", lambda m, x: split_at_reference(m.tree, x))
         assert [comparison_bound(m, x) for m, x in pairs] == new
         assert sum(v is not None for v in new) >= 100

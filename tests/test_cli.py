@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -424,6 +425,36 @@ class TestGen:
         with pytest.raises(SystemExit) as exc:
             main(["gen", "levelwise", "--degrees", "2,x"])
         assert exc.value.code == 2
+
+
+class TestResourceLimits:
+    """Exit 4, one line on stderr and no traceback, for an instance too
+    large to build and for a command that runs out of memory."""
+
+    @pytest.mark.parametrize("command", ["gen", "demo"])
+    @pytest.mark.parametrize("family", [
+        ["caterpillar", "--n", "5", "--k", str(10**12)],
+        ["levelwise", "--z", "1", "--degrees", "2,100000,100000,100000"],
+        ["lmh", "--z", "1", "--m", str(10**12), "--h", "3"],
+        ["path", "--n", str(10**12)],
+        ["random", "--n", str(10**12)],
+    ], ids=["C(5,10^12)", "T^1_{2,10^5,10^5,10^5}", "L^1_{10^12,3}", "P_{10^12}", "random"])
+    def test_a_family_above_the_limit_exits_at_once(self, capsys, command, family):
+        start = time.perf_counter()
+        assert main([command, *family]) == 4
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(" vertices exceeds the generators' limit 10000000\n")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_out_of_memory(self, capsys, monkeypatch, p9_file):
+        def exhausted(tree):
+            raise MemoryError
+        monkeypatch.setattr(cli, "metrics", exhausted)
+        for argv in (["analyze", p9_file], ["demo", "caterpillar", "--n", "5", "--k", "3"]):
+            assert main(argv) == 4
+            assert capsys.readouterr().err == "out of memory\n"
 
 
 class TestDemo:

@@ -8,6 +8,7 @@ from radiotree import (
     ExhaustedAttempts,
     build_tree,
     InvalidProofOrder,
+    OrderTooLarge,
     OutOfRange,
     UnsupportedParams,
     certify_tightness,
@@ -679,6 +680,32 @@ class TestRandomTwoBranch:
         monkeypatch.setattr(families, "RANDOM_DRAWS", 0)
         with pytest.raises(ExhaustedAttempts, match="no two-branch tree on 6 vertices after 0 draws"):
             gen_random_two_branch(6, 1)
+
+
+class TestSizeLimit:
+    """Each generator computes its order from the parameters, exactly, and
+    refuses an instance above MAX_VERTICES before building it."""
+
+    @pytest.mark.parametrize("gen, args", [
+        (gen_path, (7,)),
+        *[(gen_caterpillar, nk) for nk in [(3, 2), (4, 3), (5, 2), (6, 1), (9, 3)]],
+        *[(gen_levelwise, zd) for zd in [(1, (2,)), (2, (2,)), (1, (2, 3, 4)), (2, (3, 3, 3))]],
+        (gen_lmh, (1, 3, 4)),
+        (gen_lmh, (2, 2, 3)),
+        (gen_random_two_branch, (8, 1)),
+    ])
+    def test_the_limit_is_the_order(self, monkeypatch, gen, args):
+        p = gen(*args).tree.p
+        monkeypatch.setattr(families, "MAX_VERTICES", p)
+        assert gen(*args).tree.p == p
+        monkeypatch.setattr(families, "MAX_VERTICES", p - 1)
+        with pytest.raises(OrderTooLarge, match=f"^{p} vertices exceeds"):
+            gen(*args)
+
+    def test_the_default_limit(self):
+        assert families.MAX_VERTICES == 10 ** 7
+        with pytest.raises(OrderTooLarge):
+            gen_caterpillar(5, 2_500_000)  # p = 10,000,005
 
 
 class TestRnFormula:

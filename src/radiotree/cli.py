@@ -194,6 +194,8 @@ def cmd_exact(args) -> int:
         exact["pruned"] = res.stats.pruned
         # rn is proven to lie in [lower_bound, rn]; the two agree when completed
         exact["lower_bound"] = res.stats.lower_bound
+        # (nodes, span) per incumbent, from the greedy seed at 0 nodes
+        exact["incumbents"] = res.stats.incumbents
     report["exact"] = exact
     if args.labels:
         report["labels"] = {str(v): res.witness.labels[v]

@@ -263,6 +263,10 @@ class TestExact:
         assert code == 0 and "elapsed_s" in rep["exact"]
         assert set(rep["exact"]["pruned"]) == {"twin", "remaining", "suffix_bound"}
         assert rep["exact"]["lower_bound"] == rep["exact"]["rn"] == 34
+        incumbents = rep["exact"]["incumbents"]
+        assert incumbents[0] == [0, 64]  # the identity order's greedy span
+        assert incumbents[-1][1] == 34
+        assert incumbents[-1][0] <= rep["exact"]["nodes"]
 
     def test_node_budget_reports_interval(self, capsys, tmp_path):
         # rn 45 = improved bound + 3: the probe fails within the budget, so
@@ -275,6 +279,7 @@ class TestExact:
         exact = rep["exact"]
         assert exact["completed"] is False and exact["nodes"] == 1000
         assert exact["lower_bound"] == rep["bound_improved"] + 1 <= 45 <= exact["rn"]
+        assert exact["incumbents"][-1][1] == exact["rn"]
         assert main(argv[:-1]) == 4
         assert "lower_bound: " in capsys.readouterr().out
 

@@ -126,7 +126,7 @@ class TestContract:
         assert stats.lower_bound == 10
 
     def test_timeout_returns_incumbent(self):
-        # rn 45 = improved bound + 3, about 90k nodes: the clock is read
+        # rn 45 = improved bound + 3, about 56k nodes: the clock is read
         res = exact_rn(gen_random_two_branch(12, 1).tree, timeout_s=0.01)
         assert not res.stats.completed
         assert res.rn >= 45  # incumbent is an upper bound only
@@ -152,7 +152,8 @@ class TestContract:
         assert ok and res.witness.span == res.rn
 
     def test_p13_within_node_budget(self):
-        # the probe proves P_13 in about 25k nodes; a downward search alone needs 543,615
+        # the probe proves P_13 in about 22k nodes; a downward search alone
+        # needs far more (543,615 in id order)
         res = exact_rn(path(13), max_order=13, max_nodes=100_000)
         assert res.stats.completed
         assert res.rn == res.stats.lower_bound == 74 == rn_path(13)
@@ -247,6 +248,7 @@ class TestTwinRule:
             with_rule = solver._search(*args, twin_prev, ub, floor, None, None)
             without = solver._search(*args, no_twins, ub, floor, None, None)
             assert with_rule[:2] == without[:2]
+            assert [s for _, s in with_rule[5]] == [s for _, s in without[5]]
             assert with_rule[2] <= without[2]
             assert with_rule[4] and without[4]
             assert without[3]["twin"] == 0
@@ -258,13 +260,49 @@ class TestTwinRule:
         assert solver._twin_prev(path(2).adjacency) == [-1, -1]
 
 
+class TestIncumbents:
+    @staticmethod
+    def check(tree, max_nodes=None):
+        res = exact_rn(tree, max_nodes=max_nodes, timeout_s=None)
+        inc = res.stats.incumbents
+        seed = greedy_label_from_order(metrics(tree), tuple(range(tree.p)))
+        assert inc[0] == (0, seed.span)
+        assert all(a[0] <= b[0] and a[1] > b[1] for a, b in zip(inc, inc[1:]))
+        assert inc[-1][0] <= res.stats.nodes
+        assert inc[-1][1] == res.rn
+        return res
+
+    def test_history_on_random_two_branch_trees(self):
+        for n in range(4, 11):
+            for seed in range(4):
+                assert self.check(gen_random_two_branch(n, seed).tree).stats.completed
+
+    def test_history_under_node_budgets(self):
+        # rn 45: the probe fails, so the later incumbents come from the
+        # downward search (test_solver_reference.py pins their node counts)
+        tree = gen_random_two_branch(12, 1).tree
+        for max_nodes in (100, 10_000, None):
+            self.check(tree, max_nodes)
+        inc = exact_rn(tree).stats.incumbents
+        assert len(inc) > 2 and inc[-1][1] == 45
+
+    @pytest.mark.parametrize("n", [8, 10, 12])
+    def test_even_path_dive_reaches_the_improved_bound(self, n):
+        # rn(P_n) is the improved bound for even n; the least-label-first dive
+        # finds an order there within 2n nodes and the probe ends soon after
+        # (in id order P_8, P_10 and P_12 took 35, 194 and 1,817 nodes)
+        res = self.check(path(n))
+        assert res.rn == lower_bound_improved(metrics(path(n)))
+        assert res.stats.incumbents[1][0] <= res.stats.nodes <= 2 * n
+
+
 class TestPruneCounters:
     def test_both_rules_fire_on_p10(self):
         stats = exact_rn(path(10)).stats
         assert set(stats.pruned) == {"twin", "remaining", "suffix_bound"}
         assert stats.pruned["remaining"] > 0
         assert stats.pruned["suffix_bound"] > 0
-        # rn equals the improved bound, so the probe settles it (194 nodes)
+        # rn equals the improved bound, so the probe settles it (12 nodes)
         assert stats.nodes <= 1_000
 
     def test_twin_rule_fires_on_levelwise_tree(self):

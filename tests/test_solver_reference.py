@@ -4,10 +4,11 @@ The search once kept its own incumbent order (``ub_order``), undid each
 placement from a p x p table of per-depth snapshots of ``req``, and read the
 start-vertex symmetry off one canonical encoding of the tree per candidate
 root, O(p^2).  That code is kept here as a test-only reference, with the
-two-phase merge ``exact_rn`` then did.  On a seeded grid of trees and node
-budgets the solver must give the same rn, witness, node count, prune
-counters, completion flag and lower bound, and the same start
-representatives.
+two-phase merge ``exact_rn`` then did.  It has since taken the solver's
+candidate order, least label first (``by_label``), and records the
+incumbents.  On a seeded grid of trees and node budgets the solver must give
+the same rn, witness, node count, prune counters, completion flag, lower
+bound and incumbents, and the same start representatives.
 """
 
 import random
@@ -59,9 +60,15 @@ def start_representatives_reference(tree):
 
 
 def search_reference(p, dist, diam, level, eps, starts, twin_prev, ub, ub_order, floor,
-                     max_nodes):
+                     max_nodes, by_label=True):
+    """With ``by_label``, the candidates that pass the cuts are expanded in
+    increasing ``(req, id)``; without it, in id order, which expands the
+    nodes the search once did.  Either way every candidate is cut before the
+    first expansion and again before its own, so the prune counters of the
+    id order are not the old ones."""
     best = ub
     best_order = None if ub_order is None else list(ub_order)
+    improvements = []
     nodes = 0
     pruned_twin = 0
     pruned_remaining = 0
@@ -71,7 +78,8 @@ def search_reference(p, dist, diam, level, eps, starts, twin_prev, ub, ub_order,
     next_check = min(LIMIT_CHECK_INTERVAL, node_limit)
     step = diam + eps
     if best <= floor:
-        return best, best_order, 0, {"twin": 0, "remaining": 0, "suffix_bound": 0}, True
+        return (best, best_order, 0, {"twin": 0, "remaining": 0, "suffix_bound": 0}, True,
+                improvements)
 
     order = [0] * p
     placed = [False] * p + [True]
@@ -89,6 +97,7 @@ def search_reference(p, dist, diam, level, eps, starts, twin_prev, ub, ub_order,
             if span < best:
                 best = span
                 best_order = order[:p]
+                improvements.append((nodes, span))
                 halted = span <= floor
             return
         remaining_after = p - depth - 1
@@ -102,21 +111,36 @@ def search_reference(p, dist, diam, level, eps, starts, twin_prev, ub, ub_order,
                 while not unplaced_at_level[lo2]:
                     lo2 += 1
             suffix_base = remaining_after * step - 2 * unplaced_level_sum
+
+        def cut(u):
+            nonlocal pruned_remaining, pruned_suffix
+            lab = req[u]
+            if lab + remaining_after >= best:
+                pruned_remaining += 1
+                return True
+            lu = level[u]
+            if remaining_after and \
+                    lab + suffix_base + lu + (lo2 if lu == lo1 else lo1) >= best:
+                pruned_suffix += 1
+                return True
+            return False
+
+        survivors = []
         for u in (starts if depth == 0 else range(p)):
             if placed[u]:
                 continue
             if not placed[twin_prev[u]]:
                 pruned_twin += 1
                 continue
+            if not cut(u):
+                survivors.append(u)
+        if by_label:
+            survivors.sort(key=lambda u: (req[u], u))
+        for i, u in enumerate(survivors):
+            if i and cut(u):
+                continue
             lab = req[u]
-            if lab + remaining_after >= best:
-                pruned_remaining += 1
-                continue
             lu = level[u]
-            if remaining_after and \
-                    lab + suffix_base + lu + (lo2 if lu == lo1 else lo1) >= best:
-                pruned_suffix += 1
-                continue
             if nodes == next_check:
                 if nodes == node_limit:
                     halted = limited = True
@@ -147,11 +171,11 @@ def search_reference(p, dist, diam, level, eps, starts, twin_prev, ub, ub_order,
     extend(0, 0)
     pruned = {"twin": pruned_twin, "remaining": pruned_remaining,
               "suffix_bound": pruned_suffix}
-    return best, best_order, nodes, pruned, not limited
+    return best, best_order, nodes, pruned, not limited, improvements
 
 
-def exact_rn_reference(tree, max_nodes):
-    """(rn, witness labels, nodes, pruned, completed, lower_bound)."""
+def exact_rn_reference(tree, max_nodes, by_label=True):
+    """(rn, witness labels, nodes, pruned, completed, lower_bound, incumbents)."""
     m = metrics(tree)
     dist = distance_matrix(tree)
     seed = greedy_label_from_order(m, tuple(range(tree.p)))
@@ -162,16 +186,17 @@ def exact_rn_reference(tree, max_nodes):
 
     def search(ub, ub_order, floor, budget):
         return search_reference(tree.p, dist, m.diameter, m.level, m.epsilon, starts,
-                                twin_prev, ub, ub_order, floor, budget)
+                                twin_prev, ub, ub_order, floor, budget, by_label)
 
-    best, best_order, nodes, pruned, completed = search(
+    best, best_order, nodes, pruned, completed, found = search(
         target + 1, None, proven, max_nodes)
     lower_bound = proven
     if completed and best_order is None:
         lower_bound = target + 1
         budget = None if max_nodes is None else max_nodes - nodes
-        best, best_order, more, more_pruned, completed = search(
+        best, best_order, more, more_pruned, completed, found = search(
             seed.span, seed_order, lower_bound, budget)
+        found = [(nodes + at, span) for at, span in found]
         nodes += more
         pruned = {rule: pruned[rule] + more_pruned[rule] for rule in pruned}
     elif not completed and (best_order is None or seed.span < best):
@@ -179,7 +204,11 @@ def exact_rn_reference(tree, max_nodes):
     if completed:
         lower_bound = best
     labels = greedy_label_from_order(m, tuple(best_order)).labels
-    return best, labels, nodes, pruned, completed, lower_bound
+    incumbents = [(0, seed.span)]
+    for at, span in found:
+        if span < incumbents[-1][1]:
+            incumbents.append((at, span))
+    return best, labels, nodes, pruned, completed, lower_bound, tuple(incumbents)
 
 
 # --- the grid -----------------------------------------------------------------
@@ -211,7 +240,7 @@ def solver_grid():
 def outcome(tree, max_nodes):
     res = exact_rn(tree, max_nodes=max_nodes, timeout_s=None)
     return (res.rn, res.witness.labels, res.stats.nodes, dict(res.stats.pruned),
-            res.stats.completed, res.stats.lower_bound)
+            res.stats.completed, res.stats.lower_bound, res.stats.incumbents)
 
 
 class TestSearchAgainstReference:
@@ -222,16 +251,27 @@ class TestSearchAgainstReference:
 
     @pytest.mark.parametrize("max_nodes", [None, 10_000, 100])
     def test_p12_tree_above_its_improved_bound(self, max_nodes):
-        # rn 45 = improved bound + 3, 90,537 nodes unbounded: both phases run
+        # rn 45 = improved bound + 3, 55,645 nodes unbounded (90,537 in id
+        # order): both phases run
         tree = gen_random_two_branch(12, 1).tree
         assert outcome(tree, max_nodes) == exact_rn_reference(tree, max_nodes)
+
+    def test_label_order_keeps_the_id_order_answers(self):
+        # the candidate order changes nodes, prunes and witness, never what
+        # a completed search proves
+        for tree in solver_grid():
+            by_label = exact_rn_reference(tree, None)
+            by_id = exact_rn_reference(tree, None, by_label=False)
+            rn, _, _, _, completed, lower_bound, _ = by_label
+            assert (rn, completed, lower_bound) == (by_id[0], by_id[4], by_id[5])
+            assert completed and lower_bound == rn
 
     def test_grid_reaches_every_phase(self):
         # at a budget of 50 nodes, some searches settle and some stop, each
         # in the probe and in the downward search
         phases = set()
         for tree in solver_grid():
-            rn, _, _, _, completed, lower_bound = exact_rn_reference(tree, 50)
+            rn, _, _, _, completed, lower_bound, _ = exact_rn_reference(tree, 50)
             proven, target = solver._probe_bounds(metrics(tree))
             in_probe = rn <= target if completed else lower_bound == proven
             phases.add((completed, in_probe))

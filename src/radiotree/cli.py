@@ -25,6 +25,7 @@ from .errors import (
     CertificationFailure,
     ExhaustedAttempts,
     InvalidProofOrder,
+    NegativeLabel,
     OrderTooLarge,
     RadioTreeError,
     UnsupportedParams,
@@ -151,8 +152,13 @@ def cmd_label(args) -> int:
     if args.greedy:
         lab = greedy_label_from_order(m, order)
     else:
-        # the recurrence is valid only for an order meeting condition (b)
-        lab = label_from_order(m, order, a_sequence(m, order))
+        # the recurrence is valid only for an order meeting condition (b); a
+        # well-formed order whose labels dip below zero is not an input error
+        try:
+            lab = label_from_order(m, order, a_sequence(m, order))
+        except NegativeLabel as exc:
+            print(f"labelling from this order is invalid: {exc}", file=sys.stderr)
+            return EXIT_FAIL
     # whatever is printed is checked first, the greedy completion included
     ok, pair = verify_labelling(tree, lab)
     if not ok:

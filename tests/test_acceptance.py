@@ -4,10 +4,9 @@ criterion, with the adjudicated discrepancy values printed rather than hidden.
 
 import random
 
+from oracles import distances, path, random_tree
 from radiotree import (
-    build_tree,
     certify_tightness,
-    distance_matrix,
     exact_rn,
     gen_caterpillar,
     gen_levelwise,
@@ -25,10 +24,6 @@ from radiotree import (
     rn_path,
     strict_gap_predicate,
 )
-
-
-def path(n):
-    return build_tree([(i, i + 1) for i in range(n - 1)])
 
 
 def test_criterion_1_path_radio_numbers():
@@ -116,11 +111,11 @@ def test_criterion_7_property_suite():
     rng = random.Random(20260823)
     for _ in range(500):
         n = rng.randrange(3, 61)
-        tree = build_tree([(i, rng.randrange(i)) for i in range(1, n)])
+        tree = random_tree(n, rng)
         m = metrics(tree)
         if m.diameter < 2:
             continue
-        dist = distance_matrix(tree)
+        dist = distances(tree)
         for u in range(n):
             for v in range(u + 1, n):
                 assert m.distance(u, v) == dist[u][v]

@@ -1,10 +1,10 @@
-import random
 import sys
 import tracemalloc
-from collections import Counter
 
 import pytest
 
+import oracles
+from oracles import path, pruefer_tree
 from radiotree import (
     ASequence,
     CertificationFailure,
@@ -37,11 +37,10 @@ from radiotree import (
     strict_gap_predicate,
 )
 from radiotree import bounds, orders
-from radiotree.tree import _bfs, _decode_pruefer, distance_matrix
 
 
 def path_metrics(n):
-    return metrics(build_tree([(i, i + 1) for i in range(n - 1)]))
+    return metrics(path(n))
 
 
 class TestBasicBound:
@@ -246,11 +245,11 @@ class TestBoundReport:
 
 class TestComparisonBounds:
     def test_even_p9_center(self):
-        tree = build_tree([(i, i + 1) for i in range(8)])
+        tree = path(9)
         assert liu_bound_even(metrics(tree), 4) == 34
 
     def test_even_p5_center(self):
-        tree = build_tree([(i, i + 1) for i in range(4)])
+        tree = path(5)
         assert liu_bound_even(metrics(tree), 2) == 10
 
     def test_even_binary_height2(self):
@@ -259,7 +258,7 @@ class TestComparisonBounds:
         assert liu_bound_even(metrics(inst.tree), root) == 13
 
     def test_odd_p6(self):
-        tree = build_tree([(i, i + 1) for i in range(5)])
+        tree = path(6)
         assert liu_bound_odd(metrics(tree), 2) == 13
 
     def test_odd_c63(self):
@@ -273,12 +272,12 @@ class TestComparisonBounds:
         assert lower_bound_improved(metrics(inst.tree)) == 41
 
     def test_rejects_wrong_vertex(self):
-        tree = build_tree([(i, i + 1) for i in range(8)])
+        tree = path(9)
         with pytest.raises(NotOmegaTree):
             liu_bound_even(metrics(tree), 0)
 
     def test_odd_needs_half_diameter_two(self):
-        tree = build_tree([(i, i + 1) for i in range(3)])
+        tree = path(4)
         with pytest.raises(DHalfTooSmall):
             liu_bound_odd(metrics(tree), 1)
 
@@ -287,12 +286,6 @@ class TestComparisonBounds:
         tree = build_tree([(0, 1), (1, 2)])
         with pytest.raises(DHalfTooSmall):
             liu_bound_even(metrics(tree), 1)
-
-
-def random_tree(p, seed):
-    """A uniform labelled tree on p vertices, from a seeded Pruefer sequence."""
-    rng = random.Random(seed)
-    return _decode_pruefer([rng.randrange(p) for _ in range(p - 2)])
 
 
 def comparison_bound(m, x):
@@ -309,24 +302,12 @@ def omega_centers(m):
     return [x for x in sorted(m.weight_centers) if len(m.tree.adjacency[x]) == 2]
 
 
-def split_at_reference(tree, x):
-    """Level sets of the two components of T - x by a BFS from x: the split
-    the comparison bounds computed before they read it off TreeMetrics."""
-    dist, parent, order = _bfs(tree.adjacency, [x])
-    sides = {s: Counter() for s in tree.adjacency[x]}
-    side = {}  # vertex -> the neighbour of x it hangs from
-    for v in order[1:]:
-        side[v] = v if parent[v] == x else side[parent[v]]
-        sides[side[v]][dist[v]] += 1
-    return [dict(c) for c in sides.values()]
-
-
 class TestComparisonBoundsAreLowerBounds:
     def test_at_most_exact_rn_on_seeded_grid(self):
         checked = 0
         for p in range(3, 11):
             for seed in range(60):
-                m = metrics(random_tree(p, 1000 * p + seed))
+                m = metrics(pruefer_tree(p, 1000 * p + seed))
                 values = [comparison_bound(m, x) for x in omega_centers(m)]
                 values = [v for v in values if v is not None]
                 if values:
@@ -341,16 +322,16 @@ class TestSidesFromLevels:
         pairs = []
         for p in range(4, 40):
             for seed in range(12):
-                m = metrics(random_tree(p, seed))
+                m = metrics(pruefer_tree(p, seed))
                 pairs += [(m, x) for x in omega_centers(m)]
         assert {len(m.weight_centers) for m, _ in pairs} == {1, 2}
         new = [comparison_bound(m, x) for m, x in pairs]
         for m, x in pairs:
-            sides = bounds._sides_at(m, x)
-            assert [dict(c) for c in sides] == split_at_reference(m.tree, x)
+            sides, ref = bounds._sides_at(m, x), oracles.Ref(m.tree)
+            assert [dict(c) for c in sides] == oracles.sides_at(ref, x)
             # the weight w(x) the bounds read off the sides
-            assert sum(i * c for side in sides for i, c in side.items()) \
-                == sum(distance_matrix(m.tree)[x])
-        monkeypatch.setattr(bounds, "_sides_at", lambda m, x: split_at_reference(m.tree, x))
+            assert sum(i * c for side in sides for i, c in side.items()) == sum(ref.d[x])
+        monkeypatch.setattr(bounds, "_sides_at",
+                            lambda m, x: oracles.sides_at(oracles.Ref(m.tree), x))
         assert [comparison_bound(m, x) for m, x in pairs] == new
         assert sum(v is not None for v in new) >= 100

@@ -1,171 +1,62 @@
-"""The certification pipeline against its earlier six-stage form.
+"""The certification pipeline against the paper's definitions.
 
-``certify_tightness`` once ran six stages: condition_a, a_sequence,
-combined_sum, condition_b, construction and verification.  The a_sequence
-and construction stages cannot fail, and the run scans and the label
-recurrence were each rewritten once.  The earlier code is kept here as a
-test-only reference, and on a seeded grid of orders the pipeline must give
-the same stage, the same detail and the same labels.
+``certify_tightness`` checks condition (a), the combined sum, condition (b),
+and then verifies the labels and their span.  On a seeded grid of orders it
+must stop at the same stage with the same detail, or return the same labels,
+as those steps written on ``oracles.py``: BFS distances, the metrics, runs,
+a-sequence and condition (b) by their definitions, and the all-pairs radio
+check.  The runs, admissibility, a-sequence and condition (b) are also
+compared one by one on the same grid.
 """
 
 import random
 from collections import Counter
-from itertools import accumulate
+from functools import cache
 
+import oracles
 from radiotree import (
-    ASequence,
     CertificationFailure,
-    InfeasibleASequence,
-    NegativeLabel,
-    RadioLabelling,
     a_sequence,
     certify_tightness,
-    check_condition_a,
-    check_order,
     gen_caterpillar,
     gen_levelwise,
     gen_lmh,
     gen_path,
     gen_random_two_branch,
     is_admissible,
-    lower_bound_improved,
     maximal_remote_intervals,
     metrics,
     proof_order_caterpillar,
     proof_order_levelwise,
     proof_order_lmh,
-    verify_labelling,
 )
 from radiotree.orders import _condition_b_core, _free_runs
 from radiotree.tree import CENTER_BRANCH
 
-# --- the earlier code, kept as the reference ----------------------------------
+ref_of = cache(oracles.Ref)  # one distance table per tree of the grid
 
 
-def maximal_remote_intervals_reference(m, seq):
-    runs = []
-    start = None
-    for i, u in enumerate(seq):
-        if u in m.remote_set:
-            if start is None:
-                start = i
-        elif start is not None:
-            runs.append((start, i - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(seq) - 1))
-    return runs
-
-
-def free_runs_reference(m, seq):
-    """Maximal runs of positions holding a remote vertex with no weight
-    center as an order-neighbour, position by position."""
-    p, centers = len(seq), m.weight_centers
-    free = [v in m.remote_set and not any(0 <= k < p and seq[k] in centers for k in (t - 1, t + 1))
-            for t, v in enumerate(seq)]
-    runs, start = [], None
-    for t, x in enumerate([*free, False]):
-        if x and start is None:
-            start = t
-        elif not x and start is not None:
-            runs.append((start, t - 1))
-            start = None
-    return runs
-
-
-def is_admissible_reference(m, seq):
-    centers, remote = m.weight_centers, m.remote_set
-    slots = sorted(seq.index(c) for c in centers)
-    for i in slots:
-        for j in (i - 1, i + 1):
-            if 0 <= j < len(seq) and seq[j] not in centers and seq[j] not in remote:
-                return False
-    if len(slots) == 2 and slots[1] <= slots[0] + 2:
-        return False
-    lengths = [e - s + 1 for s, e in free_runs_reference(m, seq)]
-    odd = sum(n % 2 for n in lengths)
-    return odd == sum(lengths) % 2
-
-
-def a_sequence_reference(m, seq):
-    p = len(seq)
-    remote, centers = m.remote_set, m.weight_centers
-    w = len(centers)
-    a = [0] * (p - 1)
-    for t in range(1, p - 1):
-        if seq[t] in remote and seq[t - 1] not in centers and seq[t + 1] not in centers:
-            a[t] = w - a[t - 1]
-        if a[t] not in (0, w):
-            raise InfeasibleASequence(f"a_{t} = {a[t]} outside {{0, {w}}}")
-    return ASequence(a=tuple(a))
-
-
-def condition_b_core_reference(m, seq, a):
-    p = len(seq)
-    diam = m.diameter
-    de = diam + m.epsilon
-    level, distance = m.level, m.distance
-    lev = [level[v] for v in seq]
-    part = [m.branch_id[v] if m.branch_id[v] != CENTER_BRANCH else -1 - v for v in seq]
-    cen = [m.center_of[v] for v in seq]
-    prefix = [0, *accumulate([x + y - at - de for x, y, at in zip(lev, lev[1:], a)])]
-    ahead = list(accumulate(reversed(prefix), max))[::-1]
-    for i in range(p - 1):
-        base = prefix[i] - diam - 1
-        lu, pu, cu = lev[i], part[i], cen[i]
-        for j in range(i + 1, p):
-            if ahead[j] - base <= 1:
-                break
-            rhs = prefix[j] - base
-            if rhs <= 1:
-                continue
-            if pu != part[j]:
-                if lu + lev[j] + (cu != cen[j]) < rhs:
-                    return False, (i, j)
-            elif distance(seq[i], seq[j]) < rhs:
-                return False, (i, j)
-    return True, None
-
-
-def label_from_order_reference(m, seq, a):
-    de, level = m.diameter + m.epsilon, m.level
-    labels, f, lu = {seq[0]: 0}, 0, level[seq[0]]
-    for v, ai in zip(seq[1:], a):
-        lv = level[v]
-        f += ai + de - lu - lv
-        if f < 0:
-            raise NegativeLabel(f"label for vertex {v} would be {f}")
-        labels[v], lu = f, lv
-    return labels
-
-
-def certify_tightness_reference(m, order):
-    """(stage or None, detail, labels or None), stage by stage as before."""
-    seq = check_order(m, order)
-    ok, diag = check_condition_a(m, seq)
+def certify_reference(m, order):
+    """(stage or None, detail, labels or None) from the definitions."""
+    ref, seq = ref_of(m.tree), tuple(order)
+    ok, detail = oracles.condition_a(ref, seq)
     if not ok:
-        return "condition_a", diag, None
-    try:
-        aseq = a_sequence_reference(m, seq)
-    except InfeasibleASequence as exc:
-        return "a_sequence", str(exc), None
-    end_sum = m.level[seq[0]] + m.level[seq[-1]]
-    if end_sum + aseq.total != m.epsilon + m.xi:
-        return ("combined_sum", f"endpoint level sum {end_sum} + sum(a) {aseq.total} "
-                f"!= epsilon {m.epsilon} + xi {m.xi}", None)
-    ok, pair = condition_b_core_reference(m, seq, aseq.a)
+        return "condition_a", detail, None
+    a = oracles.a_sequence(ref, seq)
+    end_sum = ref.level[seq[0]] + ref.level[seq[-1]]
+    if end_sum + sum(a) != ref.epsilon + ref.xi:
+        return ("combined_sum", f"endpoint level sum {end_sum} + sum(a) {sum(a)} "
+                f"!= epsilon {ref.epsilon} + xi {ref.xi}", None)
+    ok, pair = oracles.condition_b(ref, seq, a)
     if not ok:
         return "condition_b", f"violated at positions {pair}", None
-    try:
-        labels = label_from_order_reference(m, seq, aseq.a)
-    except NegativeLabel as exc:
-        return "construction", str(exc), None
-    ok, pair = verify_labelling(m.tree, RadioLabelling(labels))
+    labels = dict(zip(seq, oracles.labels(ref, seq, a)))
+    ok, pair = oracles.radio_check(ref, labels)
     if not ok:
         return "verification", f"radio condition fails at pair {pair}", None
-    target = lower_bound_improved(m)
-    if max(labels.values()) != target:
-        return "verification", f"span {max(labels.values())} != improved bound {target}", None
+    span = max(labels.values())
+    if span != ref.improved:
+        return "verification", f"span {span} != improved bound {ref.improved}", None
     return None, "", labels
 
 
@@ -252,7 +143,7 @@ GRID = list(grid())
 def test_same_stage_detail_and_labels():
     stages = Counter()
     for m, order in GRID:
-        want = certify_tightness_reference(m, order)
+        want = certify_reference(m, order)
         assert certify(m, order) == want, order
         stages[want[0]] += 1
     # the grid reaches every stage that can fail, and certifies
@@ -261,17 +152,16 @@ def test_same_stage_detail_and_labels():
 
 def test_same_runs_a_sequence_and_condition_b():
     # on every order, also where the reference pipeline stops at condition (a);
-    # the reference a-sequence raises if a value leaves {0, |W|}; the free
-    # runs are cut from the remote runs, and checked position by position
+    # the free runs are cut from the remote runs, and checked position by position
     for m, order in GRID:
-        seq = tuple(order)
+        ref, seq = ref_of(m.tree), tuple(order)
         runs = maximal_remote_intervals(m, seq)
-        assert runs == maximal_remote_intervals_reference(m, seq)
-        assert _free_runs(m, seq, runs) == free_runs_reference(m, seq)
-        assert is_admissible(m, seq) == is_admissible_reference(m, seq)
+        assert runs == oracles.remote_runs(ref, seq)
+        assert _free_runs(m, seq, runs) == oracles.free_runs(ref, seq)
+        assert is_admissible(m, seq) == oracles.is_admissible(ref, seq)
         a = a_sequence(m, seq)
-        assert a == a_sequence_reference(m, seq)
-        assert _condition_b_core(m, seq, a.a) == condition_b_core_reference(m, seq, a.a)
+        assert a.a == oracles.a_sequence(ref, seq)
+        assert _condition_b_core(m, seq, a.a) == oracles.condition_b(ref, seq, a.a)
 
 
 def test_condition_b_on_random_orders_matches_the_reference():
@@ -290,9 +180,8 @@ def test_condition_b_on_random_orders_matches_the_reference():
                 for a in (a_sequence(m, seq).a,
                           (0, *(rng.choice((0, w)) for _ in range(p - 2)))):
                     got = _condition_b_core(m, seq, a)
-                    assert got == condition_b_core_reference(m, seq, a), (seq, a)
-                    f = [0, *accumulate(at + m.diameter + m.epsilon - m.level[u] - m.level[v]
-                                        for at, u, v in zip(a, seq, seq[1:]))]
+                    assert got == oracles.condition_b(ref_of(m.tree), seq, a), (seq, a)
+                    f = oracles.labels(ref_of(m.tree), seq, a)
                     increasing = all(x < y for x, y in zip(f, f[1:]))
                     seen[got[0], increasing] += 1
     # the labels fail to increase only where two consecutive vertices have
@@ -309,5 +198,6 @@ def test_free_runs_when_the_centers_are_remote():
     for seq in ((0, 1), (1, 0)):
         runs = maximal_remote_intervals(m, seq)
         assert runs == [(0, 1)]
-        assert _free_runs(m, seq, runs) == free_runs_reference(m, seq) == []
-        assert is_admissible(m, seq) == is_admissible_reference(m, seq)
+        ref = oracles.Ref(m.tree)
+        assert _free_runs(m, seq, runs) == oracles.free_runs(ref, seq) == []
+        assert is_admissible(m, seq) == oracles.is_admissible(ref, seq)

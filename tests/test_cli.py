@@ -4,6 +4,7 @@ import time
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import oracles
 from radiotree import CertificationFailure, RadioLabelling, bounds, cli, families, rn_caterpillar
 from radiotree.cli import main
 from radiotree.tree import format_tree_text
@@ -24,32 +25,19 @@ REPORT_KEYS = [
 
 
 @pytest.fixture
-def p9_file(tmp_path):
-    path = tmp_path / "p9.txt"
-    path.write_text("".join(f"{i} {i + 1}\n" for i in range(8)))
-    return str(path)
+def write(tmp_path):
+    """Writes ``text`` to ``tmp_path / name`` and returns the file name."""
+    def write(name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+    return write
 
 
 @pytest.fixture
-def p4_file(tmp_path):
-    path = tmp_path / "p4.txt"
-    path.write_text("0 1\n1 2\n2 3\n")
-    return str(path)
-
-
-@pytest.fixture
-def p5_file(tmp_path):
-    path = tmp_path / "p5.txt"
-    path.write_text("0 1\n1 2\n2 3\n3 4\n")
-    return str(path)
-
-
-@pytest.fixture
-def edge_file(tmp_path):
-    """The one-edge tree, of diameter 1: no bound applies."""
-    path = tmp_path / "edge.txt"
-    path.write_text("0 1\n")
-    return str(path)
+def path_file(write):
+    """Writes P_n to ``p<n>.txt`` and returns the file name."""
+    return lambda n: write(f"p{n}.txt", format_tree_text(oracles.path(n)))
 
 
 def run_json(capsys, argv):
@@ -59,34 +47,32 @@ def run_json(capsys, argv):
 
 
 class TestAnalyze:
-    def test_json_report(self, capsys, p9_file):
-        code, rep = run_json(capsys, ["analyze", p9_file, "--json"])
+    def test_json_report(self, capsys, path_file):
+        code, rep = run_json(capsys, ["analyze", path_file(9), "--json"])
         assert code == 0
         assert list(rep) == REPORT_KEYS
         assert rep["bound_improved"] == 34
         assert rep["weight_centers"] == [4]
 
-    def test_one_edge_tree_reports_no_bounds(self, capsys, edge_file):
-        code, rep = run_json(capsys, ["analyze", edge_file, "--json"])
+    def test_one_edge_tree_reports_no_bounds(self, capsys, path_file):
+        code, rep = run_json(capsys, ["analyze", path_file(2), "--json"])
         assert code == 0 and rep["diameter"] == 1
         assert rep["bound_basic"] is rep["bound_improved"] is rep["strict_gap"] is None
 
-    def test_text_output(self, capsys, p9_file):
-        assert main(["analyze", p9_file]) == 0
+    def test_text_output(self, capsys, path_file):
+        assert main(["analyze", path_file(9)]) == 0
         assert "bound_improved: 34" in capsys.readouterr().out
 
     def test_missing_file(self, capsys, tmp_path):
         assert main(["analyze", str(tmp_path / "nope.txt")]) == 3
 
-    def test_bad_tree_file(self, capsys, tmp_path):
-        bad = tmp_path / "bad.txt"
-        bad.write_text("0 1\n2 3\n")
-        assert main(["analyze", str(bad)]) == 3
+    def test_bad_tree_file(self, capsys, write):
+        bad = write("bad.txt", "0 1\n2 3\n")
+        assert main(["analyze", bad]) == 3
 
-    def test_two_faults_still_an_input_error(self, capsys, tmp_path):
-        bad = tmp_path / "bad.txt"
-        bad.write_text("0 1\n0 1\n1 1000000000000000\n")
-        assert main(["analyze", str(bad)]) == 3
+    def test_two_faults_still_an_input_error(self, capsys, write):
+        bad = write("bad.txt", "0 1\n0 1\n1 1000000000000000\n")
+        assert main(["analyze", bad]) == 3
 
     def test_directory_as_tree(self, capsys, tmp_path):
         assert main(["analyze", str(tmp_path)]) == 3
@@ -98,117 +84,110 @@ class TestAnalyze:
 
 
 class TestBounds:
-    def test_p9_improved(self, capsys, p9_file):
-        code, rep = run_json(capsys, ["bounds", p9_file, "--json"])
+    def test_p9_improved(self, capsys, path_file):
+        code, rep = run_json(capsys, ["bounds", path_file(9), "--json"])
         assert code == 0 and rep["bound_improved"] == 34
 
-    def test_one_edge_tree(self, capsys, edge_file):
-        code, rep = run_json(capsys, ["bounds", edge_file, "--json"])
+    def test_one_edge_tree(self, capsys, path_file):
+        code, rep = run_json(capsys, ["bounds", path_file(2), "--json"])
         assert code == 0 and rep["bound_basic"] is None
 
-    def test_compare_even(self, capsys, p9_file):
-        code, rep = run_json(capsys, ["bounds", p9_file, "--compare", "--json"])
+    def test_compare_even(self, capsys, path_file):
+        code, rep = run_json(capsys, ["bounds", path_file(9), "--compare", "--json"])
         assert code == 0
         assert rep["comparison"] == {"x": 4, "value": 34, "line": "even"}
 
-    def test_compare_odd_with_center(self, capsys, tmp_path):
-        path = tmp_path / "p6.txt"
-        path.write_text("".join(f"{i} {i + 1}\n" for i in range(5)))
+    def test_compare_odd_with_center(self, capsys, path_file):
         code, rep = run_json(
-            capsys, ["bounds", str(path), "--compare", "--center", "2", "--json"]
+            capsys, ["bounds", path_file(6), "--compare", "--center", "2", "--json"]
         )
         assert code == 0
         assert rep["comparison"] == {"x": 2, "value": 13, "line": "odd"}
 
-    def test_compare_refuses_p3(self, capsys, tmp_path):
+    def test_compare_refuses_p3(self, capsys, path_file):
         # the even formula gives 4 on P_3, above its rn 3
-        path = tmp_path / "p3.txt"
-        path.write_text("0 1\n1 2\n")
-        assert main(["bounds", str(path), "--compare", "--json"]) == 3
+        assert main(["bounds", path_file(3), "--compare", "--json"]) == 3
         out, err = capsys.readouterr()
         assert out == "" and "DHalfTooSmall" in err
 
 
 class TestCertify:
-    def test_good_order(self, capsys, tmp_path):
-        tree = tmp_path / "p5.txt"
-        tree.write_text("0 1\n1 2\n2 3\n3 4\n")
-        order = tmp_path / "p5.order"
-        order.write_text("2 1 4 0 3\n")
+    def test_good_order(self, capsys, path_file, write):
+        order = write("p5.order", "2 1 4 0 3\n")
         code, rep = run_json(
-            capsys, ["certify", str(tree), "--order", str(order), "--json"]
+            capsys, ["certify", path_file(5), "--order", order, "--json"]
         )
         assert code == 0
         assert rep["certification"] == {"certified": True, "stage": None, "span": 10}
 
-    def test_bad_order(self, capsys, tmp_path):
-        tree = tmp_path / "p5.txt"
-        tree.write_text("0 1\n1 2\n2 3\n3 4\n")
-        order = tmp_path / "p5.order"
-        order.write_text("0 1 2 3 4\n")
+    def test_bad_order(self, capsys, path_file, write):
+        order = write("p5.order", "0 1 2 3 4\n")
         code, rep = run_json(
-            capsys, ["certify", str(tree), "--order", str(order), "--json"]
+            capsys, ["certify", path_file(5), "--order", order, "--json"]
         )
         assert code == 1
         assert rep["certification"]["certified"] is False
         assert rep["certification"]["stage"] == "condition_a"
 
-    def test_non_integer_order_token(self, capsys, p5_file, tmp_path):
-        order = tmp_path / "p5.order"
-        order.write_text("2 1 x 0 3\n")
-        assert main(["certify", p5_file, "--order", str(order)]) == 3
+    def test_non_integer_order_token(self, capsys, path_file, write):
+        order = write("p5.order", "2 1 x 0 3\n")
+        assert main(["certify", path_file(5), "--order", order]) == 3
 
-    def test_dropped_id_gives_a_short_message(self, capsys, tmp_path):
+    def test_dropped_id_gives_a_short_message(self, capsys, tmp_path, write):
         # C(5,2500), p = 10,005: the message names the missing slot, not the order
         tree = tmp_path / "c5.txt"
         assert main(["gen", "caterpillar", "--n", "5", "--k", "2500", "-o", str(tree),
                      "--with-order"]) == 0
-        order = tmp_path / "c5.order"
-        order.write_text(" ".join((tmp_path / "c5.txt.order").read_text().split()[1:]))
+        order = write("c5.order", " ".join((tmp_path / "c5.txt.order").read_text().split()[1:]))
         capsys.readouterr()
-        assert main(["certify", str(tree), "--order", str(order)]) == 3
+        assert main(["certify", str(tree), "--order", order]) == 3
         err = capsys.readouterr().err
         assert err == ("NotAPermutation: bad order positions [10004] (1 in all); "
                        "an order is a permutation of 0..10004\n")
 
 
 class TestLabelAndVerify:
-    def test_label_then_verify(self, capsys, tmp_path):
-        tree = tmp_path / "p5.txt"
-        tree.write_text("0 1\n1 2\n2 3\n3 4\n")
-        order = tmp_path / "p5.order"
-        order.write_text("2 1 4 0 3\n")
-        assert main(["label", str(tree), "--order", str(order)]) == 0
+    def test_label_then_verify(self, capsys, path_file, write):
+        order = write("p5.order", "2 1 4 0 3\n")
+        assert main(["label", path_file(5), "--order", order]) == 0
         labels_text = capsys.readouterr().out
-        labels = tmp_path / "p5.labels"
-        labels.write_text(labels_text)
-        assert main(["verify", str(tree), "--labels", str(labels)]) == 0
+        labels = write("p5.labels", labels_text)
+        assert main(["verify", path_file(5), "--labels", labels]) == 0
         assert "valid" in capsys.readouterr().out
 
-    def test_label_rejects_order_whose_recurrence_is_invalid(self, capsys, p5_file,
-                                                             tmp_path):
+    def test_label_rejects_order_whose_recurrence_is_invalid(self, capsys, path_file,
+                                                             write):
         # the recurrence on this order gives labels 0 2 6 10 12, which fail at (0, 1)
-        order = tmp_path / "p5.order"
-        order.write_text("0 1 2 3 4\n")
-        assert main(["label", p5_file, "--order", str(order)]) == 1
+        order = write("p5.order", "0 1 2 3 4\n")
+        assert main(["label", path_file(5), "--order", order]) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert "(0, 1)" in err
 
-    def test_label_certifying_order(self, capsys, p5_file, tmp_path):
-        order = tmp_path / "p5.order"
-        order.write_text("2 1 4 0 3\n")
-        assert main(["certify", p5_file, "--order", str(order)]) == 0
+    def test_label_rejects_order_whose_labels_dip_below_zero(self, capsys, write):
+        # a well-formed order of the p = 19 tree whose recurrence falls below
+        # zero: the labelling is invalid (exit 1), not the input (exit 3)
+        tree = write("p19.txt", "".join(f"{u} {v}\n" for u, v in [
+            (0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 10),
+            *((5, v) for v in range(6, 10)), *((10, v) for v in range(11, 19))]))
+        order = write("p19.order", "6 7 11 10 9 15 8 5 18 1 13 3 4 16 12 17 14 0 2\n")
+        assert main(["label", tree, "--order", order]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "labelling from this order is invalid: label for vertex 7 would be -3\n"
+
+    def test_label_certifying_order(self, capsys, path_file, write):
+        order = write("p5.order", "2 1 4 0 3\n")
+        assert main(["certify", path_file(5), "--order", order]) == 0
         capsys.readouterr()
-        assert main(["label", p5_file, "--order", str(order)]) == 0
+        assert main(["label", path_file(5), "--order", order]) == 0
         out, err = capsys.readouterr()
         assert out.splitlines() == ["0 8", "1 4", "2 0", "3 10", "4 6"]
         assert err == ""
 
-    def test_verify_violation_prints_pair(self, capsys, p4_file, tmp_path):
-        labels = tmp_path / "bad.labels"
-        labels.write_text("1 0\n3 2\n0 4\n2 5\n")
-        assert main(["verify", p4_file, "--labels", str(labels)]) == 1
+    def test_verify_violation_prints_pair(self, capsys, path_file, write):
+        labels = write("bad.labels", "1 0\n3 2\n0 4\n2 5\n")
+        assert main(["verify", path_file(4), "--labels", labels]) == 1
         assert "(0, 2)" in capsys.readouterr().out
 
     @pytest.mark.parametrize("text", [
@@ -217,49 +196,45 @@ class TestLabelAndVerify:
         "2 0\n1 4\n4 6.5\n0 8\n3 10\n",          # non-integer label
         "2 0\n1 4\nfour 6\n0 8\n3 10\n",         # non-integer vertex id
     ])
-    def test_verify_rejects_labelling_outside_contract(self, capsys, p5_file,
-                                                       tmp_path, text):
-        labels = tmp_path / "p5.labels"
-        labels.write_text(text)
-        assert main(["verify", p5_file, "--labels", str(labels)]) == 3
+    def test_verify_rejects_labelling_outside_contract(self, capsys, path_file,
+                                                       write, text):
+        labels = write("p5.labels", text)
+        assert main(["verify", path_file(5), "--labels", labels]) == 3
         assert "valid" not in capsys.readouterr().out
 
-    def test_greedy_label(self, capsys, p4_file, tmp_path):
-        order = tmp_path / "p4.order"
-        order.write_text("1 3 0 2\n")
-        assert main(["label", p4_file, "--order", str(order), "--greedy"]) == 0
+    def test_greedy_label(self, capsys, path_file, write):
+        order = write("p4.order", "1 3 0 2\n")
+        assert main(["label", path_file(4), "--order", order, "--greedy"]) == 0
         out = capsys.readouterr().out
         assert "2 5" in out.splitlines()
 
-    def test_greedy_label_is_verified(self, capsys, monkeypatch, p4_file, tmp_path):
+    def test_greedy_label_is_verified(self, capsys, monkeypatch, path_file, write):
         # a greedy completion that broke the radio condition is not printed
         monkeypatch.setattr(cli, "greedy_label_from_order",
                             lambda m, order: RadioLabelling({0: 0, 1: 1, 2: 2, 3: 3}))
-        order = tmp_path / "p4.order"
-        order.write_text("1 3 0 2\n")
-        assert main(["label", p4_file, "--order", str(order), "--greedy"]) == 1
+        order = write("p4.order", "1 3 0 2\n")
+        assert main(["label", path_file(4), "--order", order, "--greedy"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "violates the radio condition at pair (0, 1)" in captured.err
 
-    def test_label_dot(self, capsys, p4_file, tmp_path):
-        order = tmp_path / "p4.order"
-        order.write_text("1 3 0 2\n")
-        assert main(["label", p4_file, "--order", str(order), "--dot"]) == 0
+    def test_label_dot(self, capsys, path_file, write):
+        order = write("p4.order", "1 3 0 2\n")
+        assert main(["label", path_file(4), "--order", order, "--dot"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("graph tree {") and "f=5" in out
 
 
 class TestExact:
-    def test_p9(self, capsys, p9_file):
-        code, rep = run_json(capsys, ["exact", p9_file, "--json"])
+    def test_p9(self, capsys, path_file):
+        code, rep = run_json(capsys, ["exact", path_file(9), "--json"])
         assert code == 0
         assert rep["exact"]["rn"] == 34
         assert rep["exact"]["completed"] is True
         assert list(rep["exact"]) == ["rn", "completed", "nodes"]
 
-    def test_stats_opt_in(self, capsys, p9_file):
-        code, rep = run_json(capsys, ["exact", p9_file, "--json", "--stats"])
+    def test_stats_opt_in(self, capsys, path_file):
+        code, rep = run_json(capsys, ["exact", path_file(9), "--json", "--stats"])
         assert code == 0 and "elapsed_s" in rep["exact"]
         assert set(rep["exact"]["pruned"]) == {"twin", "remaining", "suffix_bound"}
         assert rep["exact"]["lower_bound"] == rep["exact"]["rn"] == 34
@@ -268,12 +243,11 @@ class TestExact:
         assert incumbents[-1][1] == 34
         assert incumbents[-1][0] <= rep["exact"]["nodes"]
 
-    def test_node_budget_reports_interval(self, capsys, tmp_path):
+    def test_node_budget_reports_interval(self, capsys, write):
         # rn 45 = improved bound + 3: the probe fails within the budget, so
         # rn >= improved + 1 is proven, and the downward search runs out
-        path = tmp_path / "r12.txt"
-        path.write_text(format_tree_text(families.gen_random_two_branch(12, 1).tree))
-        argv = ["exact", str(path), "--max-nodes", "1000", "--stats", "--json"]
+        path = write("r12.txt", format_tree_text(families.gen_random_two_branch(12, 1).tree))
+        argv = ["exact", path, "--max-nodes", "1000", "--stats", "--json"]
         code, rep = run_json(capsys, argv)
         assert code == 4
         exact = rep["exact"]
@@ -283,20 +257,19 @@ class TestExact:
         assert main(argv[:-1]) == 4
         assert "lower_bound: " in capsys.readouterr().out
 
-    def test_one_edge_tree(self, capsys, edge_file):
-        code, rep = run_json(capsys, ["exact", edge_file, "--json", "--labels"])
+    def test_one_edge_tree(self, capsys, path_file):
+        code, rep = run_json(capsys, ["exact", path_file(2), "--json", "--labels"])
         assert code == 0 and rep["bound_basic"] is None
         assert rep["exact"]["rn"] == 1 and rep["exact"]["completed"] is True
         assert rep["labels"] == {"0": 0, "1": 1}
 
-    def test_max_order_limit(self, capsys, p9_file):
-        assert main(["exact", p9_file, "--max-order", "5"]) == 4
+    def test_max_order_limit(self, capsys, path_file):
+        assert main(["exact", path_file(9), "--max-order", "5"]) == 4
 
-    def test_deep_tree_is_a_resource_error(self, capsys, tmp_path):
+    def test_deep_tree_is_a_resource_error(self, capsys, write):
         # deeper than the recursive search can go: exit 4 before any work
-        path = tmp_path / "p1500.txt"
-        path.write_text(format_tree_text(families.gen_path(1500).tree))
-        argv = ["exact", str(path), "--max-order", "5000", "--max-nodes", "1"]
+        path = write("p1500.txt", format_tree_text(families.gen_path(1500).tree))
+        argv = ["exact", path, "--max-order", "5000", "--max-nodes", "1"]
         assert main(argv) == 4
         err = capsys.readouterr().err
         assert "Traceback" not in err and "recursion depth" in err
@@ -308,9 +281,9 @@ class TestExact:
         ["--max-order", "0"],
         ["--max-nodes", "0"],
     ])
-    def test_bad_limits_are_usage_errors(self, capsys, p9_file, flags):
+    def test_bad_limits_are_usage_errors(self, capsys, path_file, flags):
         with pytest.raises(SystemExit) as exc:
-            main(["exact", p9_file, *flags])
+            main(["exact", path_file(9), *flags])
         assert exc.value.code == 2
 
 
@@ -453,11 +426,11 @@ class TestResourceLimits:
         assert err.endswith(" vertices exceeds the generators' limit 10000000\n")
         assert err.count("\n") == 1 and "Traceback" not in err
 
-    def test_out_of_memory(self, capsys, monkeypatch, p9_file):
+    def test_out_of_memory(self, capsys, monkeypatch, path_file):
         def exhausted(tree):
             raise MemoryError
         monkeypatch.setattr(cli, "metrics", exhausted)
-        for argv in (["analyze", p9_file], ["demo", "caterpillar", "--n", "5", "--k", "3"]):
+        for argv in (["analyze", path_file(9)], ["demo", "caterpillar", "--n", "5", "--k", "3"]):
             assert main(argv) == 4
             assert capsys.readouterr().err == "out of memory\n"
 
@@ -549,14 +522,14 @@ class TestDemo:
 
 
 class TestDeterminism:
-    def test_byte_identical_reports(self, capsys, p9_file):
-        main(["analyze", p9_file, "--json"])
+    def test_byte_identical_reports(self, capsys, path_file):
+        main(["analyze", path_file(9), "--json"])
         first = capsys.readouterr().out
-        main(["analyze", p9_file, "--json"])
+        main(["analyze", path_file(9), "--json"])
         assert capsys.readouterr().out == first
 
-    def test_report_round_trip(self, capsys, p9_file):
-        _, rep = run_json(capsys, ["analyze", p9_file, "--json"])
+    def test_report_round_trip(self, capsys, path_file):
+        _, rep = run_json(capsys, ["analyze", path_file(9), "--json"])
         assert json.loads(json.dumps(rep)) == rep
 
 

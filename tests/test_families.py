@@ -18,7 +18,6 @@ from radiotree import (
     gen_lmh,
     gen_path,
     gen_random_two_branch,
-    lower_bound_improved,
     metrics,
     proof_order_caterpillar,
     proof_order_levelwise,
@@ -47,7 +46,9 @@ LMH_GRID = [(z, m, h) for z in (1, 2) for m in range(2, 6) for h in range(2, 5)]
 # The constructions as they were first written: position -> conventional name
 # tables, mapped to ids through ``vertex_names``.  ``proof_order_*`` now write
 # the generators' ids straight into the order's slots; these references pin
-# that the id-built orders are the same orders, case by case.
+# that the id-built orders are the same orders, case by case.  They stay as
+# snapshots: the paper writes its orders in these names, and no definition
+# fixes which order a construction returns.
 
 def _cat_order_odd_small(n: int, k: int, p: int) -> dict:
     # n = 3: center first, the two leaf tufts interleaved, then v_3, v_1.
@@ -195,6 +196,8 @@ def _lmh_positions(z: int, m: int, h: int, p: int) -> dict:
 # The generators as first written: a vertex-counting walk that hands out ids
 # and fills the name -> id dict as it goes.  The generators now build edges
 # by id arithmetic and names only on demand; these pin both to the walks.
+# They stay as snapshots: the names are the paper's notation, and no
+# definition fixes the ids.
 
 def _walk_path(n: int):
     return [(i, i + 1) for i in range(n - 1)], {f"v_{i + 1}": i for i in range(n)}

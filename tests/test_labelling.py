@@ -5,6 +5,8 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import oracles
+from oracles import distances, double_broom, path
 from radiotree import (
     ASequence,
     BadVertex,
@@ -16,7 +18,6 @@ from radiotree import (
     a_sequence,
     build_tree,
     certify_tightness,
-    distance_matrix,
     format_labels_text,
     gen_caterpillar,
     gen_levelwise,
@@ -35,10 +36,6 @@ from radiotree import (
 )
 from radiotree import labelling
 from radiotree.labelling import _first_violation, _has_violation, _middle_rooted
-
-
-def path(n):
-    return build_tree([(i, i + 1) for i in range(n - 1)])
 
 
 class TestLabelFromOrder:
@@ -65,24 +62,19 @@ class TestLabelFromOrder:
     @pytest.mark.parametrize("seed", range(40))
     def test_negative_label_message_at_the_first_dip(self, seed):
         # increments below zero (ASequence checks only a_0) drive the
-        # recurrence negative; the message names the first negative label,
-        # as the step-by-step loop does
+        # recurrence negative; the message names the first negative label
         rng = random.Random(seed)
         m = metrics(gen_caterpillar(rng.choice([3, 5, 6]), rng.randint(1, 4)).tree)
         order = rng.sample(range(m.p), m.p)
         a = (0, *(rng.choice([-9, -3, -1, 0, 0, 1]) for _ in range(m.p - 2)))
-        f, want = 0, None
-        for v, u, ai in zip(order[1:], order, a):  # the loop, kept as the reference
-            f += ai + m.diameter + m.epsilon - m.level[u] - m.level[v]
-            if f < 0:
-                want = f"label for vertex {v} would be {f}"
-                break
-        if want is None:
+        f = oracles.labels(oracles.Ref(m.tree), order, a)
+        first = next((t for t, x in enumerate(f) if x < 0), None)
+        if first is None:
             assert min(label_from_order(m, order, ASequence(a=a)).labels.values()) >= 0
         else:
             with pytest.raises(NegativeLabel) as exc:
                 label_from_order(m, order, ASequence(a=a))
-            assert str(exc.value) == want
+            assert str(exc.value) == f"label for vertex {order[first]} would be {f[first]}"
 
     def test_steps_never_negative(self):
         # each step adds d + epsilon - (L_i + L_{i+1}) + a_i >= 0, so labels
@@ -129,7 +121,7 @@ class TestVerifyLabelling:
         # on P_4 (diameter 3) the window meets (3, 2) first, at labels 0 and
         # 1, but the lexicographically first violation is (0, 1)
         lab = RadioLabelling({3: 0, 2: 1, 0: 10, 1: 11})
-        assert all_pairs_verify(path(4), lab) == (False, (0, 1))
+        assert oracles.radio_check(oracles.Ref(path(4)), lab.labels) == (False, (0, 1))
         assert verify_labelling(path(4), lab) == (False, (0, 1))
 
     def test_certification_builds_no_distance_table(self, monkeypatch):
@@ -150,19 +142,6 @@ def forbid_distance_table(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.partition(".")[0] == "radiotree" and hasattr(module, "distance_matrix"):
             monkeypatch.setattr(module, "distance_matrix", no_table)
-
-
-def all_pairs_verify(tree, labelling):
-    """Reference for :func:`verify_labelling`: every pair in lexicographic
-    order, table distances, the diameter as the table's maximum."""
-    labels = labelling.labels
-    dist = distance_matrix(tree)
-    diam = max(max(row) for row in dist) if tree.p > 1 else 0
-    for u in range(tree.p):
-        for v in range(u + 1, tree.p):
-            if abs(labels[u] - labels[v]) < diam + 1 - dist[u][v]:
-                return False, (u, v)
-    return True, None
 
 
 @st.composite
@@ -221,14 +200,7 @@ def labelled_trees(draw):
 @settings(max_examples=500, deadline=None)
 def test_windowed_verify_matches_all_pairs(case):
     tree, lab = case
-    assert verify_labelling(tree, lab) == all_pairs_verify(tree, lab)
-
-
-def broom_at_far_end(n, bristles):
-    """A path 0..n-1 with ``bristles`` leaves on n-1: vertex 0 is a leaf at
-    the end of a longest path, as far from the middle as a vertex can be."""
-    return build_tree([(i, i + 1) for i in range(n - 1)]
-                      + [(n - 1, n + j) for j in range(bristles)])
+    assert verify_labelling(tree, lab) == oracles.radio_check(oracles.Ref(tree), lab.labels)
 
 
 class TestVerifierDistances:
@@ -236,7 +208,7 @@ class TestVerifierDistances:
     @settings(max_examples=150, deadline=None)
     def test_middle_rooted_oracle(self, tree):
         diam, depth, parent, top = _middle_rooted(tree.adjacency)
-        dist = distance_matrix(tree)
+        dist = distances(tree)
         (root,) = [v for v in range(tree.p) if depth[v] == 0]
         assert diam == max(max(row) for row in dist)
         assert max(depth) == (diam + 1) // 2  # rooted at the middle
@@ -250,7 +222,8 @@ class TestVerifierDistances:
                     assert dist[u][v] == depth[u] + depth[v]
 
     def test_vertex_zero_at_the_end_of_a_long_path(self):
-        tree = broom_at_far_end(40, 5)
+        # vertex 0 ends a 40-edge path, as far from the middle as a vertex can be
+        tree = double_broom(0, 40, 5)
         diam, depth, _, _ = _middle_rooted(tree.adjacency)
         assert (diam, max(depth), depth[0]) == (40, 20, 20)
         m = metrics(tree)
@@ -261,7 +234,8 @@ class TestVerifierDistances:
             v = rng.randrange(tree.p)
             labels[v] = max(0, labels[v] + rng.choice([-3, -1, 1, 3]))
             lab = RadioLabelling(labels)
-            assert verify_labelling(tree, lab) == all_pairs_verify(tree, lab)
+            assert verify_labelling(tree, lab) \
+                == oracles.radio_check(oracles.Ref(tree), lab.labels)
 
 
 def path_with_zero_inside(n, bristles, rng):
@@ -280,7 +254,7 @@ def path_with_zero_inside(n, bristles, rng):
 def test_diameter_from_heights_matches_the_table(seed):
     rng = random.Random(seed)
     tree = path_with_zero_inside(rng.randint(2, 40), rng.choice([0, 0, 1, 2, 5]), rng)
-    want = max(map(max, distance_matrix(tree)))
+    want = max(map(max, distances(tree)))
     diam, depth, _, _ = _middle_rooted(tree.adjacency)
     assert metrics(tree).diameter == diam == want
     assert max(depth) == (want + 1) // 2
@@ -389,10 +363,10 @@ def test_threshold_climb_decides_every_lone_pair():
     # every ordered pair at every gap 0..diam: the decision is the radio
     # condition on that pair, and each edge case of the climb is reached
     seen = Counter()
-    for tree in spider_with_cousins(), path(8), path(9), broom_at_far_end(7, 3):
+    for tree in spider_with_cousins(), path(8), path(9), double_broom(0, 7, 3):
         oracle = _middle_rooted(tree.adjacency)
         diam, depth, _, top = oracle
-        dist = distance_matrix(tree)
+        dist = distances(tree)
         for u in range(tree.p):
             for v in range(tree.p):
                 if u == v:
@@ -477,17 +451,6 @@ class TestGreedy:
         assert rebuilt.span <= lab.span
 
 
-def all_placed_greedy(tree, order):
-    """Reference for :func:`greedy_label_from_order`: each label is the max
-    over every placed vertex, with table distances."""
-    dist = distance_matrix(tree)
-    diam = max(map(max, dist))
-    labels = {order[0]: 0}
-    for u in order[1:]:
-        labels[u] = max(labels[w] + diam + 1 - dist[w][u] for w in labels)
-    return labels
-
-
 @st.composite
 def ordered_trees(draw):
     tree = draw(relabelled_trees())
@@ -501,7 +464,8 @@ def ordered_trees(draw):
 @settings(max_examples=400, deadline=None)
 def test_greedy_window_matches_all_placed(case):
     tree, order = case
-    assert greedy_label_from_order(metrics(tree), order).labels == all_placed_greedy(tree, order)
+    assert greedy_label_from_order(metrics(tree), order).labels \
+        == oracles.greedy_labels(oracles.Ref(tree), order)
 
 
 class TestOrderOf:

@@ -3,6 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
+from oracles import path
 from radiotree import (
     ASequence,
     CertificationFailure,
@@ -15,7 +17,6 @@ from radiotree import (
     check_condition_b,
     check_ddb_conditions,
     check_order,
-    distance_matrix,
     gen_caterpillar,
     gen_levelwise,
     gen_lmh,
@@ -30,11 +31,11 @@ from radiotree import (
     proof_order_lmh,
 )
 from radiotree import orders
-from radiotree.orders import _condition_b_core, _parity_ok
+from radiotree.orders import _condition_b_core
 
 
 def path_metrics(n):
-    return metrics(build_tree([(i, i + 1) for i in range(n - 1)]))
+    return metrics(path(n))
 
 
 def c31_order():
@@ -123,43 +124,6 @@ class TestAdmissible:
         assert not is_admissible(path_metrics(4), (1, 2, 0, 3))
 
 
-def is_admissible_reference(m, order):
-    """:func:`is_admissible` as first written: a position table of the whole
-    order to find the centers, and each run step checked for remoteness."""
-    seq = check_order(m, order)
-    p = len(seq)
-    pos = {u: i for i, u in enumerate(seq)}
-    centers = sorted(m.weight_centers, key=pos.get)
-    neighbour_positions = set()
-    for c in centers:
-        i = pos[c]
-        for j in (i - 1, i + 1):
-            if 0 <= j < p:
-                if seq[j] in m.weight_centers:
-                    continue
-                if seq[j] not in m.remote_set:
-                    return False
-                neighbour_positions.add(j)
-    if len(centers) == 2:
-        i, j = sorted(pos[c] for c in centers)
-        if j <= i + 2:
-            return False
-    remaining = [i for i, u in enumerate(seq)
-                 if u in m.remote_set and i not in neighbour_positions]
-    lengths, run, prev = [], 0, None
-    for i in remaining:
-        if prev is not None and i == prev + 1 and seq[i - 1] in m.remote_set:
-            run += 1
-        else:
-            if run:
-                lengths.append(run)
-            run = 1
-        prev = i
-    if run:
-        lengths.append(run)
-    return _parity_ok(lengths, len(remaining))
-
-
 def _admissible_cases():
     """Seeded orders on one- and two-center trees: shuffles of random
     two-branch trees, and certifying family orders with zero to two swaps
@@ -192,7 +156,8 @@ class TestAdmissibleReference:
         seen = set()
         for m, order in _admissible_cases():
             got = is_admissible(m, order)
-            assert got == is_admissible_reference(m, order), (sorted(m.weight_centers), order)
+            want = oracles.is_admissible(oracles.Ref(m.tree), tuple(order))
+            assert got == want, (sorted(m.weight_centers), order)
             seen.add((len(m.weight_centers), got))
         # one center and two, admissible and not
         assert seen == {(1, True), (1, False), (2, True), (2, False)}
@@ -273,7 +238,7 @@ class TestConditionB:
                                + [(7, v) for v in range(8, 13)]))
         seq = (2, 9, 5, 6, 3, 0, 12, 8, 11, 10, 1, 4, 7)
         a = (0, 1, 1, 0, 1, 1, 1, 0, 1, 1, 0, 0)
-        assert all_pairs_condition_b(m, seq, a) == (False, (0, 4))
+        assert oracles.condition_b(oracles.Ref(m.tree), seq, a) == (False, (0, 4))
         assert check_condition_b(m, seq, ASequence(a=a)) == (False, (0, 4))
 
     @staticmethod
@@ -309,27 +274,13 @@ class TestConditionB:
                                + [(10, v) for v in range(11, 19)]))
         order = (0, 10, 6, 7, 8, 9, 11, 2, 3, 4, 5, 12, 13, 14, 15, 16, 17, 18, 1)
         aseq = a_sequence(m, order)
-        assert all_pairs_condition_b(m, order, aseq.a) == (False, (0, 6))
+        assert oracles.condition_b(oracles.Ref(m.tree), order, aseq.a) == (False, (0, 6))
         met = self.count_scans(monkeypatch)
         assert check_condition_b(m, order, aseq) == (False, (0, 6))
         assert met == [(1, 3), (0, 6)]
         with pytest.raises(CertificationFailure) as exc:
             certify_tightness(m, order)
         assert (exc.value.stage, exc.value.detail) == ("condition_b", "violated at positions (0, 6)")
-
-
-def all_pairs_condition_b(m, seq, a):
-    """Reference for ``_condition_b_core``: every pair, table distances."""
-    dist = distance_matrix(m.tree)
-    de = m.diameter + m.epsilon
-    prefix = [0]
-    for t in range(len(seq) - 1):
-        prefix.append(prefix[-1] + m.level[seq[t]] + m.level[seq[t + 1]] - a[t] - de)
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if dist[seq[i]][seq[j]] < prefix[j] - prefix[i] + m.diameter + 1:
-                return False, (i, j)
-    return True, None
 
 
 @st.composite
@@ -377,7 +328,7 @@ def two_branch_orders(draw):
 @settings(max_examples=300, deadline=None)
 def test_windowed_condition_b_matches_all_pairs(case):
     m, seq, a = case
-    assert _condition_b_core(m, seq, a) == all_pairs_condition_b(m, seq, a)
+    assert _condition_b_core(m, seq, a) == oracles.condition_b(oracles.Ref(m.tree), seq, a)
 
 
 class TestDdbConditions:

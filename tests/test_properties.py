@@ -2,11 +2,11 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+import oracles
+from oracles import brute_force_rn, distances, random_tree
 from radiotree import (
     a_sequence,
-    build_tree,
     check_condition_b,
-    distance_matrix,
     exact_rn,
     gen_random_two_branch,
     greedy_label_from_order,
@@ -20,16 +20,6 @@ from radiotree import (
     verify_labelling,
 )
 from test_certify_reference import branch_alternating
-from test_solver import brute_force_rn
-
-
-def random_tree(n, seed):
-    rng = random.Random(seed)
-    if n == 1:
-        from radiotree.tree import _make_tree
-
-        return _make_tree(1, [])
-    return build_tree([(i, rng.randrange(i)) for i in range(1, n)])
 
 
 tree_params = st.tuples(st.integers(3, 40), st.integers(0, 10**6))
@@ -43,7 +33,7 @@ def test_distance_identity_matches_bfs(params):
     m = metrics(tree)
     if m.diameter < 2:
         return
-    dist = distance_matrix(tree)
+    dist = distances(tree)
     for u in range(n):
         for v in range(n):
             assert m.distance(u, v) == dist[u][v]
@@ -89,14 +79,7 @@ def test_a_sequence_values_bounded(seed):
     w = len(m.weight_centers)
     assert aseq.a[0] == 0
     assert all(a in (0, w) for a in aseq.a)
-    # a_t = |W| exactly on the first, third, ... position of each run of free
-    # positions t = 1..p-2 (u_t remote, no weight center next to it)
-    want, run = [0], 0
-    for t in range(1, m.p - 1):
-        free = order[t] in m.remote_set and not {order[t - 1], order[t + 1]} & m.weight_centers
-        run = run + 1 if free else 0
-        want.append(w if run % 2 == 1 else 0)
-    assert list(aseq.a) == want
+    assert aseq.a == oracles.a_sequence(oracles.Ref(inst.tree), tuple(order))
 
 
 @given(st.integers(3, 16), st.integers(0, 10**6))

@@ -1,20 +1,19 @@
-import itertools
 import random
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
+from oracles import brute_force_rn, double_broom, path, random_tree, star
 from radiotree import (
     OrderTooLarge,
     build_tree,
-    distance_matrix,
     exact_rn,
     gen_caterpillar,
     gen_levelwise,
     gen_path,
     gen_random_two_branch,
-    greedy_label_from_order,
     lower_bound_basic,
     lower_bound_improved,
     metrics,
@@ -22,14 +21,6 @@ from radiotree import (
     verify_labelling,
 )
 from radiotree import solver
-
-
-def path(n):
-    return build_tree([(i, i + 1) for i in range(n - 1)])
-
-
-def star(k):
-    return build_tree([(0, i) for i in range(1, k + 1)])
 
 
 def spider(legs):
@@ -41,26 +32,6 @@ def spider(legs):
             edges.append((prev, nxt))
             prev, nxt = nxt, nxt + 1
     return build_tree(edges)
-
-
-def double_broom(left, handle, right):
-    """A path on ``handle`` vertices with ``left`` leaves on its first vertex
-    and ``right`` leaves on its last."""
-    edges = [(i, i + 1) for i in range(handle - 1)]
-    nxt = handle
-    for end, leaves in ((0, left), (handle - 1, right)):
-        for _ in range(leaves):
-            edges.append((end, nxt))
-            nxt += 1
-    return build_tree(edges)
-
-
-def brute_force_rn(tree):
-    """Reference radio number: the least greedy span over every vertex order,
-    with no symmetry reduction and no pruning."""
-    m = metrics(tree)
-    return min(greedy_label_from_order(m, order).span
-               for order in itertools.permutations(range(tree.p)))
 
 
 class TestKnownValues:
@@ -168,11 +139,9 @@ class TestContract:
 
 def probe_outcome(tree, rn):
     """Which phases of the bound-first search decided ``rn``."""
-    m = metrics(tree)
-    target = lower_bound_improved(m) if m.two_branch and m.p > 3 \
-        else lower_bound_basic(m)
-    kind = "two-branch" if m.two_branch else "other"
-    return kind, "probe" if rn <= target else "fallback"
+    ref = oracles.Ref(tree)
+    kind = "two-branch" if ref.two_branch else "other"
+    return kind, "probe" if rn <= ref.probe_bounds[1] else "fallback"
 
 
 class TestBruteForceReference:
@@ -192,8 +161,7 @@ class TestBruteForceReference:
         rng = random.Random(11)
         trees = []
         for _ in range(30):
-            n = rng.randrange(4, 8)
-            trees.append(build_tree([(i, rng.randrange(i)) for i in range(1, n)]))
+            trees.append(random_tree(rng.randrange(4, 8), rng))
         outcomes = self.check(trees)
         assert {("two-branch", "probe"), ("other", "probe"),
                 ("other", "fallback")} <= outcomes
@@ -223,8 +191,7 @@ def search_inputs(tree):
     """The arguments :func:`solver._search` gets from ``exact_rn``, less the
     incumbent and limits, with the twin table separate."""
     m = metrics(tree)
-    dist = [list(row) for row in distance_matrix(tree)]
-    args = (tree.p, dist, m.diameter, m.level, m.epsilon,
+    args = (tree.p, oracles.distances(tree), m.diameter, m.level, m.epsilon,
             solver._start_representatives(m))
     return m, args, solver._twin_prev(tree.adjacency)
 
@@ -241,10 +208,11 @@ class TestTwinRule:
     def test_same_result_as_without_the_rule(self, tree):
         m, args, twin_prev = search_inputs(tree)
         no_twins = [-1] * tree.p
-        seed = greedy_label_from_order(m, tuple(range(tree.p)))
-        proven, target = solver._probe_bounds(m)
+        ref = oracles.Ref(tree)
+        proven, target = ref.probe_bounds
+        seed_span = max(oracles.greedy_labels(ref, tuple(range(tree.p))).values())
         # exact_rn's probe, and a downward search with no floor to stop at
-        for ub, floor in ((target + 1, proven), (seed.span, 0)):
+        for ub, floor in ((target + 1, proven), (seed_span, 0)):
             with_rule = solver._search(*args, twin_prev, ub, floor, None, None)
             without = solver._search(*args, no_twins, ub, floor, None, None)
             assert with_rule[:2] == without[:2]
@@ -265,8 +233,8 @@ class TestIncumbents:
     def check(tree, max_nodes=None):
         res = exact_rn(tree, max_nodes=max_nodes, timeout_s=None)
         inc = res.stats.incumbents
-        seed = greedy_label_from_order(metrics(tree), tuple(range(tree.p)))
-        assert inc[0] == (0, seed.span)
+        seed = oracles.greedy_labels(oracles.Ref(tree), tuple(range(tree.p)))
+        assert inc[0] == (0, max(seed.values()))
         assert all(a[0] <= b[0] and a[1] > b[1] for a, b in zip(inc, inc[1:]))
         assert inc[-1][0] <= res.stats.nodes
         assert inc[-1][1] == res.rn
@@ -321,8 +289,6 @@ class TestAdapters:
 
 class TestMonotonicity:
     def test_adding_a_leaf_never_decreases_rn(self):
-        import random
-
         rng = random.Random(7)
         for _ in range(50):
             n = rng.randrange(3, 8)

@@ -1,62 +1,36 @@
-"""The exact solver against its earlier form.
+"""The exact solver against a snapshot of its search, on oracle inputs.
 
-The search once kept its own incumbent order (``ub_order``), undid each
-placement from a p x p table of per-depth snapshots of ``req``, and read the
-start-vertex symmetry off one canonical encoding of the tree per candidate
-root, O(p^2).  That code is kept here as a test-only reference, with the
-two-phase merge ``exact_rn`` then did.  It has since taken the solver's
-candidate order, least label first (``by_label``), and records the
-incumbents.  On a seeded grid of trees and node budgets the solver must give
-the same rn, witness, node count, prune counters, completion flag, lower
-bound and incumbents, and the same start representatives.
+``search_reference`` is the search as it once was, with its own incumbent
+order and per-depth snapshots of ``req``, since taught the solver's
+least-label-first candidate order (``by_label``) and its incumbent record.
+It stays a snapshot: no definition fixes the nodes, prunes and witnesses of
+a search.  Its inputs come from ``oracles.py``: BFS distances and metrics,
+the greedy seed, twin leaves, probe bounds and start vertices (one per class
+of isomorphic rooted trees).  On a seeded grid of trees and node budgets the
+solver must give the same rn, witness, nodes, prune counters, completion
+flag, lower bound and incumbents, and the same start representatives.
 """
 
 import random
 
 import pytest
 
+import oracles
+from oracles import random_tree, star
 from radiotree import (
     build_tree,
-    distance_matrix,
     exact_rn,
     gen_caterpillar,
     gen_levelwise,
     gen_lmh,
     gen_path,
     gen_random_two_branch,
-    greedy_label_from_order,
     metrics,
 )
 from radiotree import solver
 from radiotree.solver import LIMIT_CHECK_INTERVAL
 
-# --- the earlier code, kept as the reference ----------------------------------
-
-
-def rooted_canonical_reference(adjacency, root, codes):
-    parent = [-1] * len(adjacency)
-    order = [root]
-    for u in order:
-        for v in adjacency[u]:
-            if v != parent[u]:
-                parent[v] = u
-                order.append(v)
-    children = [[] for _ in adjacency]
-    code = 0
-    for u in reversed(order):  # children before parents; the root comes last
-        code = codes.setdefault(tuple(sorted(children[u])), len(codes))
-        if u != root:
-            children[parent[u]].append(code)
-    return code
-
-
-def start_representatives_reference(tree):
-    """Smallest id per class of vertices with equal rooted canonical forms."""
-    codes = {}
-    seen = {}
-    for v in range(tree.p):
-        seen.setdefault(rooted_canonical_reference(tree.adjacency, v, codes), v)
-    return sorted(seen.values())
+# --- the search as it was, kept as a snapshot ---------------------------------
 
 
 def search_reference(p, dist, diam, level, eps, starts, twin_prev, ub, ub_order, floor,
@@ -176,16 +150,15 @@ def search_reference(p, dist, diam, level, eps, starts, twin_prev, ub, ub_order,
 
 def exact_rn_reference(tree, max_nodes, by_label=True):
     """(rn, witness labels, nodes, pruned, completed, lower_bound, incumbents)."""
-    m = metrics(tree)
-    dist = distance_matrix(tree)
-    seed = greedy_label_from_order(m, tuple(range(tree.p)))
-    seed_order = sorted(seed.labels, key=seed.labels.get)
-    starts = start_representatives_reference(tree)
-    twin_prev = solver._twin_prev(tree.adjacency)
-    proven, target = solver._probe_bounds(m)
+    ref = oracles.Ref(tree)
+    seed = oracles.greedy_labels(ref, tuple(range(tree.p)))
+    seed_span, seed_order = max(seed.values()), sorted(seed, key=seed.get)
+    starts = oracles.start_representatives(tree)
+    twin_prev = oracles.twin_prev(tree)
+    proven, target = ref.probe_bounds
 
     def search(ub, ub_order, floor, budget):
-        return search_reference(tree.p, dist, m.diameter, m.level, m.epsilon, starts,
+        return search_reference(tree.p, ref.d, ref.diameter, ref.level, ref.epsilon, starts,
                                 twin_prev, ub, ub_order, floor, budget, by_label)
 
     best, best_order, nodes, pruned, completed, found = search(
@@ -195,16 +168,16 @@ def exact_rn_reference(tree, max_nodes, by_label=True):
         lower_bound = target + 1
         budget = None if max_nodes is None else max_nodes - nodes
         best, best_order, more, more_pruned, completed, found = search(
-            seed.span, seed_order, lower_bound, budget)
+            seed_span, seed_order, lower_bound, budget)
         found = [(nodes + at, span) for at, span in found]
         nodes += more
         pruned = {rule: pruned[rule] + more_pruned[rule] for rule in pruned}
-    elif not completed and (best_order is None or seed.span < best):
-        best, best_order = seed.span, seed_order
+    elif not completed and (best_order is None or seed_span < best):
+        best, best_order = seed_span, seed_order
     if completed:
         lower_bound = best
-    labels = greedy_label_from_order(m, tuple(best_order)).labels
-    incumbents = [(0, seed.span)]
+    labels = oracles.greedy_labels(ref, tuple(best_order))
+    incumbents = [(0, seed_span)]
     for at, span in found:
         if span < incumbents[-1][1]:
             incumbents.append((at, span))
@@ -212,15 +185,6 @@ def exact_rn_reference(tree, max_nodes, by_label=True):
 
 
 # --- the grid -----------------------------------------------------------------
-
-
-def random_tree(p, rng):
-    """Vertex i hangs from a random j < i."""
-    return build_tree([(i, rng.randrange(i)) for i in range(1, p)])
-
-
-def star(k):
-    return build_tree([(0, i) for i in range(1, k + 1)])
 
 
 def solver_grid():
@@ -272,7 +236,7 @@ class TestSearchAgainstReference:
         phases = set()
         for tree in solver_grid():
             rn, _, _, _, completed, lower_bound, _ = exact_rn_reference(tree, 50)
-            proven, target = solver._probe_bounds(metrics(tree))
+            proven, target = oracles.Ref(tree).probe_bounds
             in_probe = rn <= target if completed else lower_bound == proven
             phases.add((completed, in_probe))
         assert phases == {(True, True), (True, False), (False, True), (False, False)}
@@ -281,7 +245,7 @@ class TestSearchAgainstReference:
 class TestStartRepresentatives:
     def check(self, tree):
         reps = solver._start_representatives(metrics(tree))
-        assert reps == start_representatives_reference(tree)
+        assert reps == oracles.start_representatives(tree)
         return reps
 
     def test_random_trees(self):

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from oracles import Ref, path, random_tree
 from radiotree import (
     BadEdge,
     BadVertex,
@@ -15,12 +16,8 @@ from radiotree import (
     metrics,
     parse_tree_text,
 )
-from radiotree.tree import _make_tree, _meet_level
+from radiotree.tree import CENTER_BRANCH, _meet_level
 from test_labelling import relabelled_trees
-
-
-def path(n):
-    return build_tree([(i, i + 1) for i in range(n - 1)])
 
 
 class TestBuildTree:
@@ -305,29 +302,24 @@ class TestDistanceByLevels:
             [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)],
             [(0, 1), (1, 2), (2, 3), (1, 4), (2, 5), (5, 6)],
         ]:
-            t = build_tree(edges)
-            m = metrics(t)
-            d = distance_matrix(t)
-            for u in range(t.p):
-                for v in range(t.p):
-                    assert m.distance(u, v) == d[u][v]
-
-
-def random_tree(p, seed):
-    rng = random.Random(seed)
-    return _make_tree(p, [(i, rng.randrange(i)) for i in range(1, p)])
+            assert_metrics_match_table(build_tree(edges))
 
 
 def assert_metrics_match_table(tree):
-    m = metrics(tree)
-    d = distance_matrix(tree)
-    weights = [sum(row) for row in d]
-    assert m.weight_centers == {v for v in range(tree.p) if weights[v] == min(weights)}
-    assert m.diameter == max(max(row) for row in d)
+    m, ref = metrics(tree), Ref(tree)
+    d = ref.d
+    assert m.weight_centers == ref.centers
+    assert m.diameter == ref.diameter
+    assert (m.epsilon, m.total_level, m.xi, m.two_branch) \
+        == (ref.epsilon, ref.total_level, ref.xi, ref.two_branch)
+    assert m.remote_set == ref.remote
+    branches = {b: {v for v in range(tree.p) if m.branch_id[v] == b} for b in m.branch_id}
+    assert branches.pop(CENTER_BRANCH) == ref.centers
+    assert set(map(frozenset, branches.values())) == ref.branches
     # levels, predecessors and owning centers as a BFS from the centers gives
     centers = m.weight_centers
     for v in range(tree.p):
-        assert m.level[v] == min(d[c][v] for c in centers)
+        assert m.level[v] == ref.level[v]
         assert m.center_of[v] == min(centers, key=lambda c: d[c][v])
         u = m.parent[v]
         assert (u == -1) == (v in centers)

@@ -30,12 +30,12 @@ from .errors import (
     RadioTreeError,
     UnsupportedParams,
 )
-from .orders import a_sequence
+from .orders import _order_and_a_sequence
 from .labelling import (
     RadioLabelling,
+    _recurrence_labelling,
     format_labels_text,
     greedy_label_from_order,
-    label_from_order,
     parse_labels_text,
     verify_labelling,
 )
@@ -152,10 +152,12 @@ def cmd_label(args) -> int:
     if args.greedy:
         lab = greedy_label_from_order(m, order)
     else:
+        # the order is checked once, for the a-sequence and the labels both
+        seq, aseq = _order_and_a_sequence(m, order)
         # the recurrence is valid only for an order meeting condition (b); a
         # well-formed order whose labels dip below zero is not an input error
         try:
-            lab = label_from_order(m, order, a_sequence(m, order))
+            lab = _recurrence_labelling(m, seq, aseq.a)
         except NegativeLabel as exc:
             print(f"labelling from this order is invalid: {exc}", file=sys.stderr)
             return EXIT_FAIL

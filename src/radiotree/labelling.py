@@ -80,7 +80,13 @@ def label_from_order(m: TreeMetrics, order: Sequence, aseq: ASequence) -> RadioL
         raise LengthMismatch(
             f"a-sequence length {len(aseq.a)} for order length {len(seq)}"
         )
-    _, f = _levels_and_labels(m, seq, aseq.a)
+    return _recurrence_labelling(m, seq, aseq.a)
+
+
+def _recurrence_labelling(m: TreeMetrics, seq: tuple, a: Sequence) -> RadioLabelling:
+    """:func:`label_from_order` on an order ``seq`` that :func:`check_order`
+    returned and its increments ``a``, with no check repeated."""
+    _, f = _levels_and_labels(m, seq, a)
     if min(f) < 0:
         v, lab = next((v, lab) for v, lab in zip(seq, f) if lab < 0)
         raise NegativeLabel(f"label for vertex {v} would be {lab}")

@@ -200,10 +200,16 @@ def a_sequence(m: TreeMetrics, order: Sequence) -> ASequence:
     with the increment at a_7, but this rule gives a_8 = 1 (u_8 = 11 is
     remote), and condition (b) fails.
     """
+    return _order_and_a_sequence(m, order)[1]
+
+
+def _order_and_a_sequence(m: TreeMetrics, order: Sequence) -> tuple:
+    """``(seq, aseq)``: the order as :func:`check_order` returns it, and its
+    :func:`a_sequence`."""
     if not m.two_branch:
         raise NotTwoBranch("a-sequence is defined for two-branch trees only")
     seq = check_order(m, order)
-    return _a_sequence(m, seq, _free_runs(m, seq, _remote_runs(m, seq)))
+    return seq, _a_sequence(m, seq, _free_runs(m, seq, _remote_runs(m, seq)))
 
 
 def _condition_a_applies(m: TreeMetrics) -> None:

@@ -25,9 +25,12 @@ next-smaller twin is unplaced, since swapping two twins is an automorphism
 (see :func:`_search`).
 
 Pruning: a candidate is skipped when one of two lower bounds on every
-completion through it already reaches the incumbent.  The survivors are
-expanded least label first, ties by id, so the first descent is a greedy
-dive that finds a low incumbent early (see :func:`_search`).
+completion through it already reaches the incumbent.  The second is the
+paper's basic bound on the unplaced suffix; on a two-branch tree it is
+raised by a proven term for the remote vertices still to be placed, the
+suffix's share of the improved bound's xi.  The survivors are expanded
+least label first, ties by id, so the first descent is a greedy dive that
+finds a low incumbent early (see :func:`_search`).
 
 Resource limits: a wall-clock ``timeout_s`` and a deterministic node budget
 ``max_nodes``.  When either stops the search, the result carries the proven
@@ -121,8 +124,34 @@ def _twin_prev(adjacency) -> list:
     return prev
 
 
-def _search(p, dist, diam, level, eps, starts, twin_prev, ub, floor, deadline,
-            max_nodes):
+def _xi_cuts(level, diam, eps, two_branch) -> tuple:
+    """``(cuts, b0, shift)``: the remote-vertex term of :func:`_search`'s
+    ``suffix_bound`` as tables.  With B the number of unplaced remote
+    vertices less twice the number of unplaced weight centers, the search
+    carries ``b = B + 2|W| >= 0``: ``b0 = |S|`` at the root, and placing a
+    vertex at level ``lv`` adds ``shift[lv]``.  ``cuts[b][lv]`` is ``lv``
+    plus the term for a candidate at level ``lv`` (level 0 is a center,
+    levels from ``(diam + eps) // 2`` up are remote).  On a tree that is not
+    two-branch, or has diameter below 2, every term is 0 and ``b`` stays 0.
+    """
+    levels = range(max(level) + 1)
+    if not two_branch or diam < 2:
+        return [list(levels)], 0, [0] * len(levels)
+    threshold = (diam + eps) // 2
+    c = 1 if eps == 1 and diam % 2 == 0 else 2
+    w = 2 - eps
+    # a candidate at level lv leaves k >= B + kind[lv] free positions, and
+    # the term is c * ceil(k / 2) = c * ((k + 1) // 2) when k > 0
+    kind = [0 if lv == 0 else -2 if lv >= threshold else -1 for lv in levels]
+    shift = [2 if lv == 0 else -1 if lv >= threshold else 0 for lv in levels]
+    b0 = sum(lv >= threshold for lv in level)
+    cuts = [[lv + c * (max(0, b - 2 * w + kind[lv] + 1) // 2) for lv in levels]
+            for b in range(b0 + 2 * w + 1)]
+    return cuts, b0, shift
+
+
+def _search(p, dist, diam, level, eps, xi_cuts, starts, twin_prev, ub, floor,
+            deadline, max_nodes):
     """Depth-first branch-and-bound over vertex orders with greedy completion.
 
     Returns (span, order, nodes, pruned, completed, improvements): the least
@@ -137,6 +166,7 @@ def _search(p, dist, diam, level, eps, starts, twin_prev, ub, floor, deadline,
     None); when one of them stops the search the best span found so far is
     returned with completed=False.
 
+    ``xi_cuts`` holds :func:`_xi_cuts`'s tables for the tree.
     ``starts`` lists the vertices tried first (depth 0).  ``twin_prev[u]`` is
     the next-smaller leaf with the same neighbour as ``u`` (its "twin"), or
     -1; candidate ``u`` is skipped (``twin``) while ``twin_prev[u]`` is
@@ -146,7 +176,8 @@ def _search(p, dist, diam, level, eps, starts, twin_prev, ub, floor, deadline,
       it fixes the placed prefix.
     * Two unplaced twins have equal ``req`` (equal distances to every placed
       vertex) and equal level (the swap maps the weight centers to
-      themselves), so the rules below cut both or neither.
+      themselves), hence the same kind (center, remote or neither, which
+      the level decides), so the rules below cut both or neither.
     * Candidates with equal ``req`` are expanded in increasing id order, so
       the smaller twin's subtree is searched first.  The skipped subtree is
       its mirror image:
@@ -173,14 +204,49 @@ def _search(p, dist, diam, level, eps, starts, twin_prev, ub, floor, deadline,
     * ``remaining``: labels are distinct, so each of the ``r`` later vertices
       adds at least 1: ``lab + r >= best``.
     * ``suffix_bound`` (``r >= 1``), the paper's basic bound applied to the
-      unplaced suffix.  In any tree ``d(x, y) <= L(x) + L(y) + [|W| = 2]``
-      (go through the weight centers, which are adjacent when there are two),
-      so with ``eps = 2 - |W|`` each gap between consecutive labels of the
-      greedy completion is at least ``diam + 1 - d(x, y) >= (diam + eps) -
-      L(x) - L(y)``.  Summing along any completion ``u = x_0, x_1, ..., x_r``
-      of ``R`` gives a span of at least
-      ``lab + r(diam + eps) - L(u) - 2 sum L(R) + L(x_r)``, and
-      ``L(x_r) >= min L(R)``.  Nothing here needs the tree to be two-branch.
+      unplaced suffix, plus a remote-vertex term.  In any tree ``d(x, y) <=
+      L(x) + L(y) + [|W| = 2]`` (go through the weight centers, which are
+      adjacent when there are two).  So with ``eps = 2 - |W|``, each gap
+      ``g_i = f(x_{i+1}) - f(x_i) >= diam + 1 - d(x_i, x_{i+1})`` of the
+      greedy completion ``u = x_0, x_1, ..., x_r`` of ``R`` has a slack
+      ``s_i = g_i - (diam + eps - L(x_i) - L(x_{i+1})) >= 0``.  Summing the
+      gaps gives the span
+      ``lab + r(diam + eps) - L(u) - 2 sum L(R) + L(x_r) + sum s_i``, and
+      ``L(x_r) >= min L(R)``.  The basic bound takes ``sum s_i >= 0``, which
+      needs no two-branch tree.
+
+      The remote-vertex term bounds ``sum s_i`` on a two-branch tree with
+      ``diam >= 2`` (:func:`_xi_cuts`; 0 on any other tree).  Call a
+      position ``0 < i < r`` free when ``x_i`` is remote (level at least
+      ``(diam + eps) // 2 >= 1``, so not a center) and neither ``x_{i-1}``
+      nor ``x_{i+1}`` is a weight center.  Then ``s_{i-1} + s_i >= c``, with
+      ``c = 1`` for one center and even ``diam``, else ``c = 2``:
+
+      - The radio condition on the outer pair gives ``g_{i-1} + g_i >=
+        diam + 1 - d(x_{i-1}, x_{i+1})``, so ``s_{i-1} + s_i >= 1 - 2 eps -
+        diam + 2 L(x_i) + (L(x_{i-1}) + L(x_{i+1}) - d(x_{i-1}, x_{i+1}))``.
+      - If the two neighbours lie in one branch of ``T - W``, their paths to
+        the centers share the branch's level-1 vertex, so the bracket is at
+        least 2.  As ``2 L(x_i)`` is at least ``diam`` (one center, even
+        diam), ``diam + 1`` (one center, odd) or ``diam - 1`` (two centers),
+        the sum is at least 1, 2 or 2.
+      - Otherwise, since there are two branches, ``x_i`` shares one with a
+        neighbour ``y``, so ``d(x_i, y) <= L(x_i) + L(y) - 2`` and that
+        pair's slack alone is at least ``3 - eps``: 2 with one center, 3
+        with two.
+
+      Free positions two or more apart have disjoint windows ``{i-1, i}``,
+      and every other position of each run of consecutive free positions
+      gives ``ceil(k/2)`` of them, so ``sum s_i >= c ceil(k/2)`` for ``k``
+      free positions.  Whatever the order of ``R``, a remote vertex of ``R``
+      is free unless it is last (one vertex) or next to a center: ``u``
+      blocks position 1 if it is a center, and each center in ``R`` at most
+      two positions.  So ``k >= #remote(R) - 1 - [u in W] - 2 #centers(R)``.
+      With ``B`` the unplaced remote vertices less twice the unplaced
+      centers, ``u`` counted as unplaced, that is ``k >= B - 1`` when ``u``
+      is neither, ``B - 2`` when ``u`` is remote and ``B`` when ``u`` is a
+      center.  ``B`` is passed down as the level sum is, and the term is
+      read per candidate level from a table.
 
     Candidate order: the three rules are applied to the unplaced vertices in
     id order, and the survivors are then expanded least label first, in
@@ -219,6 +285,7 @@ def _search(p, dist, diam, level, eps, starts, twin_prev, ub, floor, deadline,
     node_limit = float("inf") if max_nodes is None else max_nodes
     next_check = min(LIMIT_CHECK_INTERVAL, node_limit)
     step = diam + eps
+    cuts, b0, shift = xi_cuts
     if best <= floor:
         return best, None, 0, {"twin": 0, "remaining": 0, "suffix_bound": 0}, True, []
 
@@ -229,7 +296,7 @@ def _search(p, dist, diam, level, eps, starts, twin_prev, ub, floor, deadline,
     for lv in level:
         unplaced_at_level[lv] += 1
 
-    def extend(depth, span, req, unplaced_level_sum):
+    def extend(depth, span, req, unplaced_level_sum, b):
         nonlocal best, best_order, nodes, pruned_twin, pruned_remaining, pruned_suffix
         nonlocal halted, limited, next_check
         if depth == p:
@@ -251,6 +318,7 @@ def _search(p, dist, diam, level, eps, starts, twin_prev, ub, floor, deadline,
                 while not unplaced_at_level[lo2]:
                     lo2 += 1
             suffix_base = remaining_after * step - 2 * unplaced_level_sum
+            cut = cuts[b]  # level plus remote-vertex term, per candidate level
         survivors = []
         for u in (starts if depth == 0 else range(p)):
             if placed[u]:
@@ -264,7 +332,7 @@ def _search(p, dist, diam, level, eps, starts, twin_prev, ub, floor, deadline,
                 continue
             lu = level[u]
             if remaining_after and \
-                    lab + suffix_base + lu + (lo2 if lu == lo1 else lo1) >= best:
+                    lab + suffix_base + cut[lu] + (lo2 if lu == lo1 else lo1) >= best:
                 pruned_suffix += 1
                 continue
             survivors.append(u)
@@ -279,7 +347,7 @@ def _search(p, dist, diam, level, eps, starts, twin_prev, ub, floor, deadline,
                     pruned_remaining += 1
                     continue
                 if remaining_after and \
-                        lab + suffix_base + lu + (lo2 if lu == lo1 else lo1) >= best:
+                        lab + suffix_base + cut[lu] + (lo2 if lu == lo1 else lo1) >= best:
                     pruned_suffix += 1
                     continue
             if nodes == next_check:
@@ -296,13 +364,13 @@ def _search(p, dist, diam, level, eps, starts, twin_prev, ub, floor, deadline,
             # placed vertices' entries are never read again
             extend(depth + 1, lab,
                    [r if r > t - d else t - d for r, d in zip(req, dist[u])],
-                   unplaced_level_sum - lu)
+                   unplaced_level_sum - lu, b + shift[lu])
             placed[u] = False
             unplaced_at_level[lu] += 1
             if halted:
                 return
 
-    extend(0, 0, [0] * p, sum(level))
+    extend(0, 0, [0] * p, sum(level), b0)
     pruned = {"twin": pruned_twin, "remaining": pruned_remaining,
               "suffix_bound": pruned_suffix}
     return best, best_order, nodes, pruned, not limited, improvements
@@ -353,12 +421,13 @@ def exact_rn(tree: Tree, max_order: int = DEFAULT_MAX_ORDER,
     seed_order = sorted(seed.labels, key=seed.labels.get)
     starts = _start_representatives(m)
     twin_prev = _twin_prev(tree.adjacency)
+    xi_cuts = _xi_cuts(m.level, m.diameter, m.epsilon, m.two_branch)
     deadline = None if timeout_s is None else time.monotonic() + timeout_s
     proven, target = _probe_bounds(m)
 
     def search(ub, floor, budget):
-        return _search(tree.p, dist, m.diameter, m.level, m.epsilon, starts,
-                       twin_prev, ub, floor, deadline, budget)
+        return _search(tree.p, dist, m.diameter, m.level, m.epsilon, xi_cuts,
+                       starts, twin_prev, ub, floor, deadline, budget)
 
     t0 = time.monotonic()
     # Probe: is there a span <= target?

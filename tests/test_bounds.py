@@ -136,32 +136,32 @@ class TestCertifyTightness:
         assert exc.value.stage == "condition_b"
 
 
+def count_calls(monkeypatch, name):
+    """Count the calls of ``orders.<name>`` through every radiotree module
+    that binds it."""
+    calls = []
+    original = getattr(orders, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("radiotree") \
+                and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
 class TestOneOrderCheck:
     """certify_tightness validates its order once and hands the checked order
     to every stage; a stage called on its own still validates."""
-
-    @staticmethod
-    def count_calls(monkeypatch, name):
-        """Count the calls of ``orders.<name>`` through every radiotree module
-        that binds it."""
-        calls = []
-        original = getattr(orders, name)
-
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
-
-        for mod in list(sys.modules.values()):
-            if getattr(mod, "__name__", "").startswith("radiotree") \
-                    and getattr(mod, name, None) is original:
-                monkeypatch.setattr(mod, name, counting)
-        return calls
 
     def test_one_check_per_certificate(self, monkeypatch):
         inst = gen_caterpillar(5, 50)
         m = metrics(inst.tree)
         order = list(proof_order_caterpillar(inst))
-        calls = self.count_calls(monkeypatch, "check_order")
+        calls = count_calls(monkeypatch, "check_order")
         lab = certify_tightness(m, order)
         assert lab.span == inst.closed_form_rn
         assert [len(order) for _, order in calls] == [m.p]
@@ -174,8 +174,8 @@ class TestOneOrderCheck:
     def test_labels_and_runs_built_once_per_certificate(self, inst, build, monkeypatch):
         m = metrics(inst.tree)
         order = build(inst, m)
-        labels = self.count_calls(monkeypatch, "_labels")
-        runs = self.count_calls(monkeypatch, "_runs")
+        labels = count_calls(monkeypatch, "_labels")
+        runs = count_calls(monkeypatch, "_runs")
         assert certify_tightness(m, order).span == inst.closed_form_rn
         assert len(labels) == 1
         assert len(runs) <= 1

@@ -137,12 +137,18 @@ def grid():
                     yield m, order
 
 
-GRID = list(grid())
+@cache
+def grid_cases():
+    """The grid as a list, built on first use rather than at import: the
+    family orders certify while they are built, so a certification fault
+    fails the tests that use the grid, by name, instead of the collection of
+    this module and of those that import from it."""
+    return list(grid())
 
 
 def test_same_stage_detail_and_labels():
     stages = Counter()
-    for m, order in GRID:
+    for m, order in grid_cases():
         want = certify_reference(m, order)
         assert certify(m, order) == want, order
         stages[want[0]] += 1
@@ -153,7 +159,7 @@ def test_same_stage_detail_and_labels():
 def test_same_runs_a_sequence_and_condition_b():
     # on every order, also where the reference pipeline stops at condition (a);
     # the free runs are cut from the remote runs, and checked position by position
-    for m, order in GRID:
+    for m, order in grid_cases():
         ref, seq = ref_of(m.tree), tuple(order)
         runs = maximal_remote_intervals(m, seq)
         assert runs == oracles.remote_runs(ref, seq)

@@ -8,6 +8,7 @@ import oracles
 from radiotree import CertificationFailure, RadioLabelling, bounds, cli, families, rn_caterpillar
 from radiotree.cli import main
 from radiotree.tree import format_tree_text
+from test_bounds import count_calls
 
 REPORT_KEYS = [
     "p",
@@ -176,6 +177,14 @@ class TestLabelAndVerify:
         assert out == ""
         assert err == "labelling from this order is invalid: label for vertex 7 would be -3\n"
 
+    def test_label_checks_the_order_once(self, capsys, monkeypatch, path_file, write):
+        # one check serves the a-sequence and the labels
+        calls = count_calls(monkeypatch, "check_order")
+        order = write("p5.order", "2 1 4 0 3\n")
+        assert main(["label", path_file(5), "--order", order]) == 0
+        assert capsys.readouterr().out.splitlines() == ["0 8", "1 4", "2 0", "3 10", "4 6"]
+        assert len(calls) == 1
+
     def test_label_certifying_order(self, capsys, path_file, write):
         order = write("p5.order", "2 1 4 0 3\n")
         assert main(["certify", path_file(5), "--order", order]) == 0
@@ -195,7 +204,7 @@ class TestLabelAndVerify:
         "2 0\n1 4\n4 6\n0 8\n3 10\n99 20\n",    # vertex outside the tree
         "2 0\n1 4\n4 6.5\n0 8\n3 10\n",          # non-integer label
         "2 0\n1 4\nfour 6\n0 8\n3 10\n",         # non-integer vertex id
-    ])
+    ], ids=["negative-label", "unknown-vertex", "float-label", "non-int-vertex"])
     def test_verify_rejects_labelling_outside_contract(self, capsys, path_file,
                                                        write, text):
         labels = write("p5.labels", text)
@@ -353,7 +362,8 @@ class TestGen:
          'graph tree {\n  0 [label="0"];\n  1 [label="1"];\n  2 [label="2"];\n'
          '  3 [label="3"];\n  4 [label="4"];\n  5 [label="5"];\n  0 -- 2;\n  0 -- 4;\n'
          '  1 -- 3;\n  1 -- 4;\n  2 -- 5;\n}\n'),
-    ])
+    ], ids=["levelwise-names", "levelwise-dot", "lmh-names", "lmh-dot", "random-names",
+            "random-dot"])
     def test_pinned_names_and_dot(self, capsys, argv, flag, expected):
         assert main(["gen", *argv, flag]) == 0
         assert capsys.readouterr().out == expected

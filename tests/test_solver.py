@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 
@@ -123,8 +124,9 @@ class TestContract:
         assert ok and res.witness.span == res.rn
 
     def test_p13_within_node_budget(self):
-        # the probe proves P_13 in about 22k nodes; a downward search alone
-        # needs far more (543,615 in id order)
+        # the probe proves P_13 in about 12k nodes (about 22k without the
+        # remote-vertex term); a downward search alone needs far more
+        # (543,615 in id order)
         res = exact_rn(path(13), max_order=13, max_nodes=100_000)
         assert res.stats.completed
         assert res.rn == res.stats.lower_bound == 74 == rn_path(13)
@@ -192,6 +194,7 @@ def search_inputs(tree):
     incumbent and limits, with the twin table separate."""
     m = metrics(tree)
     args = (tree.p, oracles.distances(tree), m.diameter, m.level, m.epsilon,
+            solver._xi_cuts(m.level, m.diameter, m.epsilon, m.two_branch),
             solver._start_representatives(m))
     return m, args, solver._twin_prev(tree.adjacency)
 
@@ -226,6 +229,73 @@ class TestTwinRule:
         tree = build_tree([(0, 1), (0, 2), (0, 3), (0, 4), (4, 5), (4, 6)])
         assert solver._twin_prev(tree.adjacency) == [-1, -1, 1, 2, -1, -1, 5]
         assert solver._twin_prev(path(2).adjacency) == [-1, -1]
+
+
+def suffix_bounds(ref, seq):
+    """``(bound, term)`` for each candidate ``seq[t]``, t < p - 1, after the
+    prefix ``seq[:t]``: the solver's ``suffix_bound`` with the remote-vertex
+    term read from :func:`solver._xi_cuts`, and that term.  The candidate's
+    label is its greedy label after the prefix; everything else comes from
+    the definitions in ``oracles.Ref``."""
+    cuts, b, shift = solver._xi_cuts(ref.level, ref.diameter, ref.epsilon, ref.two_branch)
+    f, level = oracles.greedy_labels(ref, seq), ref.level
+    rest = sum(level)  # sum L(R), the vertices after the candidate
+    for t, u in enumerate(seq[:-1]):
+        lu = level[u]
+        rest -= lu
+        term = cuts[b][lu] - lu
+        yield (f[u] + (len(seq) - 1 - t) * (ref.diameter + ref.epsilon) - lu - 2 * rest
+               + min(level[v] for v in seq[t + 1:]) + term), term
+        b += shift[lu]
+
+
+class TestSuffixBound:
+    """The suffix bound, remote-vertex term included, never exceeds the span
+    of the greedy completion it bounds, on two-branch trees with one center
+    and even or odd diameter and with two centers."""
+
+    @staticmethod
+    def check(tree, orders):
+        """``(kind, firing)``: kind is (|W|, diam % 2); firing counts the
+        checks where the term is positive."""
+        ref = oracles.Ref(tree)
+        assert ref.two_branch
+        firing = 0
+        for seq in orders:
+            span = max(oracles.greedy_labels(ref, seq).values())
+            for bound, term in suffix_bounds(ref, seq):
+                assert bound <= span, (tree, seq)
+                firing += term > 0
+        return (len(ref.centers), ref.diameter % 2), firing
+
+    def test_random_orders(self):
+        rng = random.Random(23)
+        firing = {}
+        for n in range(8, 16):
+            for seed in range(6):
+                tree = gen_random_two_branch(n, seed).tree
+                orders = [tuple(rng.sample(range(n), n)) for _ in range(100)]
+                kind, fired = self.check(tree, orders)
+                firing[kind] = firing.get(kind, 0) + fired
+        assert set(firing) == {(1, 0), (1, 1), (2, 0), (2, 1)}
+        assert all(firing.values())
+
+    def test_every_order_up_to_seven_vertices(self):
+        # (P_4 and the other two-branch trees on 4 vertices never fire it)
+        kinds = set()
+        for n in range(5, 8):
+            for seed in range(2):
+                tree = gen_random_two_branch(n, seed).tree
+                kind, fired = self.check(tree, itertools.permutations(range(n)))
+                assert fired
+                kinds.add(kind)
+        assert kinds == {(1, 0), (2, 1)}
+
+    def test_no_term_off_two_branch_trees(self):
+        for tree in (star(4), spider((1, 2, 2)), path(2)):
+            m = metrics(tree)
+            cuts, _, shift = solver._xi_cuts(m.level, m.diameter, m.epsilon, m.two_branch)
+            assert cuts == [list(range(max(m.level) + 1))] and not any(shift)
 
 
 class TestIncumbents:

@@ -9,6 +9,8 @@ the greedy seed, twin leaves, probe bounds and start vertices (one per class
 of isomorphic rooted trees).  On a seeded grid of trees and node budgets the
 solver must give the same rn, witness, nodes, prune counters, completion
 flag, lower bound and incumbents, and the same start representatives.
+Without the remote-vertex term (``xi=False``) the reference is the search
+before that term, whose full searches must reach the same answers.
 """
 
 import random
@@ -33,13 +35,21 @@ from radiotree.solver import LIMIT_CHECK_INTERVAL
 # --- the search as it was, kept as a snapshot ---------------------------------
 
 
-def search_reference(p, dist, diam, level, eps, starts, twin_prev, ub, ub_order, floor,
-                     max_nodes, by_label=True):
+def search_reference(ref, starts, twin_prev, ub, ub_order, floor, max_nodes, by_label=True,
+                     xi=True):
     """With ``by_label``, the candidates that pass the cuts are expanded in
     increasing ``(req, id)``; without it, in id order, which expands the
     nodes the search once did.  Either way every candidate is cut before the
     first expansion and again before its own, so the prune counters of the
-    id order are not the old ones."""
+    id order are not the old ones.  With ``xi``, on a two-branch tree of
+    diameter at least 2, the suffix cut adds ``c * ceil(k/2)`` for the ``k``
+    free positions (a remote vertex with no center beside it) that every
+    order of the unplaced rest leaves; without it, the cut is the basic
+    bound alone, as the search once was."""
+    p, dist, diam, level, eps = ref.p, ref.d, ref.diameter, ref.level, ref.epsilon
+    remote, centers = ref.remote, ref.centers
+    c = 1 if len(centers) == 1 and diam % 2 == 0 else 2
+    with_xi = xi and ref.two_branch and diam >= 2
     best = ub
     best_order = None if ub_order is None else list(ub_order)
     improvements = []
@@ -60,6 +70,7 @@ def search_reference(p, dist, diam, level, eps, starts, twin_prev, ub, ub_order,
     req = [0] * p
     saved = [[0] * p for _ in range(p)]
     unplaced_level_sum = sum(level)
+    unplaced_remote, unplaced_centers = len(remote), len(centers)
     unplaced_at_level = [0] * (max(level) + 1)
     for lv in level:
         unplaced_at_level[lv] += 1
@@ -67,6 +78,7 @@ def search_reference(p, dist, diam, level, eps, starts, twin_prev, ub, ub_order,
     def extend(depth, span):
         nonlocal best, best_order, nodes, pruned_twin, pruned_remaining, pruned_suffix
         nonlocal halted, limited, next_check, unplaced_level_sum
+        nonlocal unplaced_remote, unplaced_centers
         if depth == p:
             if span < best:
                 best = span
@@ -86,6 +98,13 @@ def search_reference(p, dist, diam, level, eps, starts, twin_prev, ub, ub_order,
                     lo2 += 1
             suffix_base = remaining_after * step - 2 * unplaced_level_sum
 
+        def xi_term(u):
+            # the remote vertices of R, less the last position and the
+            # positions beside a center: u, if a center, and each center of R
+            k = (unplaced_remote - (u in remote) - 1 - (u in centers)
+                 - 2 * (unplaced_centers - (u in centers)))
+            return c * -(-k // 2) if with_xi and k > 0 else 0
+
         def cut(u):
             nonlocal pruned_remaining, pruned_suffix
             lab = req[u]
@@ -93,8 +112,8 @@ def search_reference(p, dist, diam, level, eps, starts, twin_prev, ub, ub_order,
                 pruned_remaining += 1
                 return True
             lu = level[u]
-            if remaining_after and \
-                    lab + suffix_base + lu + (lo2 if lu == lo1 else lo1) >= best:
+            if remaining_after and lab + suffix_base + lu + (lo2 if lu == lo1 else lo1) \
+                    + xi_term(u) >= best:
                 pruned_suffix += 1
                 return True
             return False
@@ -125,6 +144,8 @@ def search_reference(p, dist, diam, level, eps, starts, twin_prev, ub, ub_order,
             placed[u] = True
             unplaced_at_level[lu] -= 1
             unplaced_level_sum -= lu
+            unplaced_remote -= u in remote
+            unplaced_centers -= u in centers
             snap = saved[depth]
             du = dist[u]
             for v in range(p):
@@ -137,6 +158,8 @@ def search_reference(p, dist, diam, level, eps, starts, twin_prev, ub, ub_order,
             placed[u] = False
             unplaced_at_level[lu] += 1
             unplaced_level_sum += lu
+            unplaced_remote += u in remote
+            unplaced_centers += u in centers
             for v in range(p):
                 req[v] = snap[v]
             if halted:
@@ -148,7 +171,7 @@ def search_reference(p, dist, diam, level, eps, starts, twin_prev, ub, ub_order,
     return best, best_order, nodes, pruned, not limited, improvements
 
 
-def exact_rn_reference(tree, max_nodes, by_label=True):
+def exact_rn_reference(tree, max_nodes, by_label=True, xi=True):
     """(rn, witness labels, nodes, pruned, completed, lower_bound, incumbents)."""
     ref = oracles.Ref(tree)
     seed = oracles.greedy_labels(ref, tuple(range(tree.p)))
@@ -158,8 +181,8 @@ def exact_rn_reference(tree, max_nodes, by_label=True):
     proven, target = ref.probe_bounds
 
     def search(ub, ub_order, floor, budget):
-        return search_reference(tree.p, ref.d, ref.diameter, ref.level, ref.epsilon, starts,
-                                twin_prev, ub, ub_order, floor, budget, by_label)
+        return search_reference(ref, starts, twin_prev, ub, ub_order, floor, budget, by_label,
+                                xi)
 
     best, best_order, nodes, pruned, completed, found = search(
         target + 1, None, proven, max_nodes)
@@ -229,6 +252,21 @@ class TestSearchAgainstReference:
             rn, _, _, _, completed, lower_bound, _ = by_label
             assert (rn, completed, lower_bound) == (by_id[0], by_id[4], by_id[5])
             assert completed and lower_bound == rn
+
+    def test_xi_term_keeps_the_answers(self):
+        # the remote-vertex term only cuts subtrees no better than the best
+        # span so far: a full search finds the same improvements in fewer
+        # or as many nodes
+        fewer = 0
+        for tree in solver_grid():
+            rn, labels, nodes, _, completed, _, found = exact_rn_reference(tree, None)
+            rn0, labels0, nodes0, _, completed0, _, found0 = exact_rn_reference(
+                tree, None, xi=False)
+            assert (rn, labels, completed) == (rn0, labels0, completed0)
+            assert [s for _, s in found] == [s for _, s in found0]
+            assert nodes <= nodes0
+            fewer += nodes < nodes0
+        assert fewer > 0
 
     def test_grid_reaches_every_phase(self):
         # at a budget of 50 nodes, some searches settle and some stop, each

@@ -40,7 +40,7 @@ from .labelling import (
     verify_labelling,
 )
 from .solver import DEFAULT_MAX_ORDER, DEFAULT_TIMEOUT_S, exact_rn
-from .tree import Tree, edge_pairs, format_tree_text, metrics, parse_tree_text
+from .tree import Tree, _quoted, edge_pairs, format_tree_text, metrics, parse_tree_text
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -64,7 +64,7 @@ def _read_order(path: str) -> tuple:
                 try:
                     ids.append(int(tok))
                 except ValueError:
-                    raise BadVertex(f"order token {tok!r} is not a vertex id") from None
+                    raise BadVertex(f"order token {_quoted(tok)} is not a vertex id") from None
     return tuple(ids)
 
 

@@ -14,8 +14,9 @@ largest label.  Three routes to a labelling live here:
 * :func:`verify_labelling` — the independent checker everything else is
   audited against; it computes its own distances (no :class:`TreeMetrics`).
   One pass over the vertices in label order decides whether any pair
-  violates; only when one does, a windowed scan over the pairs within a
-  label gap below the diameter names the first violating pair.
+  violates; only when one does, a scan in vertex order names the first
+  violating pair, comparing each vertex only with those whose labels lie
+  within ``diam - 1`` of its own.
 
 :func:`jf_profile` reports the per-step slack ``J_f`` and the aggregate
 ``sigma`` that appear in the span decomposition
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from typing import Sequence
 
 from .errors import (
@@ -40,7 +41,7 @@ from .errors import (
     NotTwoBranch,
 )
 from .orders import ASequence, _levels_and_labels, check_order
-from .tree import Tree, TreeMetrics, _bfs
+from .tree import Tree, TreeMetrics, _bfs, _quoted
 
 
 @dataclass(frozen=True)
@@ -107,15 +108,15 @@ def verify_labelling(tree: Tree, labelling: RadioLabelling) -> tuple:
     pass over the vertices in label order whether any pair violates, with
     one test per vertex for all the pairs across subtrees.  A valid labelling,
     the common case, ends there.  Only when it finds a violation does
-    :func:`_first_violation`, the windowed naming scan, run to report the
-    pair a scan of all pairs would report first.
+    :func:`_first_violation`, the naming scan in vertex order, run to report
+    the pair a scan of all pairs would report first.
 
     Returns (ok, pair): ``pair`` is None, or the lexicographically first
     violating (u, v) with u < v, the pair a scan of all pairs would report.
     A labelling outside the contract raises instead: :class:`BadVertex` for a
     key that is not a vertex of the tree, :class:`NonIntegerLabel` or
-    :class:`NegativeLabel` for a bad label, :class:`MissingLabel` for an
-    unlabelled vertex.
+    :class:`NegativeLabel` for a bad label, :class:`MissingLabel` for
+    unlabelled vertices, naming how many and the first five.
     """
     labels = labelling.labels
     p = tree.p
@@ -127,8 +128,9 @@ def verify_labelling(tree: Tree, labelling: RadioLabelling) -> tuple:
         if lab < 0:
             raise NegativeLabel(f"vertex {v} has negative label {lab}")
     if len(labels) != p:
-        missing = [v for v in range(p) if v not in labels]
-        raise MissingLabel(f"vertices without labels: {missing}")
+        # the first few only: a labels file may name a handful of p vertices
+        missing = list(islice((v for v in range(p) if v not in labels), 5))
+        raise MissingLabel(f"{p - len(labels)} vertices without labels, starting {missing}")
     oracle = _middle_rooted(tree.adjacency)
     if not _has_violation(oracle, labels):
         return True, None
@@ -245,74 +247,58 @@ def _first_violation(oracle, lab) -> tuple:
     None, pairs compared)``.
     The count is there for the tests that bound the scan.
 
-    Distinct vertices are at distance >= 1, so a pair whose labels differ by
-    ``diam`` or more cannot fail.  The vertices are sorted by label and each
-    is compared only with its successors while the label gap is below
-    ``diam``: with distinct labels that is at most ``diam - 1`` successors
-    per vertex, O(p * diam) pairs.  Equal labels always violate
-    (``d <= diam``), so before any distance is computed each block of equal
-    labels yields a violation, its two smallest vertices.  Only a pair with
-    a vertex at or below the smaller vertex ``a`` of the first such
-    violation can come before it, and only those pairs are compared.  The
-    vertices below ``a`` carry distinct labels, so repeated labels stay at
-    O(p * diam) pairs too (all-zero labels compare p - 1).  A pair in one
-    subtree of the middle root climbs parents to the vertex where the two
-    root paths meet.
+    The scan is the definition taken in vertex order: for u = 0, 1, ... it
+    compares u with each v, u < v, whose label lies within ``diam - 1`` of
+    u's (distinct vertices are at distance >= 1, so a larger gap cannot
+    fail), and it returns u with its least violating partner at the first u
+    that has one.  The vertices are sorted by label once, and u's window is
+    walked both ways from u's position; a partner above the least violating
+    one found so far is not compared.  A pair in one subtree of the middle
+    root climbs parents to the vertex where the two root paths meet.
 
-    The scan goes by rounds rather than vertex by vertex: round k filters the
-    surviving label positions in one list comprehension each, so only the
-    positions that can still yield an earlier pair are ever visited.  With a
-    repeated label at a small vertex that is a handful, where a per-vertex
-    loop still walks every window: on C(5,25000) with vertex 1 given vertex
-    0's label, 0.044 s against 0.084 s (Python 3.11, a 2-core VM).  On
-    distinct labels with one violation mid-order the per-vertex loop is
-    about 7% faster (0.15 s against 0.16 s)."""
+    Equal labels always violate (``d <= diam``), so every u before the
+    first violating vertex carries a label no other vertex shares, and each
+    vertex lies in the windows of at most ``2 * diam - 1`` of them: the
+    scan compares O(p * diam) pairs, plus those of one window for the last
+    u, however the labels repeat."""
     diam, depth, parent, top = oracle
     p = len(depth)
-    # vertex ids and label positions share these int objects, so the
-    # position lists below allocate no ints of their own
-    ids = list(range(p))
-    by_label = sorted(ids, key=lab.__getitem__)  # stable: ties by id
-    keys = [lab[v] for v in by_label]
-    # Adjacent equal keys give each block of equal labels its two smallest ids.
-    first = min(((by_label[i], by_label[i + 1]) for i in range(p - 1) if keys[i] == keys[i + 1]),
-                default=None)
-    # Only a pair with a vertex at or below low can precede first.  Round k
-    # compares the label positions (i, i + k) whose gap is below diam: i from
-    # `ahead`, the positions of vertices at or below low, or i + k from
-    # `behind`, the same positions, when vertex i lies above low.  Gaps only
-    # grow with k, so both lists only shrink.
-    if first is None:
-        low, ahead, behind = p, ids, []
-    else:
-        low = first[0]
-        ahead = behind = [i for i in ids if by_label[i] <= low]
+    by_label = sorted(range(p), key=lab.__getitem__)
+    at = [0] * p  # vertex -> its position in by_label
+    for i, v in enumerate(by_label):
+        at[v] = i
+    # keys[p], which is also keys[-1], is -diam: labels are >= 0, so no window
+    # reaches down to it, and both walks stop there
+    keys = [*map(lab.__getitem__, by_label), -diam]
     compared = 0
-    k = 1
-    while ahead or behind:
-        ahead = [i for i in ahead if i + k < p and keys[i + k] - keys[i] < diam]
-        behind = [j for j in behind if j >= k and keys[j] - keys[j - k] < diam]
-        starts = ahead + [j - k for j in behind if by_label[j - k] > low] if behind else ahead
-        compared += len(starts)
-        for i in starts:
-            u, v = by_label[i], by_label[i + k]
-            if top[u] != top[v]:
-                d = depth[u] + depth[v]
-            else:
-                a, b = u, v  # one subtree: climb to where the root paths meet
-                while depth[a] > depth[b]:
-                    a = parent[a]
-                while depth[b] > depth[a]:
-                    b = parent[b]
-                while a != b:
-                    a, b = parent[a], parent[b]
-                d = depth[u] + depth[v] - 2 * depth[a]
-            if keys[i + k] - keys[i] + d <= diam:
-                pair = (u, v) if u < v else (v, u)
-                if first is None or pair < first:
-                    first = pair
-        k += 1
-    return first, compared
+    for u in range(p):
+        i = at[u]
+        f, du, tu = keys[i], depth[u], top[u]
+        lo, hi = f - diam, f + diam
+        best = p
+        for step in 1, -1:
+            j = i + step
+            while lo < keys[j] < hi:
+                v = by_label[j]
+                if u < v < best:
+                    compared += 1
+                    if tu != top[v]:
+                        d = du + depth[v]
+                    else:
+                        a, b = u, v  # one subtree: climb to where the root paths meet
+                        while depth[a] > depth[b]:
+                            a = parent[a]
+                        while depth[b] > depth[a]:
+                            b = parent[b]
+                        while a != b:
+                            a, b = parent[a], parent[b]
+                        d = du + depth[v] - 2 * depth[a]
+                    if (keys[j] - f) * step + d <= diam:
+                        best = v
+                j += step
+        if best < p:
+            return (u, best), compared
+    return None, compared
 
 
 def greedy_label_from_order(m: TreeMetrics, order: Sequence) -> RadioLabelling:
@@ -398,15 +384,15 @@ def parse_labels_text(text: str) -> RadioLabelling:
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise MissingLabel(f"bad label line: {raw!r}")
+            raise MissingLabel(f"bad label line: {_quoted(raw)}")
         try:
             v = int(parts[0])
         except ValueError:
-            raise BadVertex(f"bad vertex id in label line: {raw!r}") from None
+            raise BadVertex(f"bad vertex id in label line: {_quoted(raw)}") from None
         try:
             lab = int(parts[1])
         except ValueError:
-            raise NonIntegerLabel(f"bad label in label line: {raw!r}") from None
+            raise NonIntegerLabel(f"bad label in label line: {_quoted(raw)}") from None
         if v in labels:
             raise DuplicateLabel(f"vertex {v} labelled twice")
         labels[v] = lab

@@ -337,6 +337,11 @@ def _meet_level(level: tuple, parent: tuple, u: int, v: int) -> int:
 
 # --- tree text format ------------------------------------------------------
 
+def _quoted(line: str) -> str:
+    # an input line may be megabytes long: quote its start only
+    return repr(line) if len(line) <= 80 else f"{line[:80]!r}... ({len(line)} characters)"
+
+
 def parse_tree_text(text: str) -> Tree:
     """Parse the edge-list text format: one "u v" pair per line, '#' comments."""
     edges = []
@@ -346,13 +351,13 @@ def parse_tree_text(text: str) -> Tree:
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise NotATree(f"bad edge line: {raw!r}")
+            raise NotATree(f"bad edge line: {_quoted(raw)}")
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
-            raise NotATree(f"bad edge line: {raw!r}") from None
+            raise NotATree(f"bad edge line: {_quoted(raw)}") from None
         if u < 0 or v < 0:
-            raise BadEdge(f"negative vertex id in line {raw!r}")
+            raise BadEdge(f"negative vertex id in line {_quoted(raw)}")
         edges.append((u, v))
     return build_tree(edges)
 

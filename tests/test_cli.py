@@ -71,6 +71,13 @@ class TestAnalyze:
         bad = write("bad.txt", "0 1\n2 3\n")
         assert main(["analyze", bad]) == 3
 
+    def test_order_file_as_tree_is_quoted_short(self, capsys, write):
+        # one line of 10,005 ids: exit 3 and its first 80 characters on stderr
+        order = write("c5.order", " ".join(map(str, range(10005))) + "\n")
+        assert main(["analyze", order]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("NotATree: bad edge line: '0 1 2 3") and len(err) < 1024
+
     def test_two_faults_still_an_input_error(self, capsys, write):
         bad = write("bad.txt", "0 1\n0 1\n1 1000000000000000\n")
         assert main(["analyze", bad]) == 3
@@ -185,6 +192,12 @@ class TestLabelAndVerify:
         assert capsys.readouterr().out.splitlines() == ["0 8", "1 4", "2 0", "3 10", "4 6"]
         assert len(calls) == 1
 
+    def test_long_bad_order_token_is_quoted_short(self, capsys, path_file, write):
+        order = write("p5.order", "2 1 " + "x" * 20000 + " 0 3\n")
+        assert main(["label", path_file(5), "--order", order]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("BadVertex: order token 'xxx") and len(err) < 1024
+
     def test_label_certifying_order(self, capsys, path_file, write):
         order = write("p5.order", "2 1 4 0 3\n")
         assert main(["certify", path_file(5), "--order", order]) == 0
@@ -210,6 +223,17 @@ class TestLabelAndVerify:
         labels = write("p5.labels", text)
         assert main(["verify", path_file(5), "--labels", labels]) == 3
         assert "valid" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text, message", [
+        ("0 0\n", "MissingLabel: 10004 vertices without labels, starting [1, 2, 3, 4, 5]"),
+        (" ".join(map(str, range(10005))) + "\n", "MissingLabel: bad label line: '0 1 2 3"),
+    ], ids=["one-label", "order-file"])
+    def test_verify_reports_a_large_fault_briefly(self, capsys, write, text, message):
+        # C(5,2500), p = 10,005: exit 3 and under 1 KB on stderr
+        tree = write("c5.txt", format_tree_text(families.gen_caterpillar(5, 2500).tree))
+        assert main(["verify", tree, "--labels", write("c5.labels", text)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(message) and len(err) < 1024
 
     def test_greedy_label(self, capsys, path_file, write):
         order = write("p4.order", "1 3 0 2\n")

@@ -1,5 +1,6 @@
 import random
 import sys
+from bisect import bisect_left
 from collections import Counter
 
 import pytest
@@ -101,6 +102,12 @@ class TestVerifyLabelling:
     def test_missing_vertex(self):
         with pytest.raises(MissingLabel):
             verify_labelling(path(4), RadioLabelling({0: 0, 1: 5}))
+
+    def test_missing_vertices_named_by_count_and_first_five(self):
+        tree = gen_caterpillar(5, 2500).tree  # p = 10,005
+        with pytest.raises(MissingLabel) as info:
+            verify_labelling(tree, RadioLabelling({0: 0, 3: 7}))
+        assert str(info.value) == "10003 vertices without labels, starting [1, 2, 4, 5, 6]"
 
     def test_negative_label(self):
         # valid apart from the sign: every gap meets the radio condition
@@ -260,10 +267,11 @@ def test_diameter_from_heights_matches_the_table(seed):
     assert max(depth) == (want + 1) // 2
 
 
-def test_all_zero_labels_compare_a_linear_number_of_pairs(monkeypatch):
-    # Equal labels always violate, so the block of p zeros yields (0, 1) at
-    # once; only pairs with vertex 0 can come before it.  The old window held
-    # all p(p-1)/2 = 200 million pairs here.
+def test_all_zero_labels_compare_one_pair(monkeypatch):
+    # Equal labels always violate, so vertex 0's first partner in the block
+    # of p zeros, vertex 1, is named at once and no later one is compared.
+    # A scan of every pair with a label gap below diam would compare all
+    # p(p-1)/2 = 200 million pairs here.
     tree = gen_caterpillar(5, 5000).tree  # p = 20,005
     compared = []
 
@@ -275,7 +283,35 @@ def test_all_zero_labels_compare_a_linear_number_of_pairs(monkeypatch):
     monkeypatch.setattr(labelling, "_first_violation", counting)
     lab = RadioLabelling(dict.fromkeys(range(tree.p), 0))
     assert verify_labelling(tree, lab) == (False, (0, 1))
-    assert compared == [tree.p - 1]
+    assert compared == [1]
+
+
+def test_naming_scan_stops_at_the_first_violating_vertex():
+    # vertex 0's label nudged in a certified labelling of L^2_{2500,3}
+    # (p = 10,004): the scan stops after vertex 0's own window, under
+    # 2 * diam pairs, where a scan of every window compares 22,499
+    inst = gen_lmh(2, 2500, 3)
+    m = metrics(inst.tree)
+    labels = dict(certify_tightness(m, proof_order_lmh(inst, m)).labels)
+    labels[0] += 1
+    first, compared = _first_violation(_middle_rooted(inst.tree.adjacency), labels)
+    assert first == (0, 9)
+    assert compared <= 2 * m.diameter
+
+
+def gap_pairs(labels, diam):
+    """The number of pairs of vertices whose labels differ by less than diam."""
+    keys = sorted(labels.values())
+    return sum(bisect_left(keys, k + diam, i + 1) - i - 1 for i, k in enumerate(keys))
+
+
+@given(labelled_trees())
+@settings(max_examples=500, deadline=None)
+def test_naming_scan_compares_each_window_pair_at_most_once(case):
+    tree, lab = case
+    oracle = _middle_rooted(tree.adjacency)
+    _, compared = _first_violation(oracle, lab.labels)
+    assert compared <= gap_pairs(lab.labels, oracle[0])
 
 
 def test_a_failing_labelling_builds_one_oracle(monkeypatch):
@@ -518,3 +554,15 @@ class TestLabelFiles:
     def test_non_integer_label(self):
         with pytest.raises(NonIntegerLabel):
             parse_labels_text("0 1\n2 5.5\n")
+
+    @pytest.mark.parametrize("line, error", [
+        (" ".join(map(str, range(20000))), MissingLabel),  # an order file's line
+        ("v" * 20000 + " 5", BadVertex),
+        ("3 " + "5" * 20000 + ".5", NonIntegerLabel),
+    ], ids=["many-tokens", "long-vertex", "long-label"])
+    def test_long_bad_line_is_quoted_short(self, line, error):
+        with pytest.raises(error) as info:
+            parse_labels_text(f"0 1\n{line}\n")
+        message = str(info.value)
+        assert len(message) < 200
+        assert repr(line[:80]) in message and f"({len(line)} characters)" in message

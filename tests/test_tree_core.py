@@ -379,3 +379,15 @@ class TestTextFormat:
     def test_comments_ignored(self):
         t = parse_tree_text("# a tree\n0 1\n1 2  # tail comment\n")
         assert t.p == 3
+
+    @pytest.mark.parametrize("line, error", [
+        (" ".join(map(str, range(20000))), NotATree),  # an order file's line
+        ("1 " + "2" * 20000 + "x", NotATree),
+        ("-1" + " " * 20000 + "2", BadEdge),
+    ], ids=["many-tokens", "long-id", "negative-id"])
+    def test_long_bad_line_is_quoted_short(self, line, error):
+        with pytest.raises(error) as info:
+            parse_tree_text(f"0 1\n{line}\n")
+        message = str(info.value)
+        assert len(message) < 200
+        assert repr(line[:80]) in message and f"({len(line)} characters)" in message

@@ -39,8 +39,16 @@ from .labelling import (
     parse_labels_text,
     verify_labelling,
 )
-from .solver import DEFAULT_MAX_ORDER, DEFAULT_TIMEOUT_S, exact_rn
-from .tree import Tree, _quoted, edge_pairs, format_tree_text, metrics, parse_tree_text
+from .solver import DEFAULT_TIMEOUT_S, exact_rn
+from .tree import (
+    Tree,
+    _quoted,
+    _short_number,
+    edge_pairs,
+    format_tree_text,
+    metrics,
+    parse_tree_text,
+)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -191,8 +199,7 @@ def cmd_exact(args) -> int:
     m = metrics(tree)
     report = bound_report(m)
     try:
-        res = exact_rn(tree, max_order=args.max_order, timeout_s=args.timeout_s,
-                       max_nodes=args.max_nodes)
+        res = exact_rn(tree, timeout_s=args.timeout_s, max_nodes=args.max_nodes)
     except OrderTooLarge as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_RESOURCE
@@ -285,34 +292,47 @@ def cmd_demo(args) -> int:
 
 # --- argument parsing ------------------------------------------------------
 
+# argparse quotes a value its type function refuses with ValueError in full;
+# these refuse with ArgumentTypeError, whose message it prints as given
+
+def integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {_quoted(text)}") from None
+
+
 def degree_list(text: str) -> list:
-    return [int(tok) for tok in text.split(",")]
+    return [integer(tok) for tok in text.split(",")]
 
 
 def positive_int(text: str) -> int:
-    value = int(text)
+    value = integer(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {_short_number(value)}")
     return value
 
 
 def positive_float(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {_quoted(text)}") from None
     if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        raise argparse.ArgumentTypeError(f"must be positive, got {_quoted(text)}")
     return value
 
 
 def _add_family_arguments(sub) -> None:
     sub.add_argument("family", choices=families.FAMILIES)
-    sub.add_argument("--n", type=int, default=None)
-    sub.add_argument("--k", type=int, default=None)
-    sub.add_argument("--z", type=int, default=1)
-    sub.add_argument("--m", type=int, default=None)
-    sub.add_argument("--h", type=int, default=None)
+    sub.add_argument("--n", type=integer, default=None)
+    sub.add_argument("--k", type=integer, default=None)
+    sub.add_argument("--z", type=integer, default=1)
+    sub.add_argument("--m", type=integer, default=None)
+    sub.add_argument("--h", type=integer, default=None)
     sub.add_argument("--degrees", type=degree_list, default=None,
                      help="comma-separated per-level degrees, e.g. 2,3,3")
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=integer, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -330,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("bounds", help="lower bounds, optionally compared")
     s.add_argument("tree")
     s.add_argument("--compare", action="store_true")
-    s.add_argument("--center", type=int, default=None)
+    s.add_argument("--center", type=integer, default=None)
     s.add_argument("--json", action="store_true")
     s.set_defaults(func=cmd_bounds)
 
@@ -354,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("exact", help="exact radio number by exhaustive search")
     s.add_argument("tree")
-    s.add_argument("--max-order", type=positive_int, default=DEFAULT_MAX_ORDER)
     s.add_argument("--timeout-s", type=positive_float, default=DEFAULT_TIMEOUT_S)
     s.add_argument("--max-nodes", type=positive_int, default=None,
                    help="node budget; when it runs out, exit 4 as on a timeout")

@@ -93,9 +93,10 @@ class DHalfTooSmall(RadioTreeError):
 # --- solver ----------------------------------------------------------------
 
 class OrderTooLarge(RadioTreeError):
-    """A tree above a vertex-count limit: the exact solver's ``max_order``,
-    or :data:`radiotree.families.MAX_VERTICES` for a family instance, which
-    its generator refuses before building anything."""
+    """A tree above a vertex-count limit: the depth the exact solver's
+    recursive search can reach, or :data:`radiotree.families.MAX_VERTICES`
+    for a family instance, which its generator refuses before building
+    anything."""
 
 
 # --- families --------------------------------------------------------------

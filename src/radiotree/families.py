@@ -41,7 +41,7 @@ from .errors import (
     OutOfRange,
     UnsupportedParams,
 )
-from .tree import Tree, TreeMetrics, _decode_pruefer, _make_tree, metrics
+from .tree import Tree, TreeMetrics, _decode_pruefer, _make_tree, _short_number, metrics
 
 
 @dataclass(frozen=True)
@@ -84,12 +84,21 @@ def _certify_or_raise(inst: FamilyInstance, order: list, m: TreeMetrics | None) 
     return order
 
 
+def _got(**params) -> str:
+    """The parameters an error message echoes, as ``name=value``, each long
+    number cut short; a degree list is written as on the command line."""
+    return ", ".join(
+        f"{name}={','.join(map(_short_number, v)) if isinstance(v, list) else _short_number(v)}"
+        for name, v in params.items())
+
+
 MAX_VERTICES = 10 ** 7  # each generator computes p first and refuses more
 
 
 def _check_size(p: int) -> None:
     if p > MAX_VERTICES:
-        raise OrderTooLarge(f"{p} vertices exceeds the generators' limit {MAX_VERTICES}")
+        raise OrderTooLarge(
+            f"{_short_number(p)} vertices exceeds the generators' limit {MAX_VERTICES}")
 
 
 # --- paths -----------------------------------------------------------------
@@ -97,7 +106,7 @@ def _check_size(p: int) -> None:
 def rn_path(n: int) -> int:
     """Closed-form radio number of P_n, n >= 4."""
     if n < 4:
-        raise OutOfRange(f"path closed form is stated for n >= 4, got {n}")
+        raise OutOfRange(f"path closed form is stated for n >= 4, got {_short_number(n)}")
     k = n // 2
     if n % 2 == 1:
         return 2 * k * k + 2
@@ -107,7 +116,7 @@ def rn_path(n: int) -> int:
 def gen_path(n: int) -> FamilyInstance:
     """The path v_1 - ... - v_n; v_i is id i - 1."""
     if n < 1:
-        raise BadParams(f"path needs n >= 1, got {n}")
+        raise BadParams(f"path needs n >= 1, got {_short_number(n)}")
     _check_size(n)
     tree = _make_tree(n, [(i, i + 1) for i in range(n - 1)])
     return FamilyInstance(tree, "path", f"P_{n}", {"n": n}, rn_path(n) if n >= 4 else None)
@@ -126,7 +135,8 @@ def rn_caterpillar(n: int, k: int) -> int:
     exact solver confirms it at small k (see the acceptance tests).
     """
     if n < 3 or k < 1:
-        raise OutOfRange(f"caterpillar closed form needs n >= 3, k >= 1, got {(n, k)}")
+        raise OutOfRange(
+            f"caterpillar closed form needs n >= 3, k >= 1, got {_got(n=n, k=k)}")
     if n == 3:
         return 3 * k + 7
     if n == 4:
@@ -152,7 +162,7 @@ def gen_caterpillar(n: int, k: int) -> FamilyInstance:
     v_i is id i - 1; the leaves v_{i,j} follow tuft by tuft (:func:`_cat_tufts`).
     """
     if n < 3 or k < 1:
-        raise BadParams(f"caterpillar needs n >= 3 and k >= 1, got {(n, k)}")
+        raise BadParams(f"caterpillar needs n >= 3 and k >= 1, got {_got(n=n, k=k)}")
     tufts = _cat_tufts(n, k)
     _check_size(n + len(tufts) * k)
     edges = [(i, i + 1) for i in range(n - 1)]
@@ -234,7 +244,7 @@ def rn_levelwise(z: int, degrees) -> int:
             or (z, h) == (1, 1)):
         raise OutOfRange(
             f"level-wise closed form needs z in {{1,2}}, m_0 = 2, m_i >= 3 and, for z = 1, "
-            f"h >= 2; got z={z}, {ms}"
+            f"h >= 2; got {_got(z=z, degrees=ms)}"
         )
     body = sum((4 * (h - i) - 2) * prod(m - 1 for m in ms[1:i + 1])
                for i in range(1, h))
@@ -247,7 +257,7 @@ def rn_levelwise(z: int, degrees) -> int:
 def rn_binary(h: int) -> int:
     """Complete binary tree of height h >= 2: 13 * 2^(h-1) - 4h - 5."""
     if h < 2:
-        raise OutOfRange(f"binary closed form needs h >= 2, got {h}")
+        raise OutOfRange(f"binary closed form needs h >= 2, got {_short_number(h)}")
     return 13 * 2 ** (h - 1) - 4 * h - 5
 
 
@@ -287,7 +297,8 @@ def gen_levelwise(z: int, degrees) -> FamilyInstance:
     ms = list(degrees)
     h = len(ms)
     if z not in (1, 2) or h < 1 or any(m < 2 for m in ms):
-        raise BadParams(f"need z in {{1,2}}, h >= 1, all degrees >= 2; got z={z}, {ms}")
+        raise BadParams(
+            f"need z in {{1,2}}, h >= 1, all degrees >= 2; got {_got(z=z, degrees=ms)}")
     _check_size(z + z * (ms[0] - z + 1) * _levelwise_sizes(ms)[1])  # z roots, their branches
     edges = [(0, 1)] if z == 2 else []
     edges += [(x, v) for x, v, _ in _levelwise_edges(z, ms)]
@@ -366,7 +377,8 @@ def rn_lmh(z: int, m: int, h: int) -> int:
     solver on L^2_{2,2} all give 6h-3.
     """
     if z not in (1, 2) or m < 2 or h < 2:
-        raise OutOfRange(f"leg-family closed form needs m >= 2, h >= 2; got {(z, m, h)}")
+        raise OutOfRange(
+            f"leg-family closed form needs m >= 2, h >= 2; got {_got(z=z, m=m, h=h)}")
     if z == 1:
         return 2 * m * h * (h - 2) + 3 * m + 4 * h - 1
     return 2 * m * h * (h - 2) + 4 * m + 6 * h - 3
@@ -387,7 +399,7 @@ def gen_lmh(z: int, m: int, h: int) -> FamilyInstance:
     z + 2 + ((l-1)m + i - 1)(h - 1) + j - 1 (:func:`_lmh_id`).
     """
     if z not in (1, 2) or m < 2 or h < 2:
-        raise BadParams(f"need z in {{1,2}}, m >= 2, h >= 2; got {(z, m, h)}")
+        raise BadParams(f"need z in {{1,2}}, m >= 2, h >= 2; got {_got(z=z, m=m, h=h)}")
     _check_size(z + 2 + 2 * m * (h - 1))
     # r -- w^1, r -- w^2, or r_1 -- r_2, r_1 -- w^1, r_2 -- w^2
     edges = [(0, 1), (0, 2)] if z == 1 else [(0, 1), (0, 2), (1, 3)]
@@ -442,7 +454,7 @@ def gen_random_two_branch(n: int, seed: int) -> FamilyInstance:
     stream of uniform labelled trees, else :class:`ExhaustedAttempts`; each
     vertex is named by its id."""
     if n < 3:
-        raise BadParams(f"need n >= 3, got {n}")
+        raise BadParams(f"need n >= 3, got {_short_number(n)}")
     _check_size(n)
     rng = random.Random(seed)
     for _ in range(RANDOM_DRAWS):

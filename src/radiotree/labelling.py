@@ -41,7 +41,7 @@ from .errors import (
     NotTwoBranch,
 )
 from .orders import ASequence, _levels_and_labels, check_order
-from .tree import Tree, TreeMetrics, _bfs, _quoted
+from .tree import Tree, TreeMetrics, _bfs, _quoted, _short_number
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,7 @@ def verify_labelling(tree: Tree, labelling: RadioLabelling) -> tuple:
         if type(lab) is not int and (not isinstance(lab, int) or isinstance(lab, bool)):
             raise NonIntegerLabel(f"vertex {v} has non-integer label {lab!r}")
         if lab < 0:
-            raise NegativeLabel(f"vertex {v} has negative label {lab}")
+            raise NegativeLabel(f"vertex {v} has negative label {_short_number(lab)}")
     if len(labels) != p:
         # the first few only: a labels file may name a handful of p vertices
         missing = list(islice((v for v in range(p) if v not in labels), 5))
@@ -394,7 +394,7 @@ def parse_labels_text(text: str) -> RadioLabelling:
         except ValueError:
             raise NonIntegerLabel(f"bad label in label line: {_quoted(raw)}") from None
         if v in labels:
-            raise DuplicateLabel(f"vertex {v} labelled twice")
+            raise DuplicateLabel(f"vertex {_short_number(v)} labelled twice")
         labels[v] = lab
     return RadioLabelling(labels=labels)
 

@@ -317,15 +317,14 @@ def _condition_b_on_labels(m: TreeMetrics, seq: tuple, lev: list, f: list) -> tu
 
     A pair in different branches of T - W, or with a weight center in it,
     is ``L(u) + L(v) + delta`` apart (phi is 0), read off the per-position
-    lists of part (the branch of T - W, or for a weight center a part of
-    its own) and nearest center; only a pair inside one branch calls
-    :meth:`TreeMetrics.distance`, whose phi climbs parent pointers.  A
-    certifying order alternates between the two branches, so most pairs
-    take the first route.
+    lists of part (the branch of T - W, or ``CENTER_BRANCH`` for a weight
+    center) and nearest center; only a pair inside one part calls
+    :meth:`TreeMetrics.distance`, whose phi climbs parent pointers.  The
+    two weight centers share a part, and that call returns their distance,
+    1.  A certifying order alternates between the two branches, so most
+    pairs take the first route.
     """
     part = list(map(m.branch_id.__getitem__, seq))
-    for c in m.weight_centers:
-        part[seq.index(c)] = -1 - c
     cen = list(map(m.center_of.__getitem__, seq))
     scan = (m, seq, lev, part, cen, f)
     # The sentinel ends every scan on the labels: it is below f_i + diam

@@ -36,7 +36,8 @@ Resource limits: a wall-clock ``timeout_s`` and a deterministic node budget
 ``max_nodes``.  When either stops the search, the result carries the proven
 interval ``[stats.lower_bound, rn]`` instead of rn.  The search recurses once
 per placed vertex, so trees deeper than the interpreter's recursion limit
-allows are refused up front, like trees above ``max_order``.
+allows are refused up front.  No vertex count is refused otherwise: a tree
+of any size is searched until the search completes or a limit stops it.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from .errors import OrderTooLarge
 from .labelling import RadioLabelling, greedy_label_from_order, verify_labelling
 from .tree import Tree, TreeMetrics, distance_matrix, metrics
 
-DEFAULT_MAX_ORDER = 12
 DEFAULT_TIMEOUT_S = 300.0
 LIMIT_CHECK_INTERVAL = 4096  # read the clock every 4096 node expansions
 # The search recurses once per placed vertex; frames left to its callers.
@@ -395,21 +395,18 @@ def _probe_bounds(m: TreeMetrics) -> tuple:
     return proven, proven
 
 
-def exact_rn(tree: Tree, max_order: int = DEFAULT_MAX_ORDER,
-             timeout_s: float | None = DEFAULT_TIMEOUT_S,
+def exact_rn(tree: Tree, timeout_s: float | None = DEFAULT_TIMEOUT_S,
              max_nodes: int | None = None) -> SolveResult:
     """Exact radio number by exhaustive pruned search, bound first.
 
-    Raises :class:`OrderTooLarge` beyond ``max_order`` vertices, or beyond
-    the depth the recursive search can reach (the interpreter's recursion
-    limit less ``STACK_HEADROOM``), before doing any work.  When the
+    Raises :class:`OrderTooLarge`, before doing any work, beyond the depth
+    the recursive search can reach (the interpreter's recursion limit less
+    ``STACK_HEADROOM``).  Any smaller tree is searched.  When the
     ``timeout_s`` clock or the ``max_nodes`` budget (node expansions over
     both phases) runs out, the best incumbent is returned with
     ``stats.completed`` False: its span is then only an upper bound, and
     ``stats.lower_bound`` the proven lower one.
     """
-    if tree.p > max_order:
-        raise OrderTooLarge(f"{tree.p} vertices exceeds the limit {max_order}")
     depth_limit = sys.getrecursionlimit() - STACK_HEADROOM
     if tree.p > depth_limit:
         raise OrderTooLarge(
@@ -417,8 +414,8 @@ def exact_rn(tree: Tree, max_order: int = DEFAULT_MAX_ORDER,
     m = metrics(tree)
     dist = distance_matrix(tree)
     # The downward search starts from the greedy completion of the identity order.
-    seed = greedy_label_from_order(m, tuple(range(tree.p)))
-    seed_order = sorted(seed.labels, key=seed.labels.get)
+    identity = tuple(range(tree.p))
+    seed = greedy_label_from_order(m, identity)
     starts = _start_representatives(m)
     twin_prev = _twin_prev(tree.adjacency)
     xi_cuts = _xi_cuts(m.level, m.diameter, m.epsilon, m.two_branch)
@@ -442,7 +439,7 @@ def exact_rn(tree: Tree, max_order: int = DEFAULT_MAX_ORDER,
         found = [(nodes + at, s) for at, s in found]
         nodes += more
         pruned = {rule: pruned[rule] + more_pruned[rule] for rule in pruned}
-    best, best_order = seed.span, seed_order
+    best, best_order = seed.span, identity
     if order is not None and span <= best:
         best, best_order = span, order
     incumbents = [(0, seed.span)]

@@ -63,7 +63,7 @@ class Tree:
         # same-branch pair through TreeMetrics.distance
         if type(u) is not int and (not isinstance(u, int) or isinstance(u, bool)) \
                 or not 0 <= u < self.p:
-            raise BadVertex(f"vertex {u!r} not in 0..{self.p - 1}")
+            raise BadVertex(f"vertex {_short_number(u)} not in 0..{self.p - 1}")
 
 
 def _make_tree(p: int, edges: Iterable[tuple]) -> Tree:
@@ -81,7 +81,8 @@ def _sparse_ids(p: int, unused: int, is_unused) -> SparseIds:
     # the first few gaps only: p may be far larger than the input
     missing = list(islice(filter(is_unused, range(p)), 5))
     return SparseIds(
-        f"{unused} unused vertex ids, starting {missing}; ids must cover 0..{p - 1}"
+        f"{_short_number(unused)} unused vertex ids, starting {missing}; "
+        f"ids must cover 0..{_short_number(p - 1)}"
     )
 
 
@@ -115,9 +116,10 @@ def build_tree(edge_list: Sequence) -> Tree:
         # a bool is an int, but no vertex id (Tree.check_vertex refuses it)
         if not (isinstance(u, int) and isinstance(v, int)) or type(u) is bool \
                 or type(v) is bool or u < 0 or v < 0:
-            raise BadEdge(f"edge {e!r}: vertex ids must be non-negative integers")
+            raise BadEdge(f"edge ({_short_number(u)}, {_short_number(v)}): "
+                          "vertex ids must be non-negative integers")
         if u == v:
-            raise BadEdge(f"self-loop at vertex {u}")
+            raise BadEdge(f"self-loop at vertex {_short_number(u)}")
         if u > max_id:
             max_id = u
         if v > max_id:
@@ -340,6 +342,21 @@ def _meet_level(level: tuple, parent: tuple, u: int, v: int) -> int:
 def _quoted(line: str) -> str:
     # an input line may be megabytes long: quote its start only
     return repr(line) if len(line) <= 80 else f"{line[:80]!r}... ({len(line)} characters)"
+
+
+def _short_number(n) -> str:
+    # an input number may have thousands of digits: show its first 20 only;
+    # a value that is no int is shown by its repr
+    if not isinstance(n, int):
+        return repr(n)
+    size = abs(n)
+    if size < 10 ** 20:
+        return str(n)
+    digits = (size.bit_length() - 1) * 30102 // 100000 + 1  # 0.30102 < log10(2)
+    while 10 ** digits <= size:
+        digits += 1
+    head = size // 10 ** (digits - 20)
+    return f"{'-' if n < 0 else ''}{head}... ({digits} digits)"
 
 
 def parse_tree_text(text: str) -> Tree:

@@ -10,6 +10,10 @@ from radiotree.cli import main
 from radiotree.tree import format_tree_text
 from test_bounds import count_calls
 
+# the longest number int() reads, and how error messages show it
+NINES = "9" * 4300
+SHORT_NINES = "9" * 20 + "... (4300 digits)"
+
 REPORT_KEYS = [
     "p",
     "diameter",
@@ -77,6 +81,16 @@ class TestAnalyze:
         assert main(["analyze", order]) == 3
         err = capsys.readouterr().err
         assert err.startswith("NotATree: bad edge line: '0 1 2 3") and len(err) < 1024
+
+    @pytest.mark.parametrize("text, message", [
+        (f"0 1\n1 {NINES}\n", f"SparseIds: {SHORT_NINES} unused vertex ids, starting "
+                               f"[2, 3, 4, 5, 6]; ids must cover 0..{SHORT_NINES}\n"),
+        (f"{NINES} {NINES}\n", f"BadEdge: self-loop at vertex {SHORT_NINES}\n"),
+    ], ids=["sparse-ids", "self-loop"])
+    def test_huge_id_is_shown_short(self, capsys, write, text, message):
+        # a 4,300-digit id, the longest int() reads: its first 20 digits only
+        assert main(["analyze", write("huge.txt", text)]) == 3
+        assert capsys.readouterr().err == message
 
     def test_two_faults_still_an_input_error(self, capsys, write):
         bad = write("bad.txt", "0 1\n0 1\n1 1000000000000000\n")
@@ -227,7 +241,10 @@ class TestLabelAndVerify:
     @pytest.mark.parametrize("text, message", [
         ("0 0\n", "MissingLabel: 10004 vertices without labels, starting [1, 2, 3, 4, 5]"),
         (" ".join(map(str, range(10005))) + "\n", "MissingLabel: bad label line: '0 1 2 3"),
-    ], ids=["one-label", "order-file"])
+        (f"{NINES} 3\n", f"BadVertex: vertex {SHORT_NINES} not in 0..10004\n"),
+        (f"0 -{NINES}\n", f"NegativeLabel: vertex 0 has negative label -{SHORT_NINES}\n"),
+        (f"{NINES} 0\n{NINES} 1\n", f"DuplicateLabel: vertex {SHORT_NINES} labelled twice\n"),
+    ], ids=["one-label", "order-file", "huge-vertex", "huge-negative-label", "huge-duplicate"])
     def test_verify_reports_a_large_fault_briefly(self, capsys, write, text, message):
         # C(5,2500), p = 10,005: exit 3 and under 1 KB on stderr
         tree = write("c5.txt", format_tree_text(families.gen_caterpillar(5, 2500).tree))
@@ -296,13 +313,20 @@ class TestExact:
         assert rep["exact"]["rn"] == 1 and rep["exact"]["completed"] is True
         assert rep["labels"] == {"0": 0, "1": 1}
 
-    def test_max_order_limit(self, capsys, path_file):
-        assert main(["exact", path_file(9), "--max-order", "5"]) == 4
+    def test_node_budget_on_a_larger_tree_reports_interval(self, capsys, write):
+        # C(5,4), p = 21: no vertex count is refused, so the search runs
+        # until the budget stops it, and the report holds the proven interval
+        path = write("c54.txt", format_tree_text(families.gen_caterpillar(5, 4).tree))
+        code, rep = run_json(capsys, ["exact", path, "--max-nodes", "2000", "--stats", "--json"])
+        assert code == 4
+        exact = rep["exact"]
+        assert exact["completed"] is False and exact["nodes"] == 2000
+        assert exact["lower_bound"] == rep["bound_basic"] < exact["rn"]
 
     def test_deep_tree_is_a_resource_error(self, capsys, write):
         # deeper than the recursive search can go: exit 4 before any work
         path = write("p1500.txt", format_tree_text(families.gen_path(1500).tree))
-        argv = ["exact", path, "--max-order", "5000", "--max-nodes", "1"]
+        argv = ["exact", path, "--max-nodes", "1"]
         assert main(argv) == 4
         err = capsys.readouterr().err
         assert "Traceback" not in err and "recursion depth" in err
@@ -311,13 +335,40 @@ class TestExact:
         ["--timeout-s", "-1"],
         ["--timeout-s", "0"],
         ["--timeout-s", "nan"],
-        ["--max-order", "0"],
         ["--max-nodes", "0"],
     ])
     def test_bad_limits_are_usage_errors(self, capsys, path_file, flags):
         with pytest.raises(SystemExit) as exc:
             main(["exact", path_file(9), *flags])
         assert exc.value.code == 2
+
+
+class TestArgumentErrors:
+    """A refused command-line number is a usage error, exit 2, and its
+    message shows a long number by its start only."""
+
+    @pytest.mark.parametrize("argv, shown", [
+        (["exact", "P3", f"--max-nodes=-{NINES}"],
+         f"--max-nodes: must be at least 1, got -{SHORT_NINES}"),
+        (["exact", "P3", f"--max-nodes=9{NINES}"],
+         f"--max-nodes: not an integer: '{NINES[:80]}'... (4301 characters)"),
+        (["exact", "P3", f"--timeout-s=-{NINES}"],
+         f"--timeout-s: must be positive, got '-{NINES[:79]}'... (4301 characters)"),
+        (["exact", "P3", f"--timeout-s=x{NINES}"],
+         f"--timeout-s: not a number: 'x{NINES[:79]}'... (4301 characters)"),
+        (["gen", "path", f"--n=9{NINES}"],
+         f"--n: not an integer: '{NINES[:80]}'... (4301 characters)"),
+        (["gen", "levelwise", f"--degrees=2,9{NINES}"],
+         f"--degrees: not an integer: '{NINES[:80]}'... (4301 characters)"),
+    ], ids=["max-nodes-negative", "max-nodes-too-long", "timeout-s-negative",
+            "timeout-s-not-a-number", "n-too-long", "degrees-too-long"])
+    def test_huge_argument_is_shown_short(self, capsys, path_file, argv, shown):
+        argv = [path_file(3) if arg == "P3" else arg for arg in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"argument {shown}\n") and len(err) < 1024
 
 
 class TestGen:
@@ -433,6 +484,21 @@ class TestGen:
         assert main(["gen", *argv]) == 2
         assert "needs --" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["path", f"--n=-{NINES}"], f"path needs n >= 1, got -{SHORT_NINES}"),
+        (["caterpillar", "--n=5", f"--k=-{NINES}"],
+         f"caterpillar needs n >= 3 and k >= 1, got n=5, k=-{SHORT_NINES}"),
+        (["levelwise", f"--degrees=2,-{NINES}"],
+         f"all degrees >= 2; got z=1, degrees=2,-{SHORT_NINES}"),
+        (["lmh", "--m=2", f"--h=-{NINES}"], f"got z=1, m=2, h=-{SHORT_NINES}"),
+        (["random", f"--n=-{NINES}"], f"need n >= 3, got -{SHORT_NINES}"),
+    ], ids=["path", "caterpillar", "levelwise", "lmh", "random"])
+    def test_huge_params_are_shown_short(self, capsys, argv, message):
+        assert main(["gen", *argv]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("BadParams: ") and err.endswith(message + "\n")
+        assert len(err) < 1024
+
     def test_bad_degree_list(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["gen", "levelwise", "--degrees", "2,x"])
@@ -450,7 +516,9 @@ class TestResourceLimits:
         ["lmh", "--z", "1", "--m", str(10**12), "--h", "3"],
         ["path", "--n", str(10**12)],
         ["random", "--n", str(10**12)],
-    ], ids=["C(5,10^12)", "T^1_{2,10^5,10^5,10^5}", "L^1_{10^12,3}", "P_{10^12}", "random"])
+        ["path", "--n", NINES],
+    ], ids=["C(5,10^12)", "T^1_{2,10^5,10^5,10^5}", "L^1_{10^12,3}", "P_{10^12}", "random",
+            "P_{10^4300}"])
     def test_a_family_above_the_limit_exits_at_once(self, capsys, command, family):
         start = time.perf_counter()
         assert main([command, *family]) == 4
@@ -458,7 +526,7 @@ class TestResourceLimits:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.endswith(" vertices exceeds the generators' limit 10000000\n")
-        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.count("\n") == 1 and "Traceback" not in err and len(err) < 1024
 
     def test_out_of_memory(self, capsys, monkeypatch, path_file):
         def exhausted(tree):
@@ -581,7 +649,6 @@ _fuzz_file = st.one_of(
 _fuzz_flags = st.fixed_dictionaries({
     "--json": st.booleans(),
     "--stats": st.booleans(),
-    "--max-order": st.none() | st.integers(1, 8),
     "--max-nodes": st.none() | st.integers(1, 1000),
 })
 # family parameters for gen and demo: out-of-range values included, each
@@ -602,7 +669,7 @@ _FUZZ_VERB_FLAGS = {
     "analyze": {"--json"},
     "bounds": {"--json"},
     "certify": {"--json"},
-    "exact": {"--json", "--stats", "--max-order", "--max-nodes"},
+    "exact": {"--json", "--stats", "--max-nodes"},
 }
 
 

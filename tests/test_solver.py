@@ -65,32 +65,30 @@ class TestContract:
         assert res.witness.span == res.rn == 13
 
     def test_order_too_large(self):
-        with pytest.raises(OrderTooLarge):
-            exact_rn(path(13))
+        # no vertex count is refused: P_13 is searched, and completes, under
+        # the default limits
+        res = exact_rn(path(13))
+        assert res.stats.completed
+        assert res.rn == res.stats.lower_bound == 74 == rn_path(13)
 
     def test_order_beyond_recursion_depth(self):
         # the search recurses once per placed vertex, so such trees are
-        # refused up front, whatever max_order says
+        # refused up front
         limit = sys.getrecursionlimit() - solver.STACK_HEADROOM
         with pytest.raises(OrderTooLarge):
-            exact_rn(path(limit + 1), max_order=10 * limit)
+            exact_rn(path(limit + 1))
 
     def test_deepest_allowed_search(self):
         # the twin rule places a star's leaves in one order, so the search
         # dives to the full depth at once
         limit = sys.getrecursionlimit() - solver.STACK_HEADROOM
-        res = exact_rn(star(limit - 1), max_order=limit)
+        res = exact_rn(star(limit - 1))
         assert res.stats.completed and res.rn == limit
 
     def test_start_representatives_on_a_long_path(self):
         # one walk over the center-rooted tree, no recursion: P_5000 has two
         # centers, 2499 and 2500, and v and 4999 - v share an orbit
         assert solver._start_representatives(metrics(path(5000))) == list(range(2500))
-
-    def test_max_order_override(self):
-        with pytest.raises(OrderTooLarge):
-            exact_rn(path(6), max_order=5)
-        assert exact_rn(path(6), max_order=6).rn == rn_path(6)
 
     def test_completed_flag(self):
         stats = exact_rn(path(5)).stats
@@ -127,7 +125,7 @@ class TestContract:
         # the probe proves P_13 in about 12k nodes (about 22k without the
         # remote-vertex term); a downward search alone needs far more
         # (543,615 in id order)
-        res = exact_rn(path(13), max_order=13, max_nodes=100_000)
+        res = exact_rn(path(13), max_nodes=100_000)
         assert res.stats.completed
         assert res.rn == res.stats.lower_bound == 74 == rn_path(13)
 

@@ -16,7 +16,7 @@ from radiotree import (
     metrics,
     parse_tree_text,
 )
-from radiotree.tree import CENTER_BRANCH, _meet_level
+from radiotree.tree import CENTER_BRANCH, _meet_level, _short_number
 from test_labelling import relabelled_trees
 
 
@@ -61,6 +61,24 @@ class TestBuildTree:
     def test_huge_id_is_sparse_without_scanning_the_range(self):
         with pytest.raises(SparseIds, match=r"starting \[2, 3, 4, 5, 6\]"):
             build_tree([(0, 1), (1, 10**15)])
+
+    @pytest.mark.parametrize("k", [20, 21, 100, 4300, 4301, 30000])
+    def test_long_numbers_are_shown_by_their_first_digits(self, k):
+        # 10**k has k + 1 digits and 10**k - 1 has k; past 4,300 digits str()
+        # refuses, so the count comes from arithmetic
+        assert _short_number(10**k) == f"1{'0' * 19}... ({k + 1} digits)"
+        nines = "9" * 20 if k == 20 else f"{'9' * 20}... ({k} digits)"
+        assert _short_number(1 - 10**k) == "-" + nines
+
+    def test_huge_negative_id_is_shown_short(self):
+        with pytest.raises(BadEdge) as exc:
+            build_tree([(0, 1), (1, -10**4299)])
+        assert str(exc.value) == ("edge (1, -10000000000000000000... (4300 digits)): "
+                                  "vertex ids must be non-negative integers")
+
+    def test_short_numbers_and_other_values_are_shown_whole(self):
+        assert _short_number(-12) == "-12"
+        assert _short_number("x") == "'x'"
 
     def test_two_faults_report_either_without_scanning_the_range(self):
         # the duplicate comes first in the list, the huge id first among the

@@ -12,10 +12,14 @@ constructive proof that the improved bound is attained: it checks the
 endpoint condition (a), derives the a-sequence, enforces the bookkeeping
 identity L(u_0) + L(u_{p-1}) + sum(a) == epsilon + xi, checks the pairwise
 condition (b), builds the closed-form labelling, and independently re-verifies
-it — failing loudly at the first stage that does not hold.  Four stages can
-fail: condition_a, combined_sum, condition_b and verification.  Deriving the
-a-sequence and building the labelling cannot: every a_t is 0 or |W|, and a
-labelling whose order meets condition (b) has no negative label.  Each job is
+it — failing loudly at the first stage that does not hold.  Three stages can
+fail: condition_a, combined_sum and condition_b.  The fourth, verification,
+is the independent re-check, and cannot fail once condition (b) and the
+combined sum hold: condition (b) on labels that strictly increase is the
+radio condition, and the combined sum makes f_{p-1} equal to the improved
+bound.  Deriving the a-sequence and building the labelling cannot fail
+either: every a_t is 0 or |W|, and a labelling whose order meets
+condition (b) has no negative label.  Each job is
 done once: one order check, one set of remote runs for condition (a) and the
 a-sequence, one list of labels for condition (b) and the labelling returned,
 and one scan of condition (b) unless it fails on labels that do not
@@ -80,10 +84,14 @@ def certify_tightness(m: TreeMetrics, order: Sequence) -> RadioLabelling:
 
     Returns the constructed labelling (span == improved bound, independently
     verified) or raises :class:`CertificationFailure` naming the first failed
-    stage: condition_a, combined_sum, condition_b, or verification (the
-    independent re-check of the labels and their span).  The a-sequence
-    cannot fail (every a_t is 0 or |W|), and neither can the labelling once
-    condition (b) holds (see the comment in :func:`_certified_labels`).
+    stage: condition_a, combined_sum or condition_b.  The last stage,
+    verification, re-checks the labels and their span independently; it
+    cannot fail once condition (b) and the combined sum hold, since
+    condition (b) on labels that strictly increase is the radio condition and
+    the combined sum makes the last label equal to the improved bound.  The
+    a-sequence cannot fail (every a_t is 0 or |W|), and neither can the
+    labelling once condition (b) holds (see the comment in
+    :func:`_certified_labels`).
 
     The stages share their work: the remote runs of the order serve
     condition (a) and the a-sequence, and the labels that condition (b)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import families
@@ -21,11 +22,13 @@ from .bounds import (
     liu_bound_odd,
 )
 from .errors import (
+    BadParams,
     BadVertex,
     CertificationFailure,
     ExhaustedAttempts,
     InvalidProofOrder,
     NegativeLabel,
+    NotOmegaTree,
     OrderTooLarge,
     RadioTreeError,
     UnsupportedParams,
@@ -104,14 +107,20 @@ def _dot(tree: Tree, names: dict | None = None,
     return "\n".join(lines) + "\n"
 
 
-# --- subcommands -----------------------------------------------------------
-
-def cmd_analyze(args) -> int:
-    tree = _read_tree(args.tree)
-    report = bound_report(metrics(tree))
-    _emit(report, args.json)
+def _certification(report: dict, certify) -> int:
+    """Records under ``report["certification"]`` the verdict of ``certify``,
+    which returns the certified span, and returns its exit code."""
+    try:
+        span = certify()
+    except (CertificationFailure, InvalidProofOrder) as exc:
+        report["certification"] = {"certified": False, "stage": exc.stage, "span": None}
+        print(f"not certified at stage {exc.stage}: {exc.detail}", file=sys.stderr)
+        return EXIT_FAIL
+    report["certification"] = {"certified": True, "stage": None, "span": span}
     return EXIT_OK
 
+
+# --- subcommands: each returns its verdict, and main maps its errors -------
 
 def cmd_bounds(args) -> int:
     tree = _read_tree(args.tree)
@@ -124,8 +133,7 @@ def cmd_bounds(args) -> int:
             cands = [v for v in sorted(m.weight_centers)
                      if len(tree.adjacency[v]) == 2]
             if not cands:
-                print("no degree-2 weight center for --compare", file=sys.stderr)
-                return EXIT_INPUT
+                raise NotOmegaTree("no degree-2 weight center for --compare")
             x = cands[0]
         if m.diameter % 2 == 0:
             value, line = liu_bound_even(m, x), "even"
@@ -141,14 +149,7 @@ def cmd_certify(args) -> int:
     m = metrics(tree)
     order = _read_order(args.order)
     report = bound_report(m)
-    try:
-        lab = certify_tightness(m, order)
-        report["certification"] = {"certified": True, "stage": None, "span": lab.span}
-        code = EXIT_OK
-    except CertificationFailure as exc:
-        report["certification"] = {"certified": False, "stage": exc.stage, "span": None}
-        print(f"not certified at stage {exc.stage}: {exc.detail}", file=sys.stderr)
-        code = EXIT_FAIL
+    code = _certification(report, lambda: certify_tightness(m, order).span)
     _emit(report, args.json)
     return code
 
@@ -198,11 +199,7 @@ def cmd_exact(args) -> int:
     tree = _read_tree(args.tree)
     m = metrics(tree)
     report = bound_report(m)
-    try:
-        res = exact_rn(tree, timeout_s=args.timeout_s, max_nodes=args.max_nodes)
-    except OrderTooLarge as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_RESOURCE
+    res = exact_rn(tree, timeout_s=args.timeout_s, max_nodes=args.max_nodes)
     exact = {"rn": res.rn, "completed": res.stats.completed, "nodes": res.stats.nodes}
     if args.stats:
         exact["elapsed_s"] = res.stats.elapsed_s
@@ -243,13 +240,11 @@ def _proof_order(inst: families.FamilyInstance, m=None) -> tuple:
 
 def cmd_gen(args) -> int:
     if args.with_order and not args.output:
-        print("--with-order requires -o", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("--with-order requires -o")
     inst = _gen_instance(args)
     if inst.tree.p < 2:
-        print(f"{inst.name} has no edge, and the edge-list format writes a tree "
-              "as its edges: it needs at least one", file=sys.stderr)
-        return EXIT_INPUT
+        raise BadParams(f"{inst.name} has no edge, and the edge-list format writes a "
+                        "tree as its edges: it needs at least one")
     # the order first: a failure leaves no tree file behind
     order = _proof_order(inst) if args.with_order else None
     if args.dot:
@@ -274,18 +269,12 @@ def cmd_demo(args) -> int:
     inst = _gen_instance(args)
     m = metrics(inst.tree)
     report = {"family": inst.name, **bound_report(m)}
-    try:
-        # proof_order_* returns only an order that certify_tightness has
-        # certified, at the span of the improved bound; it reuses m
-        _proof_order(inst, m)
-        report["certification"] = {
-            "certified": True, "stage": None, "span": report["bound_improved"],
-        }
-        code = EXIT_OK
-    except InvalidProofOrder as exc:
-        report["certification"] = {"certified": False, "stage": exc.stage, "span": None}
-        print(f"not certified at stage {exc.stage}: {exc.detail}", file=sys.stderr)
-        code = EXIT_FAIL
+
+    def certified_span():
+        _proof_order(inst, m)  # certified at the improved bound, on m
+        return report["bound_improved"]
+
+    code = _certification(report, certified_span)
     _emit(report, args.json)
     return code
 
@@ -335,8 +324,18 @@ def _add_family_arguments(sub) -> None:
     sub.add_argument("--seed", type=integer, default=0)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse echoes a refused word in full (an unknown verb or option, a
+    family outside the choices): this one quotes a word of over 100
+    characters by its start, as _quoted does.  add_subparsers gives each
+    verb a parser of this class."""
+
+    def error(self, message):
+        super().error(re.sub(r"\S{101,}", lambda word: _quoted(word.group()), message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="radiotree",
         description="Radio-number bounds, certificates, and exact solving for trees.",
     )
@@ -345,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("analyze", help="structural metrics and bounds")
     s.add_argument("tree")
     s.add_argument("--json", action="store_true")
-    s.set_defaults(func=cmd_analyze)
+    s.set_defaults(func=cmd_bounds, compare=False)
 
     s = subs.add_parser("bounds", help="lower bounds, optionally compared")
     s.add_argument("tree")

@@ -124,6 +124,12 @@ class TestCertifyTightness:
             certify_tightness(path_metrics(5), (0, 1, 2, 3, 4))
         assert exc.value.stage == "condition_a"
 
+    def test_requires_two_branch(self):
+        # an input error before any stage, not a certification failure
+        star = metrics(oracles.star(3))
+        with pytest.raises(NotTwoBranch, match="condition \\(a\\) is defined for two-branch"):
+            certify_tightness(star, (0, 1, 2, 3))
+
     def test_optimal_order_need_not_certify(self):
         # greedy span 60 = the improved bound, so the order is optimal, but
         # its labels take the xi increment one step before the remote vertex

@@ -132,6 +132,21 @@ class TestBounds:
         out, err = capsys.readouterr()
         assert out == "" and "DHalfTooSmall" in err
 
+    def test_compare_refuses_a_star(self, capsys, write):
+        # K_{1,3}: its one weight center has degree 3
+        star = write("star.txt", format_tree_text(oracles.star(3)))
+        assert main(["bounds", star, "--compare"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == "NotOmegaTree: no degree-2 weight center for --compare\n"
+
+    @pytest.mark.parametrize("n", [2, 3, 9])
+    def test_analyze_is_bounds_without_compare(self, capsys, path_file, n):
+        for flags in ([], ["--json"]):
+            assert main(["analyze", path_file(n), *flags]) == 0
+            analyzed = capsys.readouterr()
+            assert main(["bounds", path_file(n), *flags]) == 0
+            assert capsys.readouterr() == analyzed
+
 
 class TestCertify:
     def test_good_order(self, capsys, path_file, write):
@@ -252,6 +267,13 @@ class TestLabelAndVerify:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(message) and len(err) < 1024
 
+    @pytest.mark.parametrize("text", ["", "\n", "# no labels\n"],
+                             ids=["empty", "blank", "comment-only"])
+    def test_verify_refuses_a_file_without_labels(self, capsys, path_file, write, text):
+        assert main(["verify", path_file(4), "--labels", write("l.txt", text)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == "MissingLabel: empty labelling\n"
+
     def test_greedy_label(self, capsys, path_file, write):
         order = write("p4.order", "1 3 0 2\n")
         assert main(["label", path_file(4), "--order", order, "--greedy"]) == 0
@@ -370,6 +392,33 @@ class TestArgumentErrors:
         err = capsys.readouterr().err
         assert err.endswith(f"argument {shown}\n") and len(err) < 1024
 
+    # argparse echoes the word it refuses; one of over 100 characters is
+    # shown by its first 80 and its length
+    @pytest.mark.parametrize("argv, shown", [
+        (["x" * 100_000],
+         "argument command: invalid choice: \"'" + "x" * 79 + "\"... (100002 characters)"),
+        (["gen", "x" * 100_000],
+         "argument family: invalid choice: \"'" + "x" * 79 + "\"... (100002 characters)"),
+        (["analyze", "P3", "--" + "x" * 100_000],
+         "unrecognized arguments: '--" + "x" * 78 + "'... (100002 characters)"),
+        (["gen", "path", "--n", "3", "x" * 101],
+         "unrecognized arguments: '" + "x" * 80 + "'... (101 characters)"),
+        (["gen", "path", "--n", "3", "x" * 100], "unrecognized arguments: " + "x" * 100),
+        (["gen", "x" * 99],
+         "argument family: invalid choice: \"'" + "x" * 79 + "\"... (101 characters)"),
+        (["gen", "x" * 98], "argument family: invalid choice: '" + "x" * 98 + "'"),
+        (["gen", "trees"], "argument family: invalid choice: 'trees'"),
+        (["analyze", "P3", "--compare"], "unrecognized arguments: --compare"),
+    ], ids=["verb", "family", "option", "extra-word-101", "extra-word-100", "family-101",
+            "family-100", "family-short", "analyze-compare"])
+    def test_refused_word_is_shown_short(self, capsys, path_file, argv, shown):
+        argv = [path_file(3) if arg == "P3" else arg for arg in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: {shown}" in err and len(err) < 1024
+
 
 class TestGen:
     def test_path_stdout(self, capsys):
@@ -466,6 +515,12 @@ class TestGen:
         assert main(["gen", "path", "--n", "1", "-o", str(out_file)]) == 3
         assert "edge-list format" in capsys.readouterr().err
         assert not out_file.exists()
+
+    def test_tree_without_edge_names_its_class(self, capsys):
+        assert main(["gen", "path", "--n", "1"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == ("BadParams: P_1 has no edge, and the edge-list format "
+                                     "writes a tree as its edges: it needs at least one\n")
 
     def test_one_edge_round_trip(self, capsys, tmp_path):
         out_file = tmp_path / "p2.txt"

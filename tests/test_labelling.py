@@ -12,9 +12,11 @@ from radiotree import (
     ASequence,
     BadVertex,
     DuplicateLabel,
+    LengthMismatch,
     MissingLabel,
     NegativeLabel,
     NonIntegerLabel,
+    NotTwoBranch,
     RadioLabelling,
     a_sequence,
     build_tree,
@@ -51,6 +53,18 @@ class TestLabelFromOrder:
         lab = label_from_order(m, (1, 3, 0, 2), ASequence(a=(0, 0, 0)))
         assert lab.labels == {1: 0, 3: 2, 0: 3, 2: 5}
         assert lab.span == 5
+
+    @pytest.mark.parametrize("tree, order, a, error, message", [
+        (oracles.star(3), (0, 1, 2, 3), (0, 0, 0), NotTwoBranch, "targets two-branch trees"),
+        # the one tree of diameter below 2 is not two-branch, so the
+        # diameter check behind the two-branch one is never the first to fail
+        (path(2), (0, 1), (0,), NotTwoBranch, "targets two-branch trees"),
+        (path(5), (2, 1, 4, 0, 3), (0, 0, 1), LengthMismatch,
+         "a-sequence length 3 for order length 5"),
+    ], ids=["star", "one-edge", "short-a-sequence"])
+    def test_refused_inputs(self, tree, order, a, error, message):
+        with pytest.raises(error, match=message):
+            label_from_order(metrics(tree), order, ASequence(a=a))
 
     def test_c31_span(self):
         inst = gen_caterpillar(3, 1)
@@ -554,6 +568,16 @@ class TestLabelFiles:
     def test_non_integer_label(self):
         with pytest.raises(NonIntegerLabel):
             parse_labels_text("0 1\n2 5.5\n")
+
+    def test_blank_and_comment_lines_are_skipped(self):
+        text = "# P_4\n\n1 0  # the first vertex\n   \n3 2\n#0 9\n0 3\n\t\n2 5\n"
+        assert parse_labels_text(text).labels == {1: 0, 3: 2, 0: 3, 2: 5}
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "# nothing here\n  # nor here\n"],
+                             ids=["empty", "blank", "comments"])
+    def test_no_label_line(self, text):
+        with pytest.raises(MissingLabel, match="^empty labelling$"):
+            parse_labels_text(text)
 
     @pytest.mark.parametrize("line, error", [
         (" ".join(map(str, range(20000))), MissingLabel),  # an order file's line

@@ -8,6 +8,8 @@ from oracles import path
 from radiotree import (
     ASequence,
     CertificationFailure,
+    InfeasibleASequence,
+    LengthMismatch,
     NotAPermutation,
     NotTwoBranch,
     a_sequence,
@@ -190,7 +192,7 @@ class TestASequence:
             a_sequence(star, (0, 1, 2, 3))
 
     def test_a0_must_be_zero(self):
-        with pytest.raises(Exception):
+        with pytest.raises(InfeasibleASequence, match="a_0 must be 0"):
             ASequence(a=(1, 0))
 
 
@@ -208,8 +210,17 @@ class TestConditionA:
         assert not ok
         assert "endpoint" in diag
 
+    def test_requires_two_branch(self):
+        star = metrics(oracles.star(3))
+        with pytest.raises(NotTwoBranch, match="condition \\(a\\) is defined for two-branch"):
+            check_condition_a(star, (0, 1, 2, 3))
+
 
 class TestConditionB:
+    def test_a_sequence_of_another_length(self):
+        with pytest.raises(LengthMismatch, match="a-sequence length 2 for order length 5"):
+            check_condition_b(path_metrics(5), (2, 1, 4, 0, 3), ASequence(a=(0, 0)))
+
     def test_p5_good_order(self):
         m = path_metrics(5)
         aseq = ASequence(a=(0, 0, 1, 0))
@@ -341,5 +352,15 @@ class TestDdbConditions:
         assert ok, diag
 
     def test_p5_needs_nonzero_a(self):
-        ok, _ = check_ddb_conditions(path_metrics(5), (2, 1, 4, 0, 3))
-        assert not ok
+        ok, diag = check_ddb_conditions(path_metrics(5), (2, 1, 4, 0, 3))
+        assert not ok and diag.startswith("pairwise distance condition fails")
+
+    ONE_CENTER = "order must run from the weight center to one of its neighbours"
+
+    @pytest.mark.parametrize("n, order, want", [
+        (5, (0, 1, 2, 3, 4), ONE_CENTER),
+        (5, (2, 1, 3, 0, 4), ONE_CENTER),
+        (4, (0, 2, 3, 1), "order must run from one weight center to the other"),
+    ], ids=["one-center-start", "one-center-end", "two-centers"])
+    def test_endpoint_condition_fails(self, n, order, want):
+        assert check_ddb_conditions(path_metrics(n), order) == (False, want)

@@ -91,7 +91,13 @@ class TestBuildTree:
             build_tree([(0, 1), (1, 2), (2, 0)])
 
     def test_disconnected_rejected(self):
-        with pytest.raises(NotATree):
+        # p - 1 edges, no repeat and no unused id: only connectivity fails
+        with pytest.raises(NotATree, match="^edge list is disconnected$"):
+            build_tree([(0, 1), (1, 2), (2, 0), (3, 4)])
+
+    def test_too_many_edges_rejected(self):
+        # a connected 4-cycle: its edge count is refused first
+        with pytest.raises(NotATree, match="^4 edges for 4 vertices; a tree needs 3$"):
             build_tree([(0, 1), (2, 3), (1, 2), (0, 3)])
 
     def test_empty_rejected(self):

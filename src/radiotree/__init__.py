@@ -15,12 +15,10 @@ from .errors import (
     BadParams,
     BadVertex,
     CertificationFailure,
-    DHalfTooSmall,
     DiameterTooSmall,
     DuplicateLabel,
     ExhaustedAttempts,
     InfeasibleASequence,
-    InvalidProofOrder,
     LengthMismatch,
     MissingLabel,
     NegativeLabel,

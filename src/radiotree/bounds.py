@@ -1,6 +1,6 @@
 """Lower-bound formulas and the optimality certification pipeline.
 
-Two bounds apply to a two-branch tree of order p, diameter d >= 2, with
+Two bounds apply to a two-branch tree of order p and diameter d, with
 epsilon = 2 - |W| and total level L(T):
 
 * basic:    rn(T) >= (p-1)(d+epsilon) - 2L(T) + epsilon
@@ -19,11 +19,16 @@ combined sum hold: condition (b) on labels that strictly increase is the
 radio condition, and the combined sum makes f_{p-1} equal to the improved
 bound.  Deriving the a-sequence and building the labelling cannot fail
 either: every a_t is 0 or |W|, and a labelling whose order meets
-condition (b) has no negative label.  Each job is
-done once: one order check, one set of remote runs for condition (a) and the
-a-sequence, one list of labels for condition (b) and the labelling returned,
-and one scan of condition (b) unless it fails on labels that do not
-strictly increase.
+condition (b) has no negative label.  A family's proof order
+(``radiotree.families.proof_order_*``) reports two more stages through the
+same :class:`CertificationFailure`: positions, for a table that is not a
+permutation of the vertex ids, and span, for a certified span that is not
+the family's closed form.
+
+Each job is done once: one order check, one set of remote runs for
+condition (a) and the a-sequence, one list of labels for condition (b) and
+the labelling returned, and one scan of condition (b) unless it fails on
+labels that do not strictly increase.
 
 For comparison, the module also implements two earlier lower bounds for trees
 with a degree-2 weight center (one for even and one for odd diameter), stated
@@ -37,7 +42,6 @@ from typing import Sequence
 
 from .errors import (
     CertificationFailure,
-    DHalfTooSmall,
     DiameterTooSmall,
     NotOmegaTree,
     NotTwoBranch,
@@ -64,7 +68,7 @@ def lower_bound_basic(m: TreeMetrics) -> int:
 
 
 def lower_bound_improved(m: TreeMetrics) -> int:
-    """basic + xi, valid for two-branch trees with d >= 2."""
+    """basic + xi, valid for two-branch trees."""
     if not m.two_branch:
         raise NotTwoBranch("improved bound applies to two-branch trees only")
     return lower_bound_basic(m) + m.xi
@@ -74,8 +78,6 @@ def strict_gap_predicate(m: TreeMetrics) -> bool:
     """True iff |S| > |W|, which forces rn to exceed the basic bound."""
     if not m.two_branch:
         raise NotTwoBranch("strict-gap predicate applies to two-branch trees only")
-    if m.diameter < 2:
-        raise DiameterTooSmall("strict-gap predicate needs diameter >= 2")
     return len(m.remote_set) > len(m.weight_centers)
 
 
@@ -158,7 +160,7 @@ def bound_report(m: TreeMetrics) -> dict:
     basic = improved = gap = None
     if m.diameter >= 2:
         basic = lower_bound_basic(m)
-    if m.two_branch:  # implies d >= 2
+    if m.two_branch:
         improved = lower_bound_improved(m)
         gap = strict_gap_predicate(m)
     return {
@@ -219,7 +221,7 @@ def liu_bound_even(m: TreeMetrics, x: int) -> int:
     dh = m.diameter // 2
     if dh < 2:
         # the one such tree with d = 2 is P_3, whose rn 3 is below the formula's 4
-        raise DHalfTooSmall(f"even-diameter bound needs half-diameter >= 2, got {dh}")
+        raise DiameterTooSmall(f"even-diameter bound needs half-diameter >= 2, got {dh}")
     side_a, side_b = _sides_at(m, x)
     w = sum(i * c for side in (side_a, side_b) for i, c in side.items())
     base = (m.p - 1) * (2 * dh + 1) - 2 * w
@@ -248,13 +250,12 @@ def liu_bound_odd(m: TreeMetrics, x: int) -> int:
         raise NotOmegaTree(f"odd-diameter bound on diameter {m.diameter}")
     dh = m.diameter // 2
     if dh < 2:
-        raise DHalfTooSmall(f"odd-diameter bound needs half-diameter >= 2, got {dh}")
+        raise DiameterTooSmall(f"odd-diameter bound needs half-diameter >= 2, got {dh}")
     side_a, side_b = _sides_at(m, x)
-    deep_a = max(side_a) > dh
-    deep_b = max(side_b) > dh
-    if deep_a == deep_b:
-        raise NotOmegaTree("expected exactly one component deeper than half the diameter")
-    right = side_a if deep_a else side_b
+    # Exactly one side reaches depth dh + 1: were both to, two vertices would
+    # be 2dh + 2 apart; were neither, every vertex would lie within dh of x
+    # and the diameter would be at most 2dh.
+    right = max(side_a, side_b, key=max)
     h = max(right)  # eccentricity of x: R is the deeper side
     w = sum(i * c for side in (side_a, side_b) for i, c in side.items())
     base = (m.p - 1) * (2 * dh + 2) - 2 * w

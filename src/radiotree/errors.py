@@ -28,7 +28,9 @@ class BadVertex(RadioTreeError):
 
 
 class DiameterTooSmall(RadioTreeError):
-    """Operation requires a larger diameter than the tree has."""
+    """Operation requires a larger diameter than the tree has: the basic
+    bound and its tightness conditions need diameter >= 2, the comparison
+    bounds half-diameter >= 2 (diameter >= 4 even, >= 5 odd)."""
 
 
 # --- orders ----------------------------------------------------------------
@@ -73,7 +75,10 @@ class DuplicateLabel(RadioTreeError):
 # --- bounds / certification ------------------------------------------------
 
 class CertificationFailure(RadioTreeError):
-    """Optimality certification failed at a named pipeline stage."""
+    """Optimality certification failed at a named pipeline stage: a stage of
+    :func:`radiotree.bounds.certify_tightness`, or, for a family's proof
+    order, ``positions`` (not a permutation) or ``span`` (not the closed
+    form)."""
 
     def __init__(self, stage: str, detail: str):
         self.stage = stage
@@ -84,10 +89,6 @@ class CertificationFailure(RadioTreeError):
 class NotOmegaTree(RadioTreeError):
     """Tree/vertex pair outside the comparison-bound frame (need a degree-2
     weight center and the right diameter parity)."""
-
-
-class DHalfTooSmall(RadioTreeError):
-    """Odd-diameter comparison bound needs half-diameter >= 2."""
 
 
 # --- solver ----------------------------------------------------------------
@@ -103,15 +104,6 @@ class OrderTooLarge(RadioTreeError):
 
 class BadParams(RadioTreeError):
     """Family parameters outside the generator's domain."""
-
-
-class InvalidProofOrder(RadioTreeError):
-    """A transcribed proof order failed certification."""
-
-    def __init__(self, stage: str, detail: str):
-        self.stage = stage
-        self.detail = detail
-        super().__init__(f"proof order failed certification at '{stage}': {detail}")
 
 
 class UnsupportedParams(RadioTreeError):

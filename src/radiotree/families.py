@@ -35,7 +35,6 @@ from .errors import (
     BadParams,
     CertificationFailure,
     ExhaustedAttempts,
-    InvalidProofOrder,
     NotAPermutation,
     OrderTooLarge,
     OutOfRange,
@@ -65,7 +64,7 @@ def _certify_or_raise(inst: FamilyInstance, order: list, m: TreeMetrics | None) 
     certification pipeline on ``m`` (the caller's metrics of ``inst.tree``,
     or metrics computed here when None).  A table that is not a permutation
     of 0..p-1 (wrong length, an empty slot, a repeated or foreign id) raises
-    :class:`InvalidProofOrder` at stage ``positions``."""
+    :class:`CertificationFailure` at stage ``positions``."""
     order = tuple(order)  # check_order keeps this tuple: the one copy
     if m is None:
         m = metrics(inst.tree)
@@ -74,11 +73,11 @@ def _certify_or_raise(inst: FamilyInstance, order: list, m: TreeMetrics | None) 
     try:
         lab = certify_tightness(m, order)
     except NotAPermutation as exc:
-        raise InvalidProofOrder("positions", f"{inst.name}: {exc}") from exc
+        raise CertificationFailure("positions", f"{inst.name}: {exc}") from exc
     except CertificationFailure as exc:
-        raise InvalidProofOrder(exc.stage, f"{inst.name}: {exc.detail}") from exc
+        raise CertificationFailure(exc.stage, f"{inst.name}: {exc.detail}") from exc
     if inst.closed_form_rn is not None and lab.span != inst.closed_form_rn:
-        raise InvalidProofOrder(
+        raise CertificationFailure(
             "span", f"{inst.name}: span {lab.span} != closed form {inst.closed_form_rn}"
         )
     return order

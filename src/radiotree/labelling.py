@@ -32,7 +32,6 @@ from typing import Sequence
 
 from .errors import (
     BadVertex,
-    DiameterTooSmall,
     DuplicateLabel,
     LengthMismatch,
     MissingLabel,
@@ -74,8 +73,6 @@ def label_from_order(m: TreeMetrics, order: Sequence, aseq: ASequence) -> RadioL
     """
     if not m.two_branch:
         raise NotTwoBranch("the order-driven recurrence targets two-branch trees")
-    if m.diameter < 2:
-        raise DiameterTooSmall("the order-driven recurrence needs diameter >= 2")
     seq = check_order(m, order)
     if len(aseq.a) != len(seq) - 1:
         raise LengthMismatch(

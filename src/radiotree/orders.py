@@ -215,8 +215,6 @@ def _order_and_a_sequence(m: TreeMetrics, order: Sequence) -> tuple:
 def _condition_a_applies(m: TreeMetrics) -> None:
     if not m.two_branch:
         raise NotTwoBranch("condition (a) is defined for two-branch trees only")
-    if m.diameter < 2:
-        raise DiameterTooSmall("condition (a) needs diameter >= 2")
 
 
 def _condition_a(m: TreeMetrics, seq: tuple, runs: list, free: list) -> tuple:

@@ -132,10 +132,10 @@ def _xi_cuts(level, diam, eps, two_branch) -> tuple:
     vertex at level ``lv`` adds ``shift[lv]``.  ``cuts[b][lv]`` is ``lv``
     plus the term for a candidate at level ``lv`` (level 0 is a center,
     levels from ``(diam + eps) // 2`` up are remote).  On a tree that is not
-    two-branch, or has diameter below 2, every term is 0 and ``b`` stays 0.
+    two-branch every term is 0 and ``b`` stays 0.
     """
     levels = range(max(level) + 1)
-    if not two_branch or diam < 2:
+    if not two_branch:
         return [list(levels)], 0, [0] * len(levels)
     threshold = (diam + eps) // 2
     c = 1 if eps == 1 and diam % 2 == 0 else 2
@@ -215,9 +215,9 @@ def _search(p, dist, diam, level, eps, xi_cuts, starts, twin_prev, ub, floor,
       ``L(x_r) >= min L(R)``.  The basic bound takes ``sum s_i >= 0``, which
       needs no two-branch tree.
 
-      The remote-vertex term bounds ``sum s_i`` on a two-branch tree with
-      ``diam >= 2`` (:func:`_xi_cuts`; 0 on any other tree).  Call a
-      position ``0 < i < r`` free when ``x_i`` is remote (level at least
+      The remote-vertex term bounds ``sum s_i`` on a two-branch tree
+      (:func:`_xi_cuts`; 0 on any other tree).  Call a position
+      ``0 < i < r`` free when ``x_i`` is remote (level at least
       ``(diam + eps) // 2 >= 1``, so not a center) and neither ``x_{i-1}``
       nor ``x_{i+1}`` is a weight center.  Then ``s_{i-1} + s_i >= c``, with
       ``c = 1`` for one center and even ``diam``, else ``c = 2``:

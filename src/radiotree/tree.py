@@ -208,7 +208,7 @@ class TreeMetrics:
     branch_id: tuple  # per vertex; weight centers carry CENTER_BRANCH
     remote_set: frozenset
     xi: int
-    two_branch: bool
+    two_branch: bool  # T - W has two components, so d >= 2: P_1, P_2 have none
     parent: tuple = field(repr=False)  # BFS predecessor toward the centers
     center_of: tuple = field(repr=False)  # nearest weight center per vertex
 

@@ -8,7 +8,6 @@ from oracles import path, pruefer_tree
 from radiotree import (
     ASequence,
     CertificationFailure,
-    DHalfTooSmall,
     DiameterTooSmall,
     NotAPermutation,
     NotOmegaTree,
@@ -91,6 +90,10 @@ class TestStrictGap:
     def test_p6_false(self):
         assert not strict_gap_predicate(path_metrics(6))
 
+    def test_star_is_not_two_branch(self):
+        with pytest.raises(NotTwoBranch, match="strict-gap predicate applies"):
+            strict_gap_predicate(metrics(oracles.star(3)))
+
 
 class TestCertifyTightness:
     def test_p5_certificate(self):
@@ -123,6 +126,21 @@ class TestCertifyTightness:
         with pytest.raises(CertificationFailure) as exc:
             certify_tightness(path_metrics(5), (0, 1, 2, 3, 4))
         assert exc.value.stage == "condition_a"
+
+    @pytest.mark.parametrize("tamper, detail", [
+        (lambda f: [f[0], f[0]] + f[2:], "radio condition fails at pair (1, 2)"),
+        (lambda f: f[:-1] + [f[-1] + 1], "span 11 != improved bound 10"),
+    ], ids=["pair", "span"])
+    def test_verification_catches_tampered_labels(self, monkeypatch, tamper, detail):
+        # the re-check is a guard against a defect in the stages before it:
+        # labels changed after condition (b) passed must not certify
+        original = bounds._certified_labels
+        monkeypatch.setattr(bounds, "_certified_labels",
+                            lambda m, seq: tamper(original(m, seq)))
+        with pytest.raises(CertificationFailure) as exc:
+            certify_tightness(path_metrics(5), (2, 1, 4, 0, 3))
+        assert exc.value.stage == "verification"
+        assert exc.value.detail == detail
 
     def test_requires_two_branch(self):
         # an input error before any stage, not a certification failure
@@ -282,15 +300,23 @@ class TestComparisonBounds:
         with pytest.raises(NotOmegaTree):
             liu_bound_even(metrics(tree), 0)
 
+    @pytest.mark.parametrize("bound, n, message", [
+        (liu_bound_odd, 5, "odd-diameter bound on diameter 4"),
+        (liu_bound_even, 6, "even-diameter bound on diameter 5"),
+    ], ids=["odd-on-p5", "even-on-p6"])
+    def test_refuses_the_other_parity(self, bound, n, message):
+        with pytest.raises(NotOmegaTree, match=message):
+            bound(metrics(path(n)), 2)
+
     def test_odd_needs_half_diameter_two(self):
         tree = path(4)
-        with pytest.raises(DHalfTooSmall):
+        with pytest.raises(DiameterTooSmall):
             liu_bound_odd(metrics(tree), 1)
 
     def test_even_needs_half_diameter_two(self):
         # P_3 has rn 3; the even formula would give 4
         tree = build_tree([(0, 1), (1, 2)])
-        with pytest.raises(DHalfTooSmall):
+        with pytest.raises(DiameterTooSmall):
             liu_bound_even(metrics(tree), 1)
 
 
@@ -300,7 +326,7 @@ def comparison_bound(m, x):
     liu = liu_bound_even if m.diameter % 2 == 0 else liu_bound_odd
     try:
         return liu(m, x)
-    except DHalfTooSmall:
+    except DiameterTooSmall:
         return None
 
 

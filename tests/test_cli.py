@@ -130,7 +130,7 @@ class TestBounds:
         # the even formula gives 4 on P_3, above its rn 3
         assert main(["bounds", path_file(3), "--compare", "--json"]) == 3
         out, err = capsys.readouterr()
-        assert out == "" and "DHalfTooSmall" in err
+        assert out == "" and "DiameterTooSmall" in err
 
     def test_compare_refuses_a_star(self, capsys, write):
         # K_{1,3}: its one weight center has degree 3
@@ -304,6 +304,11 @@ class TestExact:
         assert rep["exact"]["rn"] == 34
         assert rep["exact"]["completed"] is True
         assert list(rep["exact"]) == ["rn", "completed", "nodes"]
+
+    def test_timeout_flag(self, capsys, path_file):
+        code, rep = run_json(capsys, ["exact", path_file(5), "--timeout-s", "30", "--json"])
+        assert code == 0
+        assert rep["exact"]["rn"] == 10 and rep["exact"]["completed"] is True
 
     def test_stats_opt_in(self, capsys, path_file):
         code, rep = run_json(capsys, ["exact", path_file(9), "--json", "--stats"])

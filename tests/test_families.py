@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import chain
 from math import prod
 
@@ -5,9 +6,9 @@ import pytest
 
 from radiotree import (
     BadParams,
+    CertificationFailure,
     ExhaustedAttempts,
     build_tree,
-    InvalidProofOrder,
     OrderTooLarge,
     OutOfRange,
     UnsupportedParams,
@@ -439,6 +440,16 @@ class TestCaterpillarOrders:
         lab = certify_tightness(metrics(inst.tree), order)
         assert lab.span == inst.closed_form_rn
 
+    def test_span_must_be_the_closed_form(self):
+        # a closed form one above the certified span, as a wrong formula would give
+        inst = gen_caterpillar(5, 2)
+        wrong = dataclasses.replace(inst, closed_form_rn=inst.closed_form_rn + 1)
+        with pytest.raises(CertificationFailure) as exc:
+            proof_order_caterpillar(wrong)
+        assert exc.value.stage == "span"
+        assert exc.value.detail == (f"C(5,2): span {inst.closed_form_rn} "
+                                    f"!= closed form {inst.closed_form_rn + 1}")
+
     def test_c31_matches_published_order(self):
         inst = gen_caterpillar(3, 1)
         nm = inst.vertex_names
@@ -591,7 +602,7 @@ class TestPositionTable:
         [1, 3, 0, 2, 2],  # one too many
     ])
     def test_positions_must_be_exactly_0_to_p_minus_1(self, by_pos):
-        with pytest.raises(InvalidProofOrder) as exc:
+        with pytest.raises(CertificationFailure) as exc:
             _certify_or_raise(gen_path(4), by_pos, None)
         assert exc.value.stage == "positions"
 
@@ -602,7 +613,7 @@ class TestPositionTable:
         ([1, 3, 0], [3]),  # a slot missing
     ])
     def test_names_the_bad_positions(self, by_pos, wrong):
-        with pytest.raises(InvalidProofOrder, match=rf"bad order positions \{wrong}"):
+        with pytest.raises(CertificationFailure, match=rf"bad order positions \{wrong}"):
             _certify_or_raise(gen_path(4), by_pos, None)
 
 
@@ -727,6 +738,16 @@ class TestRnFormula:
 
     def test_caterpillar(self):
         assert families.FAMILIES["caterpillar"][0](3, 1).closed_form_rn == 10
+
+    @pytest.mark.parametrize("formula, args, message", [
+        (rn_caterpillar, (2, 1), "caterpillar closed form needs n >= 3, k >= 1, got n=2, k=1"),
+        (rn_binary, (1,), "binary closed form needs h >= 2, got 1"),
+        (rn_lmh, (1, 1, 2), "leg-family closed form needs m >= 2, h >= 2; got z=1, m=1, h=2"),
+    ], ids=["caterpillar", "binary", "lmh"])
+    def test_refused_outside_the_stated_range(self, formula, args, message):
+        with pytest.raises(OutOfRange) as exc:
+            formula(*args)
+        assert str(exc.value) == message
 
 
 WALK_GRID = (

@@ -551,6 +551,12 @@ class TestJfProfile:
         lab = RadioLabelling({2: 0, 1: 4, 4: 6, 0: 8, 3: 10})
         assert all(j >= 0 for j in jf_profile(m, lab).steps)
 
+    def test_labelling_of_another_tree(self):
+        # P_5's labelling read against P_4: one vertex too many
+        lab = RadioLabelling({2: 0, 1: 4, 4: 6, 0: 8, 3: 10})
+        with pytest.raises(MissingLabel, match="does not cover the vertex set"):
+            jf_profile(metrics(path(4)), lab)
+
 
 class TestLabelFiles:
     def test_round_trip(self):

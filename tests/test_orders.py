@@ -8,6 +8,7 @@ from oracles import path
 from radiotree import (
     ASequence,
     CertificationFailure,
+    DiameterTooSmall,
     InfeasibleASequence,
     LengthMismatch,
     NotAPermutation,
@@ -354,6 +355,10 @@ class TestDdbConditions:
     def test_p5_needs_nonzero_a(self):
         ok, diag = check_ddb_conditions(path_metrics(5), (2, 1, 4, 0, 3))
         assert not ok and diag.startswith("pairwise distance condition fails")
+
+    def test_one_edge_tree_is_refused(self):
+        with pytest.raises(DiameterTooSmall, match="basic-bound conditions need diameter >= 2"):
+            check_ddb_conditions(path_metrics(2), (0, 1))
 
     ONE_CENTER = "order must run from the weight center to one of its neighbours"
 

@@ -64,6 +64,13 @@ class TestContract:
         assert ok
         assert res.witness.span == res.rn == 13
 
+    def test_broken_witness_is_an_assertion(self, monkeypatch):
+        # the witness re-check guards against a defect in the search: a
+        # witness that fails verification is a bug, not an input error
+        monkeypatch.setattr(solver, "verify_labelling", lambda tree, lab: (False, (0, 1)))
+        with pytest.raises(AssertionError, match="solver invariant broken"):
+            exact_rn(path(5))
+
     def test_order_too_large(self):
         # no vertex count is refused: P_13 is searched, and completes, under
         # the default limits

@@ -13,22 +13,25 @@ proved rn >= LB + 1, and a downward search from a greedy incumbent stops as
 soon as it reaches that floor.  LB only decides where the search looks
 first; every answer rests on complete pruned searches (see :func:`_search`).
 
-Symmetry reduction, by two rules.  The first vertex of the order only ranges
-over one representative per orbit of the tree's automorphisms: an
+Symmetry reduction, by three rules.  The first vertex of the order only
+ranges over one representative per orbit of the tree's automorphisms: an
 automorphism preserves distances, so it maps each order to one of equal span.
 It also preserves the weight w(v), the sum of the distances from v, so it
 maps the one or two weight centers (the vertices of least weight) to
 themselves, and the orbits can be read off the tree rooted at the centers
 (see :func:`_start_representatives`).  Leaves with the same neighbour
 ("twins") are placed in increasing id order: a leaf is skipped while its
-next-smaller twin is unplaced, since swapping two twins is an automorphism
-(see :func:`_search`).
+next-smaller twin is unplaced, since swapping two twins is an automorphism.
+An order and its reverse have the same least span (if f is a radio labelling
+of span s, so is s - f), so the search only needs orders whose last vertex
+is at least as deep as the first (see :func:`_search`).
 
 Pruning: a candidate is skipped when one of two lower bounds on every
 completion through it already reaches the incumbent.  The second is the
 paper's basic bound on the unplaced suffix; on a two-branch tree it is
 raised by a proven term for the remote vertices still to be placed, the
-suffix's share of the improved bound's xi.  The survivors are expanded
+suffix's share of the improved bound's xi, and on any tree by the reversal
+rule's floor on the level of the last vertex.  The survivors are expanded
 least label first, ties by id, so the first descent is a greedy dive that
 finds a low incumbent early (see :func:`_search`).
 
@@ -180,9 +183,10 @@ def _search(p, dist, diam, level, eps, xi_cuts, starts, twin_prev, ub, floor,
       the level decides), so the rules below cut both or neither.
     * Candidates with equal ``req`` are expanded in increasing id order, so
       the smaller twin's subtree is searched first.  The skipped subtree is
-      its mirror image:
-      its completions have exactly the same spans, so none of them can beat
-      the best span that the first subtree left behind.
+      its mirror image: its nodes carry the same bounds and its completions
+      exactly the same spans, so it is cut wherever the first subtree was,
+      and none of the completions it reaches can beat the best span that the
+      first subtree left behind.
     * Hence, by induction from the deepest level up, the sequence of
       improvements, the result, its order, and what a probe proves are those
       of the search without the rule; only ``nodes`` and the ``pruned``
@@ -213,7 +217,8 @@ def _search(p, dist, diam, level, eps, xi_cuts, starts, twin_prev, ub, floor,
       gaps gives the span
       ``lab + r(diam + eps) - L(u) - 2 sum L(R) + L(x_r) + sum s_i``, and
       ``L(x_r) >= min L(R)``.  The basic bound takes ``sum s_i >= 0``, which
-      needs no two-branch tree.
+      needs no two-branch tree.  The reversal rule below raises the floor on
+      ``L(x_r)`` to ``max(min L(R), L(u_0))``, on any tree.
 
       The remote-vertex term bounds ``sum s_i`` on a two-branch tree
       (:func:`_xi_cuts`; 0 on any other tree).  Call a position
@@ -248,6 +253,35 @@ def _search(p, dist, diam, level, eps, xi_cuts, starts, twin_prev, ub, floor,
       center.  ``B`` is passed down as the level sum is, and the term is
       read per candidate level from a table.
 
+    Reversal rule: ``suffix_bound`` need only hold for the completions that
+    end at least as deep as they start, ``L(x_r) >= L(u_0)`` with ``u_0``
+    the first vertex of the order (``order[0]``, or the candidate itself at
+    depth 0).  This is exact, on every tree:
+
+    * An order and its reverse have the same least span.  The greedy
+      completion ``f`` of an order, of span ``s``, is a radio labelling, so
+      ``s - f`` is one too (every ``|f(x) - f(y)|`` is kept), and its labels
+      increase along the reversed order.  The greedy completion of the
+      reversed order is pointwise at most ``s - f``, so it spans at most
+      ``s``; reversing twice gives the other inequality.
+    * So some optimal order ends at least as deep as it starts: take any
+      optimal order, reversed if it ends shallower.  An automorphism carries
+      its first vertex to a start representative, and sorting each class of
+      twins into increasing id order over the positions it holds is a
+      product of twin swaps.  Both keep the span and the level at every
+      position (automorphisms map the weight centers to themselves), and a
+      representative, the least id of its orbit, is the least of its twins
+      and stays first.  The result is an optimal order that the search would
+      reach without its bounds, and it still ends at least as deep as it
+      starts.
+    * So that order, or one no worse, is reached: ``remaining`` and
+      ``suffix_bound`` cut only subtrees in which every order that ends at
+      least as deep as it starts spans at least ``best``.  A leaf accepts
+      any span whatever its end level: every order is a real labelling, and
+      a leaf that ends shallower than it starts may still lower ``best``.
+    * Two twins are cut together as before: at depth 1 and deeper they
+      share ``u_0``, and no two start representatives are twins.
+
     Candidate order: the three rules are applied to the unplaced vertices in
     id order, and the survivors are then expanded least label first, in
     increasing ``req`` with ties by id, so the first descent is the
@@ -257,13 +291,16 @@ def _search(p, dist, diam, level, eps, xi_cuts, starts, twin_prev, ub, floor,
     has fallen since the survivors were chosen.
 
     Branch-and-bound stays exact under any candidate order: both rules remove
-    only subtrees whose leaves are no better than the best span at that
-    moment, and that span never rises, so the sequence of improvements, the
-    result and its order are those of the unpruned search in the same
-    candidate order.  Two twins have equal ``req`` and equal level, so they
-    survive or are cut together, and the stable sort keeps the smaller twin
-    first, as the twin rule needs.  The order depends only on ``req`` and
-    ids, so a node budget still stops at a deterministic node.
+    only subtrees whose leaves that end at least as deep as they start are no
+    better than the best span at that moment, that span never rises, and
+    some optimal order that the start and twin rules allow is such a leaf.
+    So the least span and the completion are those of the unpruned search in
+    the same candidate order, but not always the sequence of improvements or
+    the order returned: a subtree cut by the reversal rule may hold a better
+    leaf that ends shallower.  Two twins have equal ``req`` and equal level,
+    so they survive or are cut together, and the stable sort keeps the
+    smaller twin first, as the twin rule needs.  The order depends only on
+    ``req`` and ids, so a node budget still stops at a deterministic node.
 
     A completed search therefore proves one of two things.  If it returns an
     order, its span is the least span of any order: either the search ran
@@ -319,6 +356,12 @@ def _search(p, dist, diam, level, eps, xi_cuts, starts, twin_prev, ub, floor,
                     lo2 += 1
             suffix_base = remaining_after * step - 2 * unplaced_level_sum
             cut = cuts[b]  # level plus remote-vertex term, per candidate level
+            # the least level of the last vertex, max(min L(R), L(u_0)): end2
+            # for a candidate at level lo1, end1 for any other, and at depth
+            # 0, where the candidate is u_0, its own level unless it is lo1
+            first = level[order[0]] if depth else -1
+            end1 = lo1 if lo1 > first else first
+            end2 = lo2 if lo2 > first else first
         survivors = []
         for u in (starts if depth == 0 else range(p)):
             if placed[u]:
@@ -331,8 +374,8 @@ def _search(p, dist, diam, level, eps, xi_cuts, starts, twin_prev, ub, floor,
                 pruned_remaining += 1
                 continue
             lu = level[u]
-            if remaining_after and \
-                    lab + suffix_base + cut[lu] + (lo2 if lu == lo1 else lo1) >= best:
+            if remaining_after and lab + suffix_base + cut[lu] + (
+                    end2 if lu == lo1 else end1 if depth else lu) >= best:
                 pruned_suffix += 1
                 continue
             survivors.append(u)
@@ -346,8 +389,8 @@ def _search(p, dist, diam, level, eps, xi_cuts, starts, twin_prev, ub, floor,
                 if lab + remaining_after >= best:
                     pruned_remaining += 1
                     continue
-                if remaining_after and \
-                        lab + suffix_base + cut[lu] + (lo2 if lu == lo1 else lo1) >= best:
+                if remaining_after and lab + suffix_base + cut[lu] + (
+                        end2 if lu == lo1 else end1 if depth else lu) >= best:
                     pruned_suffix += 1
                     continue
             if nodes == next_check:

@@ -67,6 +67,26 @@ def test_greedy_rebuild_never_increases_span(params):
     assert rebuilt.span <= lab.span
 
 
+@given(st.tuples(st.integers(2, 30), st.integers(0, 10**6), st.randoms()))
+@settings(max_examples=80, deadline=None)
+def test_reversed_order_spans_no_more(params):
+    # the solver's reversal rule: if f is the greedy completion of an order,
+    # of span s, then s - f is a radio labelling whose labels increase along
+    # the reversed order, so that order's greedy completion spans at most s
+    p, seed, rng = params
+    ref = oracles.Ref(oracles.pruefer_tree(p, seed))
+    seq = list(range(p))
+    rng.shuffle(seq)
+    f = oracles.greedy_labels(ref, seq)
+    span = max(f.values())
+    mirrored = {u: span - x for u, x in f.items()}
+    assert oracles.radio_check(ref, mirrored) == (True, None)
+    assert sorted(mirrored, key=mirrored.get) == seq[::-1]
+    back = oracles.greedy_labels(ref, seq[::-1])
+    assert all(back[u] <= mirrored[u] for u in seq)
+    assert max(back.values()) <= span
+
+
 @given(st.integers(0, 10**6))
 @settings(max_examples=40, deadline=None)
 def test_a_sequence_values_bounded(seed):

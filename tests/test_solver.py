@@ -103,7 +103,7 @@ class TestContract:
         assert stats.lower_bound == 10
 
     def test_timeout_returns_incumbent(self):
-        # rn 45 = improved bound + 3, about 56k nodes: the clock is read
+        # rn 45 = improved bound + 3, about 37k nodes: the clock is read
         res = exact_rn(gen_random_two_branch(12, 1).tree, timeout_s=0.01)
         assert not res.stats.completed
         assert res.rn >= 45  # incumbent is an upper bound only
@@ -129,9 +129,9 @@ class TestContract:
         assert ok and res.witness.span == res.rn
 
     def test_p13_within_node_budget(self):
-        # the probe proves P_13 in about 12k nodes (about 22k without the
-        # remote-vertex term); a downward search alone needs far more
-        # (543,615 in id order)
+        # the probe proves P_13 in 5,277 nodes (11,834 without the reversal
+        # rule, about 22k without the remote-vertex term as well); a downward
+        # search alone needs far more (543,615 in id order)
         res = exact_rn(path(13), max_nodes=100_000)
         assert res.stats.completed
         assert res.rn == res.stats.lower_bound == 74 == rn_path(13)
@@ -164,12 +164,18 @@ class TestBruteForceReference:
         return outcomes
 
     def test_random_trees(self):
-        # arbitrary trees, half of them not two-branch
+        # arbitrary trees, half of them not two-branch, and uniform Pruefer
+        # trees up to p = 8 that are not two-branch (the reversal rule holds
+        # on every tree)
         rng = random.Random(11)
         trees = []
         for _ in range(30):
             trees.append(random_tree(rng.randrange(4, 8), rng))
-        outcomes = self.check(trees)
+        uniform = [oracles.pruefer_tree(p, f"not-two-branch/{p}/{seed}")
+                   for p in range(4, 9) for seed in range(8)]
+        uniform = [t for t in uniform if not oracles.Ref(t).two_branch]
+        assert len(uniform) >= 25 and max(t.p for t in uniform) == 8
+        outcomes = self.check(trees + uniform)
         assert {("two-branch", "probe"), ("other", "probe"),
                 ("other", "fallback")} <= outcomes
 
@@ -237,11 +243,14 @@ class TestTwinRule:
 
 
 def suffix_bounds(ref, seq):
-    """``(bound, term)`` for each candidate ``seq[t]``, t < p - 1, after the
-    prefix ``seq[:t]``: the solver's ``suffix_bound`` with the remote-vertex
-    term read from :func:`solver._xi_cuts`, and that term.  The candidate's
-    label is its greedy label after the prefix; everything else comes from
-    the definitions in ``oracles.Ref``."""
+    """``(bound, term, lift)`` for each candidate ``seq[t]``, t < p - 1,
+    after the prefix ``seq[:t]``: the solver's ``suffix_bound``, the
+    remote-vertex term read from :func:`solver._xi_cuts`, and the reversal
+    rule's lift, ``max(min L(R), L(seq[0])) - min L(R)``, of the last
+    vertex's least level.  The bound holds for orders whose last vertex is
+    at least as deep as the first.  The candidate's label is its greedy
+    label after the prefix; everything else comes from the definitions in
+    ``oracles.Ref``."""
     cuts, b, shift = solver._xi_cuts(ref.level, ref.diameter, ref.epsilon, ref.two_branch)
     f, level = oracles.greedy_labels(ref, seq), ref.level
     rest = sum(level)  # sum L(R), the vertices after the candidate
@@ -249,52 +258,91 @@ def suffix_bounds(ref, seq):
         lu = level[u]
         rest -= lu
         term = cuts[b][lu] - lu
+        least = min(level[v] for v in seq[t + 1:])
+        last = max(least, level[seq[0]])
         yield (f[u] + (len(seq) - 1 - t) * (ref.diameter + ref.epsilon) - lu - 2 * rest
-               + min(level[v] for v in seq[t + 1:]) + term), term
+               + last + term), term, last - least
         b += shift[lu]
 
 
 class TestSuffixBound:
-    """The suffix bound, remote-vertex term included, never exceeds the span
-    of the greedy completion it bounds, on two-branch trees with one center
-    and even or odd diameter and with two centers."""
+    """The suffix bound with the remote-vertex term never exceeds the span of
+    the greedy completion it bounds, and with the reversal lift it does not
+    either when the order ends at least as deep as it starts: on two-branch
+    trees with one center and even or odd diameter and with two centers,
+    and on other trees."""
 
     @staticmethod
     def check(tree, orders):
-        """``(kind, firing)``: kind is (|W|, diam % 2); firing counts the
-        checks where the term is positive."""
+        """``(kind, firing, lifting)``: kind is (|W|, diam % 2); firing and
+        lifting count the checks where the remote-vertex term and the
+        reversal lift are positive.  Every order is checked without the
+        lift; with the lift, an order that ends shallower than it starts is
+        checked reversed, as the search would reach it."""
         ref = oracles.Ref(tree)
-        assert ref.two_branch
-        firing = 0
+        firing = lifting = 0
         for seq in orders:
+            ends_deep = ref.level[seq[-1]] >= ref.level[seq[0]]
             span = max(oracles.greedy_labels(ref, seq).values())
-            for bound, term in suffix_bounds(ref, seq):
-                assert bound <= span, (tree, seq)
+            for bound, term, lift in suffix_bounds(ref, seq):
+                # every order: the bound without the lift
+                assert bound - lift <= span, (tree, seq)
                 firing += term > 0
-        return (len(ref.centers), ref.diameter % 2), firing
+                if ends_deep:
+                    assert bound <= span, (tree, seq)
+                    lifting += lift > 0
+            if not ends_deep:
+                seq = seq[::-1]
+                span = max(oracles.greedy_labels(ref, seq).values())
+                for bound, _, lift in suffix_bounds(ref, seq):
+                    assert bound <= span, (tree, seq)
+                    lifting += lift > 0
+        return (len(ref.centers), ref.diameter % 2), firing, lifting
 
     def test_random_orders(self):
         rng = random.Random(23)
-        firing = {}
+        firing, lifting = {}, {}
         for n in range(8, 16):
             for seed in range(6):
                 tree = gen_random_two_branch(n, seed).tree
                 orders = [tuple(rng.sample(range(n), n)) for _ in range(100)]
-                kind, fired = self.check(tree, orders)
+                kind, fired, lifted = self.check(tree, orders)
                 firing[kind] = firing.get(kind, 0) + fired
+                lifting[kind] = lifting.get(kind, 0) + lifted
         assert set(firing) == {(1, 0), (1, 1), (2, 0), (2, 1)}
-        assert all(firing.values())
+        assert all(firing.values()) and all(lifting.values())
 
     def test_every_order_up_to_seven_vertices(self):
-        # (P_4 and the other two-branch trees on 4 vertices never fire it)
+        # (P_4 and the other two-branch trees on 4 vertices never fire the
+        # remote-vertex term)
         kinds = set()
         for n in range(5, 8):
             for seed in range(2):
                 tree = gen_random_two_branch(n, seed).tree
-                kind, fired = self.check(tree, itertools.permutations(range(n)))
-                assert fired
+                kind, fired, lifted = self.check(tree, itertools.permutations(range(n)))
+                assert fired and lifted
                 kinds.add(kind)
         assert kinds == {(1, 0), (2, 1)}
+
+    def test_trees_that_are_not_two_branch(self):
+        # the reversal lift holds on any tree; here it is the only term
+        rng = random.Random(31)
+        kinds, lifting = set(), 0
+        trees = [spider((1, 2, 2)), spider((2, 2, 3)), spider((1, 1, 2, 3)),
+                 double_broom(2, 3, 2)]
+        trees += [oracles.pruefer_tree(n, seed) for n in range(5, 12) for seed in range(8)]
+        for tree in trees:
+            if oracles.Ref(tree).two_branch:
+                continue
+            n = tree.p
+            orders = (itertools.permutations(range(n)) if n <= 7 else
+                      [tuple(rng.sample(range(n), n)) for _ in range(60)])
+            kind, fired, lifted = self.check(tree, orders)
+            assert not fired
+            kinds.add(kind)
+            lifting += lifted
+        assert kinds == {(1, 0), (1, 1), (2, 0), (2, 1)}
+        assert lifting
 
     def test_no_term_off_two_branch_trees(self):
         for tree in (star(4), spider((1, 2, 2)), path(2)):

@@ -10,7 +10,9 @@ of isomorphic rooted trees).  On a seeded grid of trees and node budgets the
 solver must give the same rn, witness, nodes, prune counters, completion
 flag, lower bound and incumbents, and the same start representatives.
 Without the remote-vertex term (``xi=False``) the reference is the search
-before that term, whose full searches must reach the same answers.
+before that term, whose full searches must reach the same answers.  Without
+the reversal rule (``reversal=False``) it is the search before that rule,
+whose full searches must reach the same rn.
 """
 
 import random
@@ -36,7 +38,7 @@ from radiotree.solver import LIMIT_CHECK_INTERVAL
 
 
 def search_reference(ref, starts, twin_prev, ub, ub_order, floor, max_nodes, by_label=True,
-                     xi=True):
+                     xi=True, reversal=True):
     """With ``by_label``, the candidates that pass the cuts are expanded in
     increasing ``(req, id)``; without it, in id order, which expands the
     nodes the search once did.  Either way every candidate is cut before the
@@ -45,7 +47,10 @@ def search_reference(ref, starts, twin_prev, ub, ub_order, floor, max_nodes, by_
     diameter at least 2, the suffix cut adds ``c * ceil(k/2)`` for the ``k``
     free positions (a remote vertex with no center beside it) that every
     order of the unplaced rest leaves; without it, the cut is the basic
-    bound alone, as the search once was."""
+    bound alone, as the search once was.  With ``reversal``, the suffix cut
+    takes the last vertex to be no shallower than the first vertex of the
+    order (the candidate itself at depth 0); without it, only no shallower
+    than the least level of the unplaced rest."""
     p, dist, diam, level, eps = ref.p, ref.d, ref.diameter, ref.level, ref.epsilon
     remote, centers = ref.remote, ref.centers
     c = 1 if len(centers) == 1 and diam % 2 == 0 else 2
@@ -111,9 +116,13 @@ def search_reference(ref, starts, twin_prev, ub, ub_order, floor, max_nodes, by_
             if lab + remaining_after >= best:
                 pruned_remaining += 1
                 return True
+            if not remaining_after:
+                return False
             lu = level[u]
-            if remaining_after and lab + suffix_base + lu + (lo2 if lu == lo1 else lo1) \
-                    + xi_term(u) >= best:
+            last = lo2 if lu == lo1 else lo1  # min L(R)
+            if reversal:
+                last = max(last, level[order[0]] if depth else lu)
+            if lab + suffix_base + lu + last + xi_term(u) >= best:
                 pruned_suffix += 1
                 return True
             return False
@@ -171,7 +180,7 @@ def search_reference(ref, starts, twin_prev, ub, ub_order, floor, max_nodes, by_
     return best, best_order, nodes, pruned, not limited, improvements
 
 
-def exact_rn_reference(tree, max_nodes, by_label=True, xi=True):
+def exact_rn_reference(tree, max_nodes, by_label=True, xi=True, reversal=True):
     """(rn, witness labels, nodes, pruned, completed, lower_bound, incumbents)."""
     ref = oracles.Ref(tree)
     seed = oracles.greedy_labels(ref, tuple(range(tree.p)))
@@ -182,7 +191,7 @@ def exact_rn_reference(tree, max_nodes, by_label=True, xi=True):
 
     def search(ub, ub_order, floor, budget):
         return search_reference(ref, starts, twin_prev, ub, ub_order, floor, budget, by_label,
-                                xi)
+                                xi, reversal)
 
     best, best_order, nodes, pruned, completed, found = search(
         target + 1, None, proven, max_nodes)
@@ -238,8 +247,8 @@ class TestSearchAgainstReference:
 
     @pytest.mark.parametrize("max_nodes", [None, 10_000, 100])
     def test_p12_tree_above_its_improved_bound(self, max_nodes):
-        # rn 45 = improved bound + 3, 55,645 nodes unbounded (90,537 in id
-        # order): both phases run
+        # rn 45 = improved bound + 3, 36,775 nodes unbounded (before the
+        # reversal rule 55,645, and 90,537 in id order): both phases run
         tree = gen_random_two_branch(12, 1).tree
         assert outcome(tree, max_nodes) == exact_rn_reference(tree, max_nodes)
 
@@ -256,17 +265,36 @@ class TestSearchAgainstReference:
     def test_xi_term_keeps_the_answers(self):
         # the remote-vertex term only cuts subtrees no better than the best
         # span so far: a full search finds the same improvements in fewer
-        # or as many nodes
+        # or as many nodes (without the reversal rule, which may cut a
+        # better leaf that ends shallower than it starts)
         fewer = 0
         for tree in solver_grid():
-            rn, labels, nodes, _, completed, _, found = exact_rn_reference(tree, None)
+            rn, labels, nodes, _, completed, _, found = exact_rn_reference(
+                tree, None, reversal=False)
             rn0, labels0, nodes0, _, completed0, _, found0 = exact_rn_reference(
-                tree, None, xi=False)
+                tree, None, xi=False, reversal=False)
             assert (rn, labels, completed) == (rn0, labels0, completed0)
             assert [s for _, s in found] == [s for _, s in found0]
             assert nodes <= nodes0
             fewer += nodes < nodes0
         assert fewer > 0
+
+    def test_reversal_rule_keeps_the_answers(self):
+        # the reversal rule cuts only subtrees whose orders that end at least
+        # as deep as they start are no better than the best span so far, and
+        # some optimal order is one of those: rn is kept, the witness may
+        # change, and nodes fall in total (they rise on two grid trees)
+        nodes = nodes0 = fewer = 0
+        for tree in solver_grid():
+            rn, labels, n, _, completed, lower_bound, _ = exact_rn_reference(tree, None)
+            rn0, _, n0, _, completed0, lower_bound0, _ = exact_rn_reference(
+                tree, None, reversal=False)
+            assert (rn, completed, lower_bound) == (rn0, completed0, lower_bound0)
+            assert completed and lower_bound == rn
+            assert oracles.radio_check(oracles.Ref(tree), labels) == (True, None)
+            assert max(labels.values()) == rn
+            nodes, nodes0, fewer = nodes + n, nodes0 + n0, fewer + (n < n0)
+        assert nodes < nodes0 and fewer > 0
 
     def test_grid_reaches_every_phase(self):
         # at a budget of 50 nodes, some searches settle and some stop, each

@@ -198,10 +198,26 @@ def _sides_at(m: TreeMetrics, x: int) -> list:
     return list(sides.values())
 
 
-def _check_omega_vertex(m: TreeMetrics, x: int) -> None:
+def _liu_frame(m: TreeMetrics, x: int, parity: int) -> tuple:
+    """``(dh, side_a, side_b, w)`` for the comparison bound of diameter
+    parity ``parity`` (0 even, 1 odd) at x: the half-diameter, the level sets
+    of :func:`_sides_at` and w(x) read off them.  Raises
+    :class:`NotOmegaTree` unless x is a degree-2 weight center and the
+    diameter has that parity, and :class:`DiameterTooSmall` below
+    half-diameter 2: the one such tree with d = 2 is P_3, whose rn 3 is
+    below the even formula's 4."""
     m.tree.check_vertex(x)
     if x not in m.weight_centers or len(m.tree.adjacency[x]) != 2:
         raise NotOmegaTree(f"vertex {x} is not a degree-2 weight center")
+    name = ("even", "odd")[parity]
+    if m.diameter % 2 != parity:
+        raise NotOmegaTree(f"{name}-diameter bound on diameter {m.diameter}")
+    dh = m.diameter // 2
+    if dh < 2:
+        raise DiameterTooSmall(f"{name}-diameter bound needs half-diameter >= 2, got {dh}")
+    side_a, side_b = _sides_at(m, x)
+    w = sum(i * c for side in (side_a, side_b) for i, c in side.items())
+    return dh, side_a, side_b, w
 
 
 def liu_bound_even(m: TreeMetrics, x: int) -> int:
@@ -215,15 +231,7 @@ def liu_bound_even(m: TreeMetrics, x: int) -> int:
     dh, that side is R and the bound is (p-1)(2dh+1) - 2w(x) +
     max{ceil((sum_i (2i+1)|R_{dh+i}| - 2)/2), 1}.
     """
-    _check_omega_vertex(m, x)
-    if m.diameter % 2 != 0:
-        raise NotOmegaTree(f"even-diameter bound on diameter {m.diameter}")
-    dh = m.diameter // 2
-    if dh < 2:
-        # the one such tree with d = 2 is P_3, whose rn 3 is below the formula's 4
-        raise DiameterTooSmall(f"even-diameter bound needs half-diameter >= 2, got {dh}")
-    side_a, side_b = _sides_at(m, x)
-    w = sum(i * c for side in (side_a, side_b) for i, c in side.items())
+    dh, side_a, side_b, w = _liu_frame(m, x, 0)
     base = (m.p - 1) * (2 * dh + 1) - 2 * w
     ca, cb = side_a.get(dh, 0), side_b.get(dh, 0)
     if ca and cb:
@@ -245,19 +253,12 @@ def liu_bound_odd(m: TreeMetrics, x: int) -> int:
     max{2|R_{dh+1}| - 5, 1}; when it is larger, + sum_{i>=1} (i+1)|R_{dh+i}|
     - 2 instead.  w(x) is read off the level sets, as in :func:`liu_bound_even`.
     """
-    _check_omega_vertex(m, x)
-    if m.diameter % 2 != 1:
-        raise NotOmegaTree(f"odd-diameter bound on diameter {m.diameter}")
-    dh = m.diameter // 2
-    if dh < 2:
-        raise DiameterTooSmall(f"odd-diameter bound needs half-diameter >= 2, got {dh}")
-    side_a, side_b = _sides_at(m, x)
+    dh, side_a, side_b, w = _liu_frame(m, x, 1)
     # Exactly one side reaches depth dh + 1: were both to, two vertices would
     # be 2dh + 2 apart; were neither, every vertex would lie within dh of x
     # and the diameter would be at most 2dh.
     right = max(side_a, side_b, key=max)
     h = max(right)  # eccentricity of x: R is the deeper side
-    w = sum(i * c for side in (side_a, side_b) for i, c in side.items())
     base = (m.p - 1) * (2 * dh + 2) - 2 * w
     if h == dh + 1:
         return base + max(2 * right.get(dh + 1, 0) - 5, 1)

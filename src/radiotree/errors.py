@@ -69,7 +69,9 @@ class MissingLabel(RadioTreeError):
 
 
 class DuplicateLabel(RadioTreeError):
-    """Two vertices share a label where distinct labels are required."""
+    """Two vertices share a label where distinct labels are required, or
+    (from :func:`radiotree.labelling.parse_labels_text`) a labels file
+    labels one vertex twice."""
 
 
 # --- bounds / certification ------------------------------------------------

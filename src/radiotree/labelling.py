@@ -33,14 +33,13 @@ from typing import Sequence
 from .errors import (
     BadVertex,
     DuplicateLabel,
-    LengthMismatch,
     MissingLabel,
     NegativeLabel,
     NonIntegerLabel,
     NotTwoBranch,
 )
-from .orders import ASequence, _levels_and_labels, check_order
-from .tree import Tree, TreeMetrics, _bfs, _quoted, _short_number
+from .orders import ASequence, _levels_and_labels, _order_and_increments, check_order
+from .tree import Tree, TreeMetrics, _bfs, _meet_level, _quoted, _short_number
 
 
 @dataclass(frozen=True)
@@ -73,12 +72,7 @@ def label_from_order(m: TreeMetrics, order: Sequence, aseq: ASequence) -> RadioL
     """
     if not m.two_branch:
         raise NotTwoBranch("the order-driven recurrence targets two-branch trees")
-    seq = check_order(m, order)
-    if len(aseq.a) != len(seq) - 1:
-        raise LengthMismatch(
-            f"a-sequence length {len(aseq.a)} for order length {len(seq)}"
-        )
-    return _recurrence_labelling(m, seq, aseq.a)
+    return _recurrence_labelling(m, *_order_and_increments(m, order, aseq))
 
 
 def _recurrence_labelling(m: TreeMetrics, seq: tuple, a: Sequence) -> RadioLabelling:
@@ -251,7 +245,10 @@ def _first_violation(oracle, lab) -> tuple:
     that has one.  The vertices are sorted by label once, and u's window is
     walked both ways from u's position; a partner above the least violating
     one found so far is not compared.  A pair in one subtree of the middle
-    root climbs parents to the vertex where the two root paths meet.
+    root climbs parents to the vertex where the two root paths meet, by
+    :func:`radiotree.tree._meet_level` on the verifier's own depths and
+    parents.  Only this naming scan shares that climb with
+    :meth:`TreeMetrics.distance`; the decision pass has its own test.
 
     Equal labels always violate (``d <= diam``), so every u before the
     first violating vertex carries a label no other vertex shares, and each
@@ -279,17 +276,9 @@ def _first_violation(oracle, lab) -> tuple:
                 v = by_label[j]
                 if u < v < best:
                     compared += 1
-                    if tu != top[v]:
-                        d = du + depth[v]
-                    else:
-                        a, b = u, v  # one subtree: climb to where the root paths meet
-                        while depth[a] > depth[b]:
-                            a = parent[a]
-                        while depth[b] > depth[a]:
-                            b = parent[b]
-                        while a != b:
-                            a, b = parent[a], parent[b]
-                        d = du + depth[v] - 2 * depth[a]
+                    d = du + depth[v]
+                    if tu == top[v]:  # one subtree: climb to where the root paths meet
+                        d -= 2 * _meet_level(depth, parent, u, v)
                     if (keys[j] - f) * step + d <= diam:
                         best = v
                 j += step

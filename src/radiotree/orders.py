@@ -375,12 +375,19 @@ def check_condition_b(m: TreeMetrics, order: Sequence, aseq: ASequence) -> tuple
 
     Returns (ok, first violating (i, j) or None), first in lexicographic order.
     """
+    return _condition_b_core(m, *_order_and_increments(m, order, aseq))
+
+
+def _order_and_increments(m: TreeMetrics, order: Sequence, aseq: ASequence) -> tuple:
+    """``(seq, a)``: the order as :func:`check_order` returns it and the
+    increments ``aseq.a``, once there is one increment per step of the
+    order; else :class:`LengthMismatch`."""
     seq = check_order(m, order)
     if len(aseq.a) != len(seq) - 1:
         raise LengthMismatch(
             f"a-sequence length {len(aseq.a)} for order length {len(seq)}"
         )
-    return _condition_b_core(m, seq, aseq.a)
+    return seq, aseq.a
 
 
 def check_ddb_conditions(m: TreeMetrics, order: Sequence) -> tuple:

@@ -7,11 +7,11 @@ smallest value consistent with all already-placed vertices), so some order's
 greedy completion attains the radio number.
 
 The search is bound-first.  A probe first looks only for a span at or below
-LB, the paper's improved bound on two-branch trees with more than three
-vertices and the basic bound otherwise.  When none exists the probe has
-proved rn >= LB + 1, and a downward search from a greedy incumbent stops as
-soon as it reaches that floor.  LB only decides where the search looks
-first; every answer rests on complete pruned searches (see :func:`_search`).
+LB, the paper's improved bound on two-branch trees and the basic bound
+otherwise.  When none exists the probe has proved rn >= LB + 1, and a
+downward search from a greedy incumbent stops as soon as it reaches that
+floor.  LB only decides where the search looks first; every answer rests on
+complete pruned searches (see :func:`_search`).
 
 Symmetry reduction, by three rules.  The first vertex of the order only
 ranges over one representative per orbit of the tree's automorphisms: an
@@ -283,12 +283,13 @@ def _search(p, dist, diam, level, eps, xi_cuts, starts, twin_prev, ub, floor,
       share ``u_0``, and no two start representatives are twins.
 
     Candidate order: the three rules are applied to the unplaced vertices in
-    id order, and the survivors are then expanded least label first, in
-    increasing ``req`` with ties by id, so the first descent is the
+    id order.  Each survivor is kept as ``(label, id, bound)``, its suffix
+    bound computed once, and the survivors are expanded in that tuple order:
+    least label first, ties by id, so the first descent is the
     cheapest-label greedy dive (P_10's probe reaches the improved bound in
     12 nodes, against 194 in id order).  Before each later expansion, the
-    ``remaining`` and ``suffix_bound`` rules are applied again if ``best``
-    has fallen since the survivors were chosen.
+    ``remaining`` and ``suffix_bound`` rules are applied again, to the kept
+    label and bound, if ``best`` has fallen since the survivors were chosen.
 
     Branch-and-bound stays exact under any candidate order: both rules remove
     only subtrees whose leaves that end at least as deep as they start are no
@@ -298,7 +299,7 @@ def _search(p, dist, diam, level, eps, xi_cuts, starts, twin_prev, ub, floor,
     the same candidate order, but not always the sequence of improvements or
     the order returned: a subtree cut by the reversal rule may hold a better
     leaf that ends shallower.  Two twins have equal ``req`` and equal level,
-    so they survive or are cut together, and the stable sort keeps the
+    so they survive or are cut together, and the tie by id keeps the
     smaller twin first, as the twin rule needs.  The order depends only on
     ``req`` and ids, so a node budget still stops at a deterministic node.
 
@@ -373,26 +374,25 @@ def _search(p, dist, diam, level, eps, xi_cuts, starts, twin_prev, ub, floor,
             if lab + remaining_after >= best:
                 pruned_remaining += 1
                 continue
-            lu = level[u]
-            if remaining_after and lab + suffix_base + cut[lu] + (
-                    end2 if lu == lo1 else end1 if depth else lu) >= best:
-                pruned_suffix += 1
-                continue
-            survivors.append(u)
-        if len(survivors) > 1:
-            survivors.sort(key=req.__getitem__)  # stable: ties stay in id order
+            bound = lab  # with no suffix, what the remaining rule tests
+            if remaining_after:
+                lu = level[u]
+                bound += suffix_base + cut[lu] + (end2 if lu == lo1 else end1 if depth else lu)
+                if bound >= best:
+                    pruned_suffix += 1
+                    continue
+            survivors.append((lab, u, bound))
+        survivors.sort()  # least label first, ties by id
         cut_at = best
-        for u in survivors:
-            lab = req[u]
-            lu = level[u]
+        for lab, u, bound in survivors:
             if best < cut_at:  # an earlier sibling improved on best: cut again
                 if lab + remaining_after >= best:
                     pruned_remaining += 1
                     continue
-                if remaining_after and lab + suffix_base + cut[lu] + (
-                        end2 if lu == lo1 else end1 if depth else lu) >= best:
+                if bound >= best:
                     pruned_suffix += 1
                     continue
+            lu = level[u]
             if nodes == next_check:
                 if nodes == node_limit or (deadline is not None
                                            and time.monotonic() > deadline):
@@ -426,14 +426,16 @@ def _probe_bounds(m: TreeMetrics) -> tuple:
     argument of :func:`_search` proves for every tree: at depth 0 it bounds
     every span by ``(p-1)(d+eps) - 2L(T) + L(x_0) + L(x_r)``, and at most one
     of the distinct ends ``x_0, x_r`` is the center when ``eps = 1``, so
-    ``L(x_0) + L(x_r) >= eps``.  ``target`` is the
-    span the probe looks for first: the improved bound on two-branch trees
-    with p > 3 (P_3 has rn 3, below its improved bound of 4), else ``proven``.
+    ``L(x_0) + L(x_r) >= eps``.  ``target`` is the span the probe looks for
+    first: the improved bound on two-branch trees, else ``proven``.  The
+    probe proves its target and never trusts it: on P_3, whose rn 3 lies
+    below its improved bound of 4, it finds a span of 3 <= ``proven`` and
+    stops there.
     """
     if m.diameter < 2:
         return 0, 0
     proven = lower_bound_basic(m)
-    if m.two_branch and m.p > 3:
+    if m.two_branch:
         return proven, lower_bound_improved(m)
     return proven, proven
 

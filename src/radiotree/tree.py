@@ -9,7 +9,8 @@ consume are derived here once per tree and carried in :class:`TreeMetrics`:
   with no weight computed as the centroids (see :func:`metrics`),
 * per-vertex levels ``L(u)`` (distance to the nearest weight center) and the
   total level ``L(T)``,
-* the branches of ``T - W`` and whether the tree is two-branch,
+* the branches of ``T - W``, each named by its one level-1 vertex, and
+  whether the tree is two-branch (has two level-1 vertices),
 * the remote set ``S`` (vertices of level at least ceil(d/2), resp. floor(d/2)
   when there are two centers) and the increment ``xi`` it contributes to the
   improved lower bound.
@@ -25,9 +26,9 @@ identity is the only pairwise distance on :class:`TreeMetrics`; the full
 table of :func:`distance_matrix` is built only by the exact solver.
 
 The independent verifier (:func:`radiotree.labelling.verify_labelling`) uses
-none of this.  It reroots its own BFS tree at the middle vertex of a longest
-path, so every vertex is at depth at most ``ceil(d/2)``: a pair in different
-subtrees of that root is ``depth(u) + depth(v)`` apart.  A pair in one
+none of these metrics.  It reroots its own BFS tree at the middle vertex of a
+longest path, so every vertex is at depth at most ``ceil(d/2)``: a pair in
+different subtrees of that root is ``depth(u) + depth(v)`` apart.  A pair in one
 subtree with label gap ``g`` violates iff its two root paths meet at depth
 at least ``h = ceil((depth(u) + depth(v) - (d - g)) / 2)``, so each side
 climbs parent pointers only down to depth ``h``, not to the meeting vertex.
@@ -205,7 +206,9 @@ class TreeMetrics:
     epsilon: int
     level: tuple  # L(u) per vertex
     total_level: int
-    branch_id: tuple  # per vertex; weight centers carry CENTER_BRANCH
+    # per vertex, its branch of T - W named by the branch's level-1 vertex,
+    # the one on its path to its center; weight centers carry CENTER_BRANCH
+    branch_id: tuple
     remote_set: frozenset
     xi: int
     two_branch: bool  # T - W has two components, so d >= 2: P_1, P_2 have none
@@ -275,12 +278,13 @@ def metrics(tree: Tree) -> TreeMetrics:
     cset = frozenset(centers)
     eps = 2 - len(centers)
 
-    # Levels, predecessors, owning centers and branch tops (the level-1
-    # vertex above): the BFS tree rerooted at the centers, the walk from 0
-    # turned round.  The walk backwards, then the BFS order, puts parents first.
+    # Levels, predecessors, owning centers and branch ids (the level-1
+    # vertex above, which names the branch): the BFS tree rerooted at the
+    # centers, the walk from 0 turned round.  The walk backwards, then the
+    # BFS order, puts parents first.
     for u, v in zip(walk[1:], walk):
         parent[v] = u
-    level, center_of, top = [-1] * p, [-1] * p, [-1] * p
+    level, center_of, top = [-1] * p, [-1] * p, [CENTER_BRANCH] * p
     for c in centers:
         parent[c], level[c], center_of[c] = -1, 0, c
     for v in chain(reversed(walk), order0):
@@ -290,18 +294,8 @@ def metrics(tree: Tree) -> TreeMetrics:
             top[v] = v if level[u] == 0 else top[u]
     total = sum(level)
 
-    # Branches: components of T - W, numbered by smallest contained vertex,
-    # which is the order in which their tops first appear in ``top``.
-    tops = dict.fromkeys(top)
-    tops.pop(-1, None)  # the centers' top
-    index = dict(zip(tops, range(len(tops))))
-    index[-1] = CENTER_BRANCH
-    branch = tuple(map(index.__getitem__, top))
-
-    if len(centers) == 1:
-        threshold = -(-diam // 2)  # ceil(d/2)
-    else:
-        threshold = diam // 2
+    # ceil(d/2) with one center, floor(d/2) with two
+    threshold = (diam + eps) // 2
     remote = frozenset(v for v in range(p) if level[v] >= threshold) if p > 1 else frozenset()
     if len(centers) == 1:
         xi = len(remote) // 2
@@ -315,10 +309,10 @@ def metrics(tree: Tree) -> TreeMetrics:
         epsilon=eps,
         level=tuple(level),
         total_level=total,
-        branch_id=branch,
+        branch_id=tuple(top),
         remote_set=remote,
         xi=xi,
-        two_branch=(len(tops) == 2),
+        two_branch=level.count(1) == 2,  # one level-1 vertex per branch
         parent=tuple(parent),
         center_of=tuple(center_of),
     )

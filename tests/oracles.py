@@ -99,9 +99,8 @@ class Ref:
         self.basic = (p - 1) * (self.diameter + self.epsilon) - 2 * self.total_level + self.epsilon
         self.improved = self.basic + self.xi  # for a two-branch tree
         # the exact solver's (proven, target): the basic bound (0 when d < 2),
-        # and first the improved bound on a two-branch tree with p > 3 (P_3
-        # has rn 3, below its improved bound 4)
-        target = self.improved if self.two_branch and p > 3 else self.basic
+        # and first the improved bound on a two-branch tree
+        target = self.improved if self.two_branch else self.basic
         self.probe_bounds = (0, 0) if self.diameter < 2 else (self.basic, target)
 
 

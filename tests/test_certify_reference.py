@@ -74,9 +74,10 @@ def certify(m, order):
 
 def branch_alternating(m, rng):
     """The two branches of T - W interleaved, each deepest first or shuffled,
-    the larger one first, with the weight centers at random slots."""
-    sides = [[v for v in range(m.p) if m.branch_id[v] == b]
-             for b in sorted(set(m.branch_id) - {CENTER_BRANCH})]
+    the larger one first, with the weight centers at random slots.  The
+    sides are drawn in the order of their least vertices."""
+    sides = sorted([v for v in range(m.p) if m.branch_id[v] == b]
+                   for b in set(m.branch_id) - {CENTER_BRANCH})
     for side in sides:
         rng.shuffle(side)
         if rng.random() < 0.5:

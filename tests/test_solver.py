@@ -37,7 +37,13 @@ def spider(legs):
 
 class TestKnownValues:
     def test_p3(self):
-        assert exact_rn(path(3)).rn == 3
+        # P_3's rn 3 lies below its improved bound 4: the probe looks for a
+        # span <= 4, finds 3 at the proven basic bound and stops there
+        assert solver._probe_bounds(metrics(path(3))) == (3, 4)
+        res = exact_rn(path(3))
+        assert res.rn == 3 and res.stats.completed and res.stats.lower_bound == 3
+        res = exact_rn(path(3), max_nodes=1)
+        assert not res.stats.completed and res.stats.lower_bound == 3 <= res.rn
 
     def test_p4(self):
         assert exact_rn(path(4)).rn == 5

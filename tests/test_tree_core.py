@@ -337,9 +337,14 @@ def assert_metrics_match_table(tree):
     assert (m.epsilon, m.total_level, m.xi, m.two_branch) \
         == (ref.epsilon, ref.total_level, ref.xi, ref.two_branch)
     assert m.remote_set == ref.remote
-    branches = {b: {v for v in range(tree.p) if m.branch_id[v] == b} for b in m.branch_id}
-    assert branches.pop(CENTER_BRANCH) == ref.centers
-    assert set(map(frozenset, branches.values())) == ref.branches
+    # each branch of T - W is named by its one level-1 vertex: for v, the
+    # one on its path to its center, L(v) - 1 steps from v
+    firsts = [t for t in range(tree.p) if ref.level[t] == 1]
+    for v in range(tree.p):
+        on_path = [t for t in firsts if d[t][v] == ref.level[v] - 1]
+        assert len(on_path) == (v not in ref.centers)
+        assert m.branch_id[v] == (on_path[0] if on_path else CENTER_BRANCH)
+    assert m.two_branch == (len(firsts) == 2)
     # levels, predecessors and owning centers as a BFS from the centers gives
     centers = m.weight_centers
     for v in range(tree.p):

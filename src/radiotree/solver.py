@@ -31,9 +31,14 @@ completion through it already reaches the incumbent.  The second is the
 paper's basic bound on the unplaced suffix; on a two-branch tree it is
 raised by a proven term for the remote vertices still to be placed, the
 suffix's share of the improved bound's xi, and on any tree by the reversal
-rule's floor on the level of the last vertex.  The survivors are expanded
-least label first, ties by id, so the first descent is a greedy dive that
-finds a low incumbent early (see :func:`_search`).
+rule's floor on the level of the last vertex.  The term splits on whether
+the last vertex is remote: if it is not, one more remote vertex has an
+inner position and the term may count it; if it is, the last vertex lies at
+the remote threshold or deeper, which raises the floor on its level.  The
+bound takes the smaller case.  The survivors are expanded least label
+first, ties by id, so the first descent is a greedy dive that finds a low
+incumbent early (see :func:`_search`).  A search that finds a better order
+keeps the labels it placed along it, and the witness is that labelling.
 
 Resource limits: a wall-clock ``timeout_s`` and a deterministic node budget
 ``max_nodes``.  When either stops the search, the result carries the proven
@@ -128,41 +133,44 @@ def _twin_prev(adjacency) -> list:
 
 
 def _xi_cuts(level, diam, eps, two_branch) -> tuple:
-    """``(cuts, b0, shift)``: the remote-vertex term of :func:`_search`'s
+    """``(cuts, thr, b0, shift)``: the remote-vertex term of :func:`_search`'s
     ``suffix_bound`` as tables.  With B the number of unplaced remote
     vertices less twice the number of unplaced weight centers, the search
     carries ``b = B + 2|W| >= 0``: ``b0 = |S|`` at the root, and placing a
     vertex at level ``lv`` adds ``shift[lv]``.  ``cuts[b][lv]`` is ``lv``
     plus the term for a candidate at level ``lv`` (level 0 is a center,
-    levels from ``(diam + eps) // 2`` up are remote).  On a tree that is not
-    two-branch every term is 0 and ``b`` stays 0.
+    levels from ``thr = (diam + eps) // 2`` up are remote) when the last
+    vertex may be remote.  When it is not, one more position is free, which
+    is the term of ``b + 1``: ``cuts[b + 1][lv]``.  On a tree that is not
+    two-branch every term is 0, ``b`` stays 0 and ``thr`` is 0.
     """
     levels = range(max(level) + 1)
     if not two_branch:
-        return [list(levels)], 0, [0] * len(levels)
-    threshold = (diam + eps) // 2
+        return [list(levels)] * 2, 0, 0, [0] * len(levels)
+    thr = (diam + eps) // 2
     c = 1 if eps == 1 and diam % 2 == 0 else 2
     w = 2 - eps
     # a candidate at level lv leaves k >= B + kind[lv] free positions, and
     # the term is c * ceil(k / 2) = c * ((k + 1) // 2) when k > 0
-    kind = [0 if lv == 0 else -2 if lv >= threshold else -1 for lv in levels]
-    shift = [2 if lv == 0 else -1 if lv >= threshold else 0 for lv in levels]
-    b0 = sum(lv >= threshold for lv in level)
+    kind = [0 if lv == 0 else -2 if lv >= thr else -1 for lv in levels]
+    shift = [2 if lv == 0 else -1 if lv >= thr else 0 for lv in levels]
+    b0 = sum(lv >= thr for lv in level)
     cuts = [[lv + c * (max(0, b - 2 * w + kind[lv] + 1) // 2) for lv in levels]
-            for b in range(b0 + 2 * w + 1)]
-    return cuts, b0, shift
+            for b in range(b0 + 2 * w + 2)]
+    return cuts, thr, b0, shift
 
 
 def _search(p, dist, diam, level, eps, xi_cuts, starts, twin_prev, ub, floor,
             deadline, max_nodes):
     """Depth-first branch-and-bound over vertex orders with greedy completion.
 
-    Returns (span, order, nodes, pruned, completed, improvements): the least
-    span found below the threshold ``ub`` and its order, the first one found
-    at each improvement, or ``(ub, None, ...)`` when no order spans less than
-    ``ub``; ``improvements`` lists ``(nodes, span)`` at each improvement, the
-    node count being that of the search so far.  The incumbent order is held
-    by :func:`exact_rn`, not here.  The search
+    Returns (span, labels, nodes, pruned, completed, improvements): the
+    least span found below the threshold ``ub`` and, as a vertex -> label
+    dict, the labels the search placed along the first order that reached
+    it (the greedy completion of that order), or ``(ub, None, ...)`` when
+    no order spans less than ``ub``; ``improvements`` lists ``(nodes, span)``
+    at each improvement, the node count being that of the search so far.
+    The incumbent labelling is held by :func:`exact_rn`, not here.  The search
     stops as soon as the span found is ``<= floor``, which the caller must
     have proved is a lower bound on the span of every order.  ``deadline`` is
     a monotonic timestamp and ``max_nodes`` a node budget (either may be
@@ -253,6 +261,22 @@ def _search(p, dist, diam, level, eps, xi_cuts, starts, twin_prev, ub, floor,
       center.  ``B`` is passed down as the level sum is, and the term is
       read per candidate level from a table.
 
+      The bound splits on whether the last vertex ``x_r`` is remote, and
+      takes the smaller of the two cases, so it is never below the count
+      above, which charges the last position as if ``x_r`` were remote:
+
+      - If ``x_r`` is not remote, every remote vertex of ``R`` lies at a
+        position ``0 < i < r``, so the ``- 1`` for the last position goes:
+        each of the three counts of ``k`` rises by 1, which is the term
+        read at ``b + 1``.  The floor on ``L(x_r)`` stays ``E = max(min
+        L(R), L(u_0))``, the reversal rule's floor.
+      - If ``x_r`` is remote, ``k`` is counted as above, and ``L(x_r) >=
+        thr = (diam + eps) // 2``, the least remote level, so the floor on
+        ``L(x_r)`` is ``max(E, thr)``.
+
+      On a tree that is not two-branch both terms are 0 and ``thr`` is 0,
+      so the split changes nothing there.
+
     Reversal rule: ``suffix_bound`` need only hold for the completions that
     end at least as deep as they start, ``L(x_r) >= L(u_0)`` with ``u_0``
     the first vertex of the order (``order[0]``, or the candidate itself at
@@ -313,7 +337,7 @@ def _search(p, dist, diam, level, eps, xi_cuts, starts, twin_prev, ub, floor,
     rests on the paper's improved bound.
     """
     best = ub
-    best_order = None
+    best_labels = None
     improvements = []
     nodes = 0
     pruned_twin = 0
@@ -323,11 +347,12 @@ def _search(p, dist, diam, level, eps, xi_cuts, starts, twin_prev, ub, floor,
     node_limit = float("inf") if max_nodes is None else max_nodes
     next_check = min(LIMIT_CHECK_INTERVAL, node_limit)
     step = diam + eps
-    cuts, b0, shift = xi_cuts
+    cuts, thr, b0, shift = xi_cuts
     if best <= floor:
         return best, None, 0, {"twin": 0, "remaining": 0, "suffix_bound": 0}, True, []
 
     order = [0] * p
+    labels = [0] * p  # labels[i] is the label of order[i]
     # placed[-1] is a sentinel that stays True, so twin_prev -1 never skips
     placed = [False] * p + [True]
     unplaced_at_level = [0] * (max(level) + 1)
@@ -335,12 +360,12 @@ def _search(p, dist, diam, level, eps, xi_cuts, starts, twin_prev, ub, floor,
         unplaced_at_level[lv] += 1
 
     def extend(depth, span, req, unplaced_level_sum, b):
-        nonlocal best, best_order, nodes, pruned_twin, pruned_remaining, pruned_suffix
+        nonlocal best, best_labels, nodes, pruned_twin, pruned_remaining, pruned_suffix
         nonlocal halted, limited, next_check
         if depth == p:
             if span < best:
                 best = span
-                best_order = order[:p]
+                best_labels = dict(zip(order, labels))
                 improvements.append((nodes, span))
                 halted = span <= floor
             return
@@ -356,7 +381,9 @@ def _search(p, dist, diam, level, eps, xi_cuts, starts, twin_prev, ub, floor,
                 while not unplaced_at_level[lo2]:
                     lo2 += 1
             suffix_base = remaining_after * step - 2 * unplaced_level_sum
-            cut = cuts[b]  # level plus remote-vertex term, per candidate level
+            # level plus remote-vertex term, per candidate level, when the
+            # last vertex may be remote (cut) and when it is not (cut1)
+            cut, cut1 = cuts[b], cuts[b + 1]
             # the least level of the last vertex, max(min L(R), L(u_0)): end2
             # for a candidate at level lo1, end1 for any other, and at depth
             # 0, where the candidate is u_0, its own level unless it is lo1
@@ -377,7 +404,12 @@ def _search(p, dist, diam, level, eps, xi_cuts, starts, twin_prev, ub, floor,
             bound = lab  # with no suffix, what the remaining rule tests
             if remaining_after:
                 lu = level[u]
-                bound += suffix_base + cut[lu] + (end2 if lu == lo1 else end1 if depth else lu)
+                end = end2 if lu == lo1 else end1 if depth else lu
+                # the last vertex is not remote (one more free position),
+                # or it is and lies at level thr or deeper: the smaller holds
+                not_remote = cut1[lu] + end
+                remote = cut[lu] + (end if end > thr else thr)
+                bound += suffix_base + (not_remote if not_remote < remote else remote)
                 if bound >= best:
                     pruned_suffix += 1
                     continue
@@ -401,6 +433,7 @@ def _search(p, dist, diam, level, eps, xi_cuts, starts, twin_prev, ub, floor,
                 next_check = min(nodes + LIMIT_CHECK_INTERVAL, node_limit)
             nodes += 1
             order[depth] = u
+            labels[depth] = lab
             placed[u] = True
             unplaced_at_level[lu] -= 1
             t = lab + diam + 1
@@ -416,7 +449,7 @@ def _search(p, dist, diam, level, eps, xi_cuts, starts, twin_prev, ub, floor,
     extend(0, 0, [0] * p, sum(level), b0)
     pruned = {"twin": pruned_twin, "remaining": pruned_remaining,
               "suffix_bound": pruned_suffix}
-    return best, best_order, nodes, pruned, not limited, improvements
+    return best, best_labels, nodes, pruned, not limited, improvements
 
 
 def _probe_bounds(m: TreeMetrics) -> tuple:
@@ -458,9 +491,9 @@ def exact_rn(tree: Tree, timeout_s: float | None = DEFAULT_TIMEOUT_S,
             f"{tree.p} vertices exceeds the search's recursion depth limit {depth_limit}")
     m = metrics(tree)
     dist = distance_matrix(tree)
-    # The downward search starts from the greedy completion of the identity order.
-    identity = tuple(range(tree.p))
-    seed = greedy_label_from_order(m, identity)
+    # The downward search starts from the greedy completion of the identity
+    # order, which is the witness unless a search finds a better labelling.
+    seed = greedy_label_from_order(m, tuple(range(tree.p)))
     starts = _start_representatives(m)
     twin_prev = _twin_prev(tree.adjacency)
     xi_cuts = _xi_cuts(m.level, m.diameter, m.epsilon, m.two_branch)
@@ -473,27 +506,26 @@ def exact_rn(tree: Tree, timeout_s: float | None = DEFAULT_TIMEOUT_S,
 
     t0 = time.monotonic()
     # Probe: is there a span <= target?
-    span, order, nodes, pruned, completed, found = search(target + 1, proven, max_nodes)
+    span, labels, nodes, pruned, completed, found = search(target + 1, proven, max_nodes)
     lower_bound = proven
-    if completed and order is None:
+    if completed and labels is None:
         # The probe proved rn >= target + 1: search down to that floor.
         lower_bound = target + 1
         budget = None if max_nodes is None else max_nodes - nodes
-        span, order, more, more_pruned, completed, found = search(
+        span, labels, more, more_pruned, completed, found = search(
             seed.span, lower_bound, budget)
         found = [(nodes + at, s) for at, s in found]
         nodes += more
         pruned = {rule: pruned[rule] + more_pruned[rule] for rule in pruned}
-    best, best_order = seed.span, identity
-    if order is not None and span <= best:
-        best, best_order = span, order
+    best, witness = seed.span, seed
+    if labels is not None and span <= best:
+        best, witness = span, RadioLabelling(labels=labels)
     incumbents = [(0, seed.span)]
     incumbents += [(at, s) for at, s in found if s < seed.span]
     if completed:
         lower_bound = best
     elapsed = time.monotonic() - t0
 
-    witness = greedy_label_from_order(m, tuple(best_order))
     ok, pair = verify_labelling(tree, witness)
     if not ok or witness.span != best:
         raise AssertionError(

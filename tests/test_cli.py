@@ -343,11 +343,12 @@ class TestExact:
     def test_node_budget_on_a_larger_tree_reports_interval(self, capsys, write):
         # C(5,4), p = 21: no vertex count is refused, so the search runs
         # until the budget stops it, and the report holds the proven interval
+        # (unbudgeted, the probe completes at rn 53 in 21 nodes)
         path = write("c54.txt", format_tree_text(families.gen_caterpillar(5, 4).tree))
-        code, rep = run_json(capsys, ["exact", path, "--max-nodes", "2000", "--stats", "--json"])
+        code, rep = run_json(capsys, ["exact", path, "--max-nodes", "10", "--stats", "--json"])
         assert code == 4
         exact = rep["exact"]
-        assert exact["completed"] is False and exact["nodes"] == 2000
+        assert exact["completed"] is False and exact["nodes"] == 10
         assert exact["lower_bound"] == rep["bound_basic"] < exact["rn"]
 
     def test_deep_tree_is_a_resource_error(self, capsys, write):

@@ -109,7 +109,7 @@ class TestContract:
         assert stats.lower_bound == 10
 
     def test_timeout_returns_incumbent(self):
-        # rn 45 = improved bound + 3, about 37k nodes: the clock is read
+        # rn 45 = improved bound + 3, about 20k nodes: the clock is read
         res = exact_rn(gen_random_two_branch(12, 1).tree, timeout_s=0.01)
         assert not res.stats.completed
         assert res.rn >= 45  # incumbent is an upper bound only
@@ -135,9 +135,10 @@ class TestContract:
         assert ok and res.witness.span == res.rn
 
     def test_p13_within_node_budget(self):
-        # the probe proves P_13 in 5,277 nodes (11,834 without the reversal
-        # rule, about 22k without the remote-vertex term as well); a downward
-        # search alone needs far more (543,615 in id order)
+        # the probe proves P_13 in 143 nodes (5,277 without the case split
+        # on the last vertex, 11,834 without the reversal rule as well, about
+        # 22k without the remote-vertex term either); a downward search alone
+        # needs far more (543,615 in id order)
         res = exact_rn(path(13), max_nodes=100_000)
         assert res.stats.completed
         assert res.rn == res.stats.lower_bound == 74 == rn_path(13)
@@ -248,16 +249,21 @@ class TestTwinRule:
         assert solver._twin_prev(path(2).adjacency) == [-1, -1]
 
 
-def suffix_bounds(ref, seq):
-    """``(bound, term, lift)`` for each candidate ``seq[t]``, t < p - 1,
+def suffix_bounds(ref, seq, reversal=True):
+    """``(bound, term, lift, gain)`` for each candidate ``seq[t]``, t < p - 1,
     after the prefix ``seq[:t]``: the solver's ``suffix_bound``, the
-    remote-vertex term read from :func:`solver._xi_cuts`, and the reversal
+    remote-vertex term read from :func:`solver._xi_cuts`, the reversal
     rule's lift, ``max(min L(R), L(seq[0])) - min L(R)``, of the last
-    vertex's least level.  The bound holds for orders whose last vertex is
-    at least as deep as the first.  The candidate's label is its greedy
-    label after the prefix; everything else comes from the definitions in
+    vertex's least level, and what the case split on the last vertex adds.
+    The split takes the smaller of two cases: a last vertex that is not
+    remote frees one more position (the term of ``b + 1``), and a remote one
+    lies at level ``thr`` or deeper.  With ``reversal`` the bound holds for
+    orders whose last vertex is at least as deep as the first; without it
+    (no lift), for every order.  The candidate's label is its greedy label
+    after the prefix; everything else comes from the definitions in
     ``oracles.Ref``."""
-    cuts, b, shift = solver._xi_cuts(ref.level, ref.diameter, ref.epsilon, ref.two_branch)
+    cuts, thr, b, shift = solver._xi_cuts(ref.level, ref.diameter, ref.epsilon,
+                                          ref.two_branch)
     f, level = oracles.greedy_labels(ref, seq), ref.level
     rest = sum(level)  # sum L(R), the vertices after the candidate
     for t, u in enumerate(seq[:-1]):
@@ -265,58 +271,65 @@ def suffix_bounds(ref, seq):
         rest -= lu
         term = cuts[b][lu] - lu
         least = min(level[v] for v in seq[t + 1:])
-        last = max(least, level[seq[0]])
+        last = max(least, level[seq[0]]) if reversal else least
+        ends = min(cuts[b + 1][lu] - lu + last, term + max(last, thr))
         yield (f[u] + (len(seq) - 1 - t) * (ref.diameter + ref.epsilon) - lu - 2 * rest
-               + last + term), term, last - least
+               + ends), term, last - least, ends - term - last
         b += shift[lu]
 
 
 class TestSuffixBound:
-    """The suffix bound with the remote-vertex term never exceeds the span of
-    the greedy completion it bounds, and with the reversal lift it does not
-    either when the order ends at least as deep as it starts: on two-branch
-    trees with one center and even or odd diameter and with two centers,
-    and on other trees."""
+    """The suffix bound with the remote-vertex term and the case split on the
+    last vertex never exceeds the span of the greedy completion it bounds,
+    and with the reversal lift it does not either when the order ends at
+    least as deep as it starts: on two-branch trees with one center and even
+    or odd diameter and with two centers, and on other trees."""
 
     @staticmethod
     def check(tree, orders):
-        """``(kind, firing, lifting)``: kind is (|W|, diam % 2); firing and
-        lifting count the checks where the remote-vertex term and the
-        reversal lift are positive.  Every order is checked without the
-        lift; with the lift, an order that ends shallower than it starts is
-        checked reversed, as the search would reach it."""
+        """``(kind, firing, lifting, splitting)``: kind is (|W|, diam % 2);
+        firing, lifting and splitting count the checks where the
+        remote-vertex term, the reversal lift and the split's gain are
+        positive.  Every order is checked without the lift; with the lift,
+        an order that ends shallower than it starts is checked reversed, as
+        the search would reach it.  The split only adds to the bound, so the
+        bound without it holds wherever this one does."""
         ref = oracles.Ref(tree)
-        firing = lifting = 0
+        if ref.two_branch:
+            # a remote vertex lies at level thr or deeper, and one lies at thr
+            thr = solver._xi_cuts(ref.level, ref.diameter, ref.epsilon, True)[1]
+            assert thr == min(ref.level[v] for v in ref.remote)
+        firing = lifting = splitting = 0
         for seq in orders:
-            ends_deep = ref.level[seq[-1]] >= ref.level[seq[0]]
             span = max(oracles.greedy_labels(ref, seq).values())
-            for bound, term, lift in suffix_bounds(ref, seq):
-                # every order: the bound without the lift
-                assert bound - lift <= span, (tree, seq)
+            # every order: the bound without the lift
+            for bound, term, lift, gain in suffix_bounds(ref, seq, reversal=False):
+                assert not lift and bound <= span, (tree, seq)
                 firing += term > 0
-                if ends_deep:
-                    assert bound <= span, (tree, seq)
-                    lifting += lift > 0
-            if not ends_deep:
+                splitting += gain > 0
+            # with the lift: the order as the search would reach it
+            if ref.level[seq[-1]] < ref.level[seq[0]]:
                 seq = seq[::-1]
                 span = max(oracles.greedy_labels(ref, seq).values())
-                for bound, _, lift in suffix_bounds(ref, seq):
-                    assert bound <= span, (tree, seq)
-                    lifting += lift > 0
-        return (len(ref.centers), ref.diameter % 2), firing, lifting
+            for bound, _, lift, gain in suffix_bounds(ref, seq):
+                assert bound <= span, (tree, seq)
+                lifting += lift > 0
+                splitting += gain > 0
+        return (len(ref.centers), ref.diameter % 2), firing, lifting, splitting
 
     def test_random_orders(self):
         rng = random.Random(23)
-        firing, lifting = {}, {}
+        firing, lifting, splitting = {}, {}, {}
         for n in range(8, 16):
             for seed in range(6):
                 tree = gen_random_two_branch(n, seed).tree
                 orders = [tuple(rng.sample(range(n), n)) for _ in range(100)]
-                kind, fired, lifted = self.check(tree, orders)
+                kind, fired, lifted, split = self.check(tree, orders)
                 firing[kind] = firing.get(kind, 0) + fired
                 lifting[kind] = lifting.get(kind, 0) + lifted
+                splitting[kind] = splitting.get(kind, 0) + split
         assert set(firing) == {(1, 0), (1, 1), (2, 0), (2, 1)}
-        assert all(firing.values()) and all(lifting.values())
+        assert all(firing.values()) and all(lifting.values()) and all(splitting.values())
 
     def test_every_order_up_to_seven_vertices(self):
         # (P_4 and the other two-branch trees on 4 vertices never fire the
@@ -325,8 +338,8 @@ class TestSuffixBound:
         for n in range(5, 8):
             for seed in range(2):
                 tree = gen_random_two_branch(n, seed).tree
-                kind, fired, lifted = self.check(tree, itertools.permutations(range(n)))
-                assert fired and lifted
+                kind, fired, lifted, split = self.check(tree, itertools.permutations(range(n)))
+                assert fired and lifted and split
                 kinds.add(kind)
         assert kinds == {(1, 0), (2, 1)}
 
@@ -343,8 +356,8 @@ class TestSuffixBound:
             n = tree.p
             orders = (itertools.permutations(range(n)) if n <= 7 else
                       [tuple(rng.sample(range(n), n)) for _ in range(60)])
-            kind, fired, lifted = self.check(tree, orders)
-            assert not fired
+            kind, fired, lifted, split = self.check(tree, orders)
+            assert not fired and not split
             kinds.add(kind)
             lifting += lifted
         assert kinds == {(1, 0), (1, 1), (2, 0), (2, 1)}
@@ -353,8 +366,10 @@ class TestSuffixBound:
     def test_no_term_off_two_branch_trees(self):
         for tree in (star(4), spider((1, 2, 2)), path(2)):
             m = metrics(tree)
-            cuts, _, shift = solver._xi_cuts(m.level, m.diameter, m.epsilon, m.two_branch)
-            assert cuts == [list(range(max(m.level) + 1))] and not any(shift)
+            cuts, thr, b0, shift = solver._xi_cuts(m.level, m.diameter, m.epsilon,
+                                                   m.two_branch)
+            assert cuts == [list(range(max(m.level) + 1))] * 2
+            assert thr == b0 == 0 and not any(shift)
 
 
 class TestIncumbents:

@@ -12,7 +12,8 @@ flag, lower bound and incumbents, and the same start representatives.
 Without the remote-vertex term (``xi=False``) the reference is the search
 before that term, whose full searches must reach the same answers.  Without
 the reversal rule (``reversal=False``) it is the search before that rule,
-whose full searches must reach the same rn.
+whose full searches must reach the same rn, and so it is without the case
+split on the last vertex (``split=False``).
 """
 
 import random
@@ -29,7 +30,9 @@ from radiotree import (
     gen_lmh,
     gen_path,
     gen_random_two_branch,
+    greedy_label_from_order,
     metrics,
+    order_of,
 )
 from radiotree import solver
 from radiotree.solver import LIMIT_CHECK_INTERVAL
@@ -38,7 +41,7 @@ from radiotree.solver import LIMIT_CHECK_INTERVAL
 
 
 def search_reference(ref, starts, twin_prev, ub, ub_order, floor, max_nodes, by_label=True,
-                     xi=True, reversal=True):
+                     xi=True, reversal=True, split=True):
     """With ``by_label``, the candidates that pass the cuts are expanded in
     increasing ``(req, id)``; without it, in id order, which expands the
     nodes the search once did.  Either way every candidate is cut before the
@@ -50,9 +53,13 @@ def search_reference(ref, starts, twin_prev, ub, ub_order, floor, max_nodes, by_
     bound alone, as the search once was.  With ``reversal``, the suffix cut
     takes the last vertex to be no shallower than the first vertex of the
     order (the candidate itself at depth 0); without it, only no shallower
-    than the least level of the unplaced rest."""
+    than the least level of the unplaced rest.  With ``split``, the suffix
+    cut takes the smaller of two cases: a last vertex that is not remote
+    leaves one more free position, and a remote one lies no shallower than
+    the least remote level; without it, the last position is never free."""
     p, dist, diam, level, eps = ref.p, ref.d, ref.diameter, ref.level, ref.epsilon
     remote, centers = ref.remote, ref.centers
+    least_remote = min((level[v] for v in remote), default=0)
     c = 1 if len(centers) == 1 and diam % 2 == 0 else 2
     with_xi = xi and ref.two_branch and diam >= 2
     best = ub
@@ -103,11 +110,13 @@ def search_reference(ref, starts, twin_prev, ub, ub_order, floor, max_nodes, by_
                     lo2 += 1
             suffix_base = remaining_after * step - 2 * unplaced_level_sum
 
-        def xi_term(u):
+        def free(u):
             # the remote vertices of R, less the last position and the
             # positions beside a center: u, if a center, and each center of R
-            k = (unplaced_remote - (u in remote) - 1 - (u in centers)
-                 - 2 * (unplaced_centers - (u in centers)))
+            return (unplaced_remote - (u in remote) - 1 - (u in centers)
+                    - 2 * (unplaced_centers - (u in centers)))
+
+        def xi_term(k):
             return c * -(-k // 2) if with_xi and k > 0 else 0
 
         def cut(u):
@@ -122,7 +131,13 @@ def search_reference(ref, starts, twin_prev, ub, ub_order, floor, max_nodes, by_
             last = lo2 if lu == lo1 else lo1  # min L(R)
             if reversal:
                 last = max(last, level[order[0]] if depth else lu)
-            if lab + suffix_base + lu + last + xi_term(u) >= best:
+            k = free(u)
+            ends = last + xi_term(k)
+            if split:
+                # the last position is free unless its vertex is remote, and
+                # then that vertex lies at the least remote level or deeper
+                ends = min(last + xi_term(k + 1), max(last, least_remote) + xi_term(k))
+            if lab + suffix_base + lu + ends >= best:
                 pruned_suffix += 1
                 return True
             return False
@@ -180,7 +195,7 @@ def search_reference(ref, starts, twin_prev, ub, ub_order, floor, max_nodes, by_
     return best, best_order, nodes, pruned, not limited, improvements
 
 
-def exact_rn_reference(tree, max_nodes, by_label=True, xi=True, reversal=True):
+def exact_rn_reference(tree, max_nodes, by_label=True, xi=True, reversal=True, split=True):
     """(rn, witness labels, nodes, pruned, completed, lower_bound, incumbents)."""
     ref = oracles.Ref(tree)
     seed = oracles.greedy_labels(ref, tuple(range(tree.p)))
@@ -191,7 +206,7 @@ def exact_rn_reference(tree, max_nodes, by_label=True, xi=True, reversal=True):
 
     def search(ub, ub_order, floor, budget):
         return search_reference(ref, starts, twin_prev, ub, ub_order, floor, budget, by_label,
-                                xi, reversal)
+                                xi, reversal, split)
 
     best, best_order, nodes, pruned, completed, found = search(
         target + 1, None, proven, max_nodes)
@@ -247,8 +262,9 @@ class TestSearchAgainstReference:
 
     @pytest.mark.parametrize("max_nodes", [None, 10_000, 100])
     def test_p12_tree_above_its_improved_bound(self, max_nodes):
-        # rn 45 = improved bound + 3, 36,775 nodes unbounded (before the
-        # reversal rule 55,645, and 90,537 in id order): both phases run
+        # rn 45 = improved bound + 3, 19,579 nodes unbounded (36,775 before
+        # the case split on the last vertex, 55,645 before the reversal rule
+        # as well, and 90,537 in id order): both phases run
         tree = gen_random_two_branch(12, 1).tree
         assert outcome(tree, max_nodes) == exact_rn_reference(tree, max_nodes)
 
@@ -295,6 +311,28 @@ class TestSearchAgainstReference:
             assert max(labels.values()) == rn
             nodes, nodes0, fewer = nodes + n, nodes0 + n0, fewer + (n < n0)
         assert nodes < nodes0 and fewer > 0
+
+    def test_split_rule_keeps_the_answers(self):
+        # the case split on the last vertex raises the suffix bound only
+        # where the larger bound is proven: rn, completion and lower bound
+        # are kept, and nodes fall in total
+        nodes = nodes0 = 0
+        for tree in solver_grid():
+            rn, _, n, _, completed, lower_bound, _ = exact_rn_reference(tree, None)
+            rn0, _, n0, _, completed0, lower_bound0, _ = exact_rn_reference(
+                tree, None, split=False)
+            assert (rn, completed, lower_bound) == (rn0, completed0, lower_bound0)
+            nodes, nodes0 = nodes + n, nodes0 + n0
+        assert nodes < nodes0
+
+    @pytest.mark.parametrize("max_nodes", [None, 7])
+    def test_witness_is_the_greedy_completion_of_its_order(self, max_nodes):
+        # the search keeps the labels it placed, which are the greedy
+        # completion of the order they induce
+        for tree in solver_grid():
+            witness = exact_rn(tree, max_nodes=max_nodes, timeout_s=None).witness
+            m = metrics(tree)
+            assert witness == greedy_label_from_order(m, order_of(witness))
 
     def test_grid_reaches_every_phase(self):
         # at a budget of 50 nodes, some searches settle and some stop, each

@@ -11,7 +11,9 @@ LB, the paper's improved bound on two-branch trees and the basic bound
 otherwise.  When none exists the probe has proved rn >= LB + 1, and a
 downward search from a greedy incumbent stops as soon as it reaches that
 floor.  LB only decides where the search looks first; every answer rests on
-complete pruned searches (see :func:`_search`).
+complete pruned searches (see :func:`_search`).  The set-up reads one table:
+the distance rows, which :func:`radiotree.tree.distance_matrix` builds from
+one BFS, serve the search and the greedy incumbent alike.
 
 Symmetry reduction, by three rules.  The first vertex of the order only
 ranges over one representative per orbit of the tree's automorphisms: an
@@ -53,11 +55,12 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass
+from operator import sub
 from typing import Mapping
 
 from .bounds import lower_bound_basic, lower_bound_improved
 from .errors import OrderTooLarge
-from .labelling import RadioLabelling, greedy_label_from_order, verify_labelling
+from .labelling import RadioLabelling, verify_labelling
 from .tree import Tree, TreeMetrics, distance_matrix, metrics
 
 DEFAULT_TIMEOUT_S = 300.0
@@ -108,7 +111,8 @@ def _start_representatives(m: TreeMetrics) -> list:
     code = [0] * m.p
     codes = {}
     for u in reversed(by_level):  # children before parents
-        code[u] = codes.setdefault(tuple(sorted(children[u])), len(codes))
+        children[u].sort()
+        code[u] = codes.setdefault(tuple(children[u]), len(codes))
         if parent[u] >= 0:
             children[parent[u]].append(code[u])
     orbit = [-1] * (m.p + 1)  # orbit[-1] is the parentless centers' "parent"
@@ -144,20 +148,37 @@ def _xi_cuts(level, diam, eps, two_branch) -> tuple:
     is the term of ``b + 1``: ``cuts[b + 1][lv]``.  On a tree that is not
     two-branch every term is 0, ``b`` stays 0 and ``thr`` is 0.
     """
-    levels = range(max(level) + 1)
+    top = max(level) + 1
     if not two_branch:
-        return [list(levels)] * 2, 0, 0, [0] * len(levels)
-    thr = (diam + eps) // 2
+        return [list(range(top))] * 2, 0, 0, [0] * top
+    thr = (diam + eps) // 2  # 1 <= thr < top on a two-branch tree
     c = 1 if eps == 1 and diam % 2 == 0 else 2
     w = 2 - eps
-    # a candidate at level lv leaves k >= B + kind[lv] free positions, and
-    # the term is c * ceil(k / 2) = c * ((k + 1) // 2) when k > 0
-    kind = [0 if lv == 0 else -2 if lv >= thr else -1 for lv in levels]
-    shift = [2 if lv == 0 else -1 if lv >= thr else 0 for lv in levels]
+    shift = [2] + [0] * (thr - 1) + [-1] * (top - thr)
     b0 = sum(lv >= thr for lv in level)
-    cuts = [[lv + c * (max(0, b - 2 * w + kind[lv] + 1) // 2) for lv in levels]
-            for b in range(b0 + 2 * w + 2)]
+    # a candidate leaves k >= B + kind free positions, kind 0 for a center,
+    # -1 for an inner vertex and -2 for a remote one, and the term is
+    # c * ceil(k / 2) = c * ((k + 1) // 2) when k > 0: term[b + 2 + kind]
+    term = [c * (max(0, j - 2 * w - 1) // 2) for j in range(b0 + 2 * w + 4)]
+    cuts = [[term[b + 2], *range(1 + term[b + 1], thr + term[b + 1]),
+             *range(thr + term[b], top + term[b])] for b in range(b0 + 2 * w + 2)]
     return cuts, thr, b0, shift
+
+
+def _identity_labels(dist, diam) -> list:
+    """The greedy completion of the identity order ``0, 1, ..., p - 1``,
+    read off the distance rows: ``labels[u]`` is the least label at or above
+    every ``labels[w] + diam + 1 - dist[u][w]``, ``w < u``.  As in
+    :func:`radiotree.labelling.greedy_label_from_order`, only the placed
+    vertices labelled above ``labels[u - 1] - diam`` can set that max, and
+    the labels increase, so the window's start only moves forward."""
+    labels = [0]
+    start = 0
+    for u in range(1, len(dist)):
+        while labels[start] <= labels[-1] - diam:
+            start += 1
+        labels.append(max(map(sub, labels[start:], dist[u][start:u])) + diam + 1)
+    return labels
 
 
 def _search(p, dist, diam, level, eps, xi_cuts, starts, twin_prev, ub, floor,
@@ -493,7 +514,8 @@ def exact_rn(tree: Tree, timeout_s: float | None = DEFAULT_TIMEOUT_S,
     dist = distance_matrix(tree)
     # The downward search starts from the greedy completion of the identity
     # order, which is the witness unless a search finds a better labelling.
-    seed = greedy_label_from_order(m, tuple(range(tree.p)))
+    seed = _identity_labels(dist, m.diameter)
+    seed_span = seed[-1]
     starts = _start_representatives(m)
     twin_prev = _twin_prev(tree.adjacency)
     xi_cuts = _xi_cuts(m.level, m.diameter, m.epsilon, m.two_branch)
@@ -513,15 +535,16 @@ def exact_rn(tree: Tree, timeout_s: float | None = DEFAULT_TIMEOUT_S,
         lower_bound = target + 1
         budget = None if max_nodes is None else max_nodes - nodes
         span, labels, more, more_pruned, completed, found = search(
-            seed.span, lower_bound, budget)
+            seed_span, lower_bound, budget)
         found = [(nodes + at, s) for at, s in found]
         nodes += more
         pruned = {rule: pruned[rule] + more_pruned[rule] for rule in pruned}
-    best, witness = seed.span, seed
-    if labels is not None and span <= best:
+    if labels is not None and span <= seed_span:
         best, witness = span, RadioLabelling(labels=labels)
-    incumbents = [(0, seed.span)]
-    incumbents += [(at, s) for at, s in found if s < seed.span]
+    else:
+        best, witness = seed_span, RadioLabelling(labels=dict(enumerate(seed)))
+    incumbents = [(0, seed_span)]
+    incumbents += [(at, s) for at, s in found if s < seed_span]
     if completed:
         lower_bound = best
     elapsed = time.monotonic() - t0

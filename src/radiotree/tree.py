@@ -23,7 +23,10 @@ in different branches of ``T - W`` (or a weight center and any other vertex)
 have ``phi = 0``, so their distance is ``L(u) + L(v) + delta(u, v)`` from the
 levels alone; only a pair inside one branch climbs parent pointers.  This
 identity is the only pairwise distance on :class:`TreeMetrics`; the full
-table of :func:`distance_matrix` is built only by the exact solver.
+table of :func:`distance_matrix` is built only by the exact solver.  That
+table runs one BFS: each vertex's row is its BFS parent's row plus 1, minus
+2 on the vertex's own subtree, so it costs p row copies and the sum of the
+subtree sizes rather than p BFS runs.
 
 The independent verifier (:func:`radiotree.labelling.verify_labelling`) uses
 none of these metrics.  It reroots its own BFS tree at the middle vertex of a
@@ -192,8 +195,26 @@ def _bfs(adjacency, sources: Sequence) -> tuple:
 
 
 def distance_matrix(tree: Tree) -> list:
-    """Full p x p distance table, a fresh list of lists, for all-pairs users."""
-    return [_bfs(tree.adjacency, [s])[0] for s in range(tree.p)]
+    """Full p x p distance table, a fresh list of lists, for all-pairs users.
+
+    One BFS from vertex 0 gives row 0 and the BFS tree.  Every other row is
+    built from its BFS parent's row: stepping from u to its child v moves one
+    edge away from every vertex but those on v's side of the edge, the
+    subtree of v, which it moves one edge closer to.  So row v is row u plus
+    1 everywhere, minus 2 on v's subtree.  The subtrees are listed bottom-up,
+    so the table costs p row copies plus the sum of the subtree sizes, which
+    is p times the mean depth below vertex 0, in place of p BFS runs.
+    """
+    row0, parent, order = _bfs(tree.adjacency, [0])
+    subtree = [[v] for v in range(tree.p)]
+    for v in reversed(order[1:]):
+        subtree[parent[v]] += subtree[v]
+    rows = [row0] * tree.p
+    for v in order[1:]:  # parents first
+        rows[v] = row = [d + 1 for d in rows[parent[v]]]
+        for x in subtree[v]:
+            row[x] -= 2
+    return rows
 
 
 @dataclass(frozen=True)

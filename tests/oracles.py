@@ -52,6 +52,29 @@ def pruefer_tree(p, seed):
     return _decode_pruefer([rng.randrange(p) for _ in range(p - 2)])
 
 
+def rooted_trees(p):
+    """Every rooted tree on p vertices once, as the edges ``(i, parent)`` of
+    its canonical level sequence (Beyer and Hedetniemi, 1980): vertex i is at
+    depth ``seq[i]`` in preorder, below the last earlier vertex one level up.
+    Every unrooted tree is among them, rooted at each of its vertices."""
+    seq = list(range(p))  # the path, the first sequence
+    while True:
+        last = {}
+        edges = []
+        for i, depth in enumerate(seq):
+            if depth:
+                edges.append((i, last[depth - 1]))
+            last[depth] = i
+        yield edges
+        deep = [i for i in range(p) if seq[i] > 1]
+        if not deep:
+            return  # the star, the last sequence
+        i = deep[-1]
+        j = max(k for k in range(i) if seq[k] == seq[i] - 1)
+        for k in range(i, p):
+            seq[k] = seq[k - (i - j)]
+
+
 # --- distances and the metrics they define ------------------------------------
 
 

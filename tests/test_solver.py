@@ -18,6 +18,7 @@ from radiotree import (
     lower_bound_basic,
     lower_bound_improved,
     metrics,
+    rn_caterpillar,
     rn_path,
     verify_labelling,
 )
@@ -149,6 +150,20 @@ class TestContract:
         assert a.rn == b.rn
         assert a.stats.nodes == b.stats.nodes
         assert a.witness.labels == b.witness.labels
+
+
+class TestLongDives:
+    # tight trees: the first least-label-first dive reaches the closed form,
+    # which the probe proves, so the search takes about p nodes
+    def test_path_700(self):
+        res = exact_rn(path(700))
+        assert res.stats.completed and res.stats.nodes == 961
+        assert res.rn == res.stats.lower_bound == rn_path(700) == 244_301
+
+    def test_caterpillar_5_150(self):
+        res = exact_rn(gen_caterpillar(5, 150).tree)
+        assert res.stats.completed and res.stats.nodes == 605
+        assert res.rn == res.stats.lower_bound == rn_caterpillar(5, 150) == 1_367
 
 
 def probe_outcome(tree, rn):

@@ -24,6 +24,7 @@ import oracles
 from oracles import random_tree, star
 from radiotree import (
     build_tree,
+    distance_matrix,
     exact_rn,
     gen_caterpillar,
     gen_levelwise,
@@ -333,6 +334,14 @@ class TestSearchAgainstReference:
             witness = exact_rn(tree, max_nodes=max_nodes, timeout_s=None).witness
             m = metrics(tree)
             assert witness == greedy_label_from_order(m, order_of(witness))
+
+    def test_identity_seed_is_the_greedy_completion_of_the_identity_order(self):
+        # exact_rn reads its seed off the distance rows; the greedy completion
+        # of an order is unique, so it is greedy_label_from_order's
+        for tree in solver_grid():
+            m = metrics(tree)
+            seed = solver._identity_labels(distance_matrix(tree), m.diameter)
+            assert dict(enumerate(seed)) == greedy_label_from_order(m, range(tree.p)).labels
 
     def test_grid_reaches_every_phase(self):
         # at a budget of 50 nodes, some searches settle and some stop, each

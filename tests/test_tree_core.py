@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from oracles import Ref, path, random_tree
+from oracles import Ref, distances, path, random_tree, rooted_trees
 from radiotree import (
     BadEdge,
     BadVertex,
@@ -243,6 +243,31 @@ class TestDistance:
         for u in range(6):
             for v in range(6):
                 assert d[u][v] == d[v][u]
+
+    def test_matrix_on_every_tree_up_to_ten_vertices(self):
+        # each rooted tree once (1,205 with p <= 10, A000081), so every
+        # unrooted tree at least once, each under a seeded numbering: the
+        # BFS from vertex 0 starts anywhere in the tree
+        rng = random.Random("distance-matrix")
+        counts = []
+        for p in range(1, 11):
+            trees = list(rooted_trees(p))
+            counts.append(len(trees))
+            for edges in trees:
+                perm = rng.sample(range(p), p)
+                tree = build_tree([(perm[u], perm[v]) for u, v in edges]) if edges \
+                    else random_tree(1, rng)
+                assert distance_matrix(tree) == distances(tree)
+        assert counts == [1, 1, 2, 4, 9, 20, 48, 115, 286, 719]
+
+    @given(relabelled_trees())
+    @settings(max_examples=150, deadline=None)
+    def test_matrix_on_one_and_two_center_trees(self, tree):
+        assert distance_matrix(tree) == distances(tree)
+
+    def test_rows_are_distinct_lists(self):
+        # each row is built from its parent's, none shared
+        assert len({id(row) for row in distance_matrix(path(6))}) == 6
 
 
 class TestPhiDelta:

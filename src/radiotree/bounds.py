@@ -25,10 +25,10 @@ same :class:`CertificationFailure`: positions, for a table that is not a
 permutation of the vertex ids, and span, for a certified span that is not
 the family's closed form.
 
-Each job is done once: one order check, one set of remote runs for
-condition (a) and the a-sequence, one list of labels for condition (b) and
-the labelling returned, and one scan of condition (b) unless it fails on
-labels that do not strictly increase.
+Each job is done once: one order check, one byte string of remote and one
+of free positions for condition (a) and the a-sequence, one list of labels
+for condition (b) and the labelling returned, and one scan of condition (b)
+unless it fails on labels that do not strictly increase.
 
 For comparison, the module also implements two earlier lower bounds for trees
 with a degree-2 weight center (one for even and one for odd diameter), stated
@@ -52,9 +52,9 @@ from .orders import (
     _condition_a,
     _condition_a_applies,
     _condition_b_on_labels,
-    _free_runs,
+    _free_flags,
     _levels_and_labels,
-    _remote_runs,
+    _remote_flags,
     check_order,
 )
 from .tree import CENTER_BRANCH, TreeMetrics
@@ -95,8 +95,8 @@ def certify_tightness(m: TreeMetrics, order: Sequence) -> RadioLabelling:
     labelling once condition (b) holds (see the comment in
     :func:`_certified_labels`).
 
-    The stages share their work: the remote runs of the order serve
-    condition (a) and the a-sequence, and the labels that condition (b)
+    The stages share their work: the remote and free flags of the order
+    serve condition (a) and the a-sequence, and the labels that condition (b)
     checks are the labels returned, with no second pass of
     :func:`radiotree.labelling.label_from_order`.  The order is checked
     once, by :func:`radiotree.orders.check_order`, which raises
@@ -127,12 +127,12 @@ def certify_tightness(m: TreeMetrics, order: Sequence) -> RadioLabelling:
 def _certified_labels(m: TreeMetrics, seq: tuple) -> list:
     """The labels of ``seq``, position by position, once condition (a), the
     combined sum and condition (b) hold; else :class:`CertificationFailure`
-    at the first that does not.  The runs, levels and a-sequence built here
+    at the first that does not.  The flags, levels and a-sequence built here
     are freed before the caller verifies."""
     _condition_a_applies(m)
-    runs = _remote_runs(m, seq)
-    free = _free_runs(m, seq, runs)
-    ok, diag = _condition_a(m, seq, runs, free)
+    remote = _remote_flags(m, seq)
+    free = _free_flags(m, seq, remote)
+    ok, diag = _condition_a(m, seq, remote, free)
     if not ok:
         raise CertificationFailure("condition_a", diag)
     aseq = _a_sequence(m, seq, free)

@@ -15,11 +15,15 @@ the combinatorial side of that question:
   constructed labelling valid;
 * the older tightness conditions for the basic bound (the ``a == 0``
   specialization).
+
+An order's remote and free positions are flags, one byte per position, and
+the runs are read off them by C-level ``bytes`` methods, with no Python loop
+per run: ``replace(b"\\1\\1", b"\\1\\2")`` makes every second 1 of each run a 2,
+which marks the odd runs and the a-sequence's alternation at once.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, islice
 from operator import lt
@@ -102,24 +106,21 @@ def _runs(flags: bytes) -> list:
     return runs
 
 
-def _remote_runs(m: TreeMetrics, seq: tuple) -> list:
-    """The maximal runs of order positions held by remote vertices."""
-    return _runs(bytes(map(m.remote_set.__contains__, seq)))
+def _remote_flags(m: TreeMetrics, seq: tuple) -> bytes:
+    """One byte per order position: 1 where a remote vertex sits, else 0."""
+    return bytes(map(m.remote_set.__contains__, seq))
 
 
-def _free_runs(m: TreeMetrics, seq: tuple, runs: list) -> list:
-    """The maximal runs of *free* positions (a remote vertex with no weight
-    center as an order-neighbour), cut from the remote ``runs`` of ``seq``:
-    each order-neighbour of a center leaves the run that holds it, which
-    splits in two when that position is inside it."""
-    free = list(runs)
+def _free_flags(m: TreeMetrics, seq: tuple, remote: bytes) -> bytes:
+    """The ``remote`` flags of ``seq`` with each weight center's
+    order-neighbours cleared: 1 exactly at the *free* positions, a remote
+    vertex with no weight center as an order-neighbour."""
+    free = bytearray(remote)
     for i in map(seq.index, m.weight_centers):  # a C-level scan per center
         for j in (i - 1, i + 1):
-            k = bisect_right(free, (j, len(seq))) - 1  # the last run starting at or before j
-            if k >= 0 and free[k][1] >= j:
-                s, e = free[k]
-                free[k:k + 1] = [r for r in ((s, j - 1), (j + 1, e)) if r[0] <= r[1]]
-    return free
+            if 0 <= j < len(seq):
+                free[j] = 0
+    return bytes(free)
 
 
 def maximal_remote_intervals(m: TreeMetrics, order: Sequence) -> list:
@@ -127,30 +128,26 @@ def maximal_remote_intervals(m: TreeMetrics, order: Sequence) -> list:
 
     Returned as (start, end) index pairs, inclusive, ascending.
     """
-    return _remote_runs(m, check_order(m, order))
+    return _runs(_remote_flags(m, check_order(m, order)))
 
 
-def _parity_ok(lengths: list, count: int) -> bool:
-    """Even lengths throughout, except one odd run allowed when count is odd."""
-    odd = sum(1 for n in lengths if n % 2 == 1)
-    if count % 2 == 1:
-        return odd == 1
-    return odd == 0
-
-
-def _feasible(m: TreeMetrics, runs: list) -> bool:
-    """:func:`is_feasible` on the remote runs of an order."""
-    return _parity_ok([e - s + 1 for s, e in runs], len(m.remote_set))
+def _parity_ok(flags: bytes, count: int) -> bool:
+    """The runs of 1s in ``flags`` are even, except one odd run allowed when
+    ``count`` (the number of 1s) is odd.  ``replace`` pairs each run's 1s
+    from its first position on, as it matches left to right without overlap,
+    so a run ends on an unpaired 1 exactly when its length is odd."""
+    alt = flags.replace(b"\1\1", b"\1\2")
+    return alt.count(b"\1\0") + alt.endswith(b"\1") == count % 2
 
 
 def is_feasible(m: TreeMetrics, order: Sequence) -> bool:
     """All maximal remote runs have even length, except one odd run permitted
     when the number of remote vertices is odd."""
-    return _feasible(m, maximal_remote_intervals(m, order))
+    return _parity_ok(_remote_flags(m, check_order(m, order)), len(m.remote_set))
 
 
-def _admissible(m: TreeMetrics, seq: tuple, free: list) -> bool:
-    """:func:`is_admissible` on an order and its free runs."""
+def _admissible(m: TreeMetrics, seq: tuple, free: bytes) -> bool:
+    """:func:`is_admissible` on an order and its free flags."""
     centers = m.weight_centers
     slots = sorted(map(seq.index, centers))
     for i in slots:
@@ -159,8 +156,7 @@ def _admissible(m: TreeMetrics, seq: tuple, free: list) -> bool:
                 return False
     if len(slots) == 2 and slots[1] <= slots[0] + 2:
         return False
-    lengths = [e - s + 1 for s, e in free]
-    return _parity_ok(lengths, sum(lengths))
+    return _parity_ok(free, free.count(1))
 
 
 def is_admissible(m: TreeMetrics, order: Sequence) -> bool:
@@ -169,19 +165,20 @@ def is_admissible(m: TreeMetrics, order: Sequence) -> bool:
     (one odd run allowed when their count is odd).  With two centers they must
     additionally sit at order positions i, j with j > i + 2."""
     seq = check_order(m, order)
-    return _admissible(m, seq, _free_runs(m, seq, _remote_runs(m, seq)))
+    return _admissible(m, seq, _free_flags(m, seq, _remote_flags(m, seq)))
 
 
-def _a_sequence(m: TreeMetrics, seq: tuple, free: list) -> ASequence:
-    """:func:`a_sequence` on an order and its free runs.  Positions 0 and
-    p - 1 do not count as free: a_0 = 0, and there is no a_{p-1}."""
-    p, w = len(seq), len(m.weight_centers)
-    a = [0] * (p - 1)
-    for s, e in free:
-        s, e = max(s, 1), min(e, p - 2)
-        if s <= e:
-            a[s:e + 1:2] = [w] * ((e - s) // 2 + 1)
-    return ASequence(a=tuple(a))
+def _a_sequence(m: TreeMetrics, seq: tuple, free: bytes) -> ASequence:
+    """:func:`a_sequence` on an order and its free flags.  Positions 0 and
+    p - 1 do not count as free: a_0 = 0, and there is no a_{p-1}.  Each run
+    of the other free positions, its 1s paired as in :func:`_parity_ok`,
+    keeps a 1 on its first position and every other one after it, where
+    a_t = |W|; a_t = 0 on the 2s and the 0s."""
+    inner = bytearray(free)
+    inner[0] = inner[-1] = 0
+    alt = inner.replace(b"\1\1", b"\1\2")[:-1]
+    w = len(m.weight_centers)
+    return ASequence(a=tuple(alt.translate(bytes.maketrans(b"\1\2", bytes((w, 0))))))
 
 
 def a_sequence(m: TreeMetrics, order: Sequence) -> ASequence:
@@ -209,7 +206,7 @@ def _order_and_a_sequence(m: TreeMetrics, order: Sequence) -> tuple:
     if not m.two_branch:
         raise NotTwoBranch("a-sequence is defined for two-branch trees only")
     seq = check_order(m, order)
-    return seq, _a_sequence(m, seq, _free_runs(m, seq, _remote_runs(m, seq)))
+    return seq, _a_sequence(m, seq, _free_flags(m, seq, _remote_flags(m, seq)))
 
 
 def _condition_a_applies(m: TreeMetrics) -> None:
@@ -217,9 +214,9 @@ def _condition_a_applies(m: TreeMetrics) -> None:
         raise NotTwoBranch("condition (a) is defined for two-branch trees only")
 
 
-def _condition_a(m: TreeMetrics, seq: tuple, runs: list, free: list) -> tuple:
-    """:func:`check_condition_a` on an order, its remote runs and its free
-    runs, on a tree it applies to."""
+def _condition_a(m: TreeMetrics, seq: tuple, remote: bytes, free: bytes) -> tuple:
+    """:func:`check_condition_a` on an order, its remote flags and its free
+    flags, on a tree it applies to."""
     end_sum = m.level[seq[0]] + m.level[seq[-1]]
     s = len(m.remote_set)
     w = len(m.weight_centers)
@@ -229,7 +226,7 @@ def _condition_a(m: TreeMetrics, seq: tuple, runs: list, free: list) -> tuple:
             ok = end_sum == 1 and _admissible(m, seq, free)
             want = "endpoint level sum 1 with an admissible order"
         else:
-            ok = (end_sum == 1 and (_feasible(m, runs) or _admissible(m, seq, free))) \
+            ok = (end_sum == 1 and (_parity_ok(remote, s) or _admissible(m, seq, free))) \
                 or (end_sum == 2 and _admissible(m, seq, free))
             want = "sum 1 with a feasible order, or sum 2 with an admissible order"
     else:
@@ -259,8 +256,8 @@ def check_condition_a(m: TreeMetrics, order: Sequence) -> tuple:
     """
     _condition_a_applies(m)
     seq = check_order(m, order)
-    runs = _remote_runs(m, seq)
-    return _condition_a(m, seq, runs, _free_runs(m, seq, runs))
+    remote = _remote_flags(m, seq)
+    return _condition_a(m, seq, remote, _free_flags(m, seq, remote))
 
 
 def _labels(m: TreeMetrics, lev: list, a: Sequence) -> list:

@@ -199,10 +199,10 @@ class TestOneOrderCheck:
         m = metrics(inst.tree)
         order = build(inst, m)
         labels = count_calls(monkeypatch, "_labels")
-        runs = count_calls(monkeypatch, "_runs")
+        remote = count_calls(monkeypatch, "_remote_flags")
         assert certify_tightness(m, order).span == inst.closed_form_rn
         assert len(labels) == 1
-        assert len(runs) <= 1
+        assert len(remote) == 1
 
     @pytest.mark.parametrize("other", [4, 6])
     def test_certify_checks_a_checked_order_of_another_size(self, other):

@@ -30,7 +30,7 @@ from radiotree import (
     proof_order_levelwise,
     proof_order_lmh,
 )
-from radiotree.orders import _condition_b_core, _free_runs
+from radiotree.orders import _condition_b_core, _free_flags, _remote_flags, _runs
 from radiotree.tree import CENTER_BRANCH
 
 ref_of = cache(oracles.Ref)  # one distance table per tree of the grid
@@ -159,12 +159,12 @@ def test_same_stage_detail_and_labels():
 
 def test_same_runs_a_sequence_and_condition_b():
     # on every order, also where the reference pipeline stops at condition (a);
-    # the free runs are cut from the remote runs, and checked position by position
+    # the free flags are cut from the remote flags, and checked position by position
     for m, order in grid_cases():
         ref, seq = ref_of(m.tree), tuple(order)
         runs = maximal_remote_intervals(m, seq)
         assert runs == oracles.remote_runs(ref, seq)
-        assert _free_runs(m, seq, runs) == oracles.free_runs(ref, seq)
+        assert _runs(_free_flags(m, seq, _remote_flags(m, seq))) == oracles.free_runs(ref, seq)
         assert is_admissible(m, seq) == oracles.is_admissible(ref, seq)
         a = a_sequence(m, seq)
         assert a.a == oracles.a_sequence(ref, seq)
@@ -206,5 +206,6 @@ def test_free_runs_when_the_centers_are_remote():
         runs = maximal_remote_intervals(m, seq)
         assert runs == [(0, 1)]
         ref = oracles.Ref(m.tree)
-        assert _free_runs(m, seq, runs) == oracles.free_runs(ref, seq) == []
+        free = _free_flags(m, seq, _remote_flags(m, seq))
+        assert _runs(free) == oracles.free_runs(ref, seq) == []
         assert is_admissible(m, seq) == oracles.is_admissible(ref, seq)

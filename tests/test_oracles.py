@@ -8,9 +8,9 @@ from pathlib import Path
 import oracles
 
 TREE_BUILDERS = {"Tree", "build_tree", "_decode_pruefer"}
-CHECKED = {"check_condition_a", "_condition_b_core", "_free_runs", "_bfs", "distance_matrix",
-           "greedy_label_from_order", "_twin_prev", "_probe_bounds", "_xi_cuts",
-           "_identity_labels"}
+CHECKED = {"check_condition_a", "_condition_b_core", "_free_flags", "_remote_flags", "_bfs",
+           "distance_matrix", "greedy_label_from_order", "_twin_prev", "_probe_bounds",
+           "_xi_cuts", "_identity_labels"}
 
 
 def names_in(node):

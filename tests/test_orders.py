@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -164,6 +165,42 @@ class TestAdmissibleReference:
             seen.add((len(m.weight_centers), got))
         # one center and two, admissible and not
         assert seen == {(1, True), (1, False), (2, True), (2, False)}
+
+
+@pytest.mark.parametrize("flags, ok", [
+    (b"", True),
+    (b"\0\1\1\1\0", True),      # one odd run, odd count
+    (b"\0\1\1\1\1\0", True),   # one even run
+    (b"\1\1\0\0\1\1", True),   # even runs touching both ends
+    (b"\1\1\0\1\1\1", True),   # runs touching both ends, the last odd
+    (b"\1\0\0\1", False),      # odd runs touching both ends, even count
+    (b"\1\1\1\0\1", False),    # two odd runs, the second at the end
+    (b"\1\0\1\1\1", False),    # two odd runs, the first at the start
+], ids=["empty", "odd", "even", "even-ends", "one-odd-end", "odd-ends", "odd-last",
+        "odd-first"])
+def test_parity_ok(flags, ok):
+    want = oracles.parity_ok([e - s + 1 for s, e in oracles.runs(flags)])
+    assert orders._parity_ok(flags, flags.count(1)) is ok is want
+
+
+def run_stage_against_the_oracles(m, seq):
+    """The run stage's answers on ``seq`` equal the definitions'."""
+    ref = oracles.Ref(m.tree)
+    assert maximal_remote_intervals(m, seq) == oracles.remote_runs(ref, seq)
+    free = orders._free_flags(m, seq, orders._remote_flags(m, seq))
+    assert orders._runs(free) == oracles.free_runs(ref, seq)
+    assert is_feasible(m, seq) == oracles.is_feasible(ref, seq)
+    assert is_admissible(m, seq) == oracles.is_admissible(ref, seq)
+    assert a_sequence(m, seq).a == oracles.a_sequence(ref, seq)
+    assert check_condition_a(m, seq) == oracles.condition_a(ref, seq)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_run_stage_on_every_order_of_the_smallest_two_branch_trees(n):
+    # P_3 (one center) and P_4 (two centers), each with its two leaves
+    # remote: every placement of their runs, at an end or inside
+    for seq in permutations(range(n)):
+        run_stage_against_the_oracles(path_metrics(n), seq)
 
 
 class TestASequence:
@@ -341,6 +378,13 @@ def two_branch_orders(draw):
 def test_windowed_condition_b_matches_all_pairs(case):
     m, seq, a = case
     assert _condition_b_core(m, seq, a) == oracles.condition_b(oracles.Ref(m.tree), seq, a)
+
+
+@given(two_branch_orders())
+@settings(max_examples=300, deadline=None)
+def test_run_stage_matches_the_definitions(case):
+    m, seq, _ = case
+    run_stage_against_the_oracles(m, seq)
 
 
 class TestDdbConditions:
